@@ -188,11 +188,8 @@ def _cmd_svt_amplify(argv: list[str]) -> int:
     p.add_argument("--eps", type=float, required=True)
     args = p.parse_args(argv)
     circ = load_circuit(args.circuit)
-    if not 0.0 < args.s < args.c < 1.0:
-        raise PreconditionError(f"need 0 < s < c < 1, got c={args.c}, s={args.s}")
-    poly = svt.rect_poly((args.c + args.s) / 2.0, (args.c - args.s) / 2.0, args.eps)
     encoding = svt.build_block_encoding(circ, args.x)
-    amplified = svt.apply_svt(encoding, poly)
+    poly, amplified = svt.amplified_acceptance(encoding, args.c, args.s, args.eps)
     bounds = svt.sandwich_bounds(encoding, args.c, args.s, args.eps, amplified)
     _emit(
         "svt-amplify",
@@ -232,6 +229,7 @@ def _cmd_reduce_interval(argv: list[str]) -> int:
         p.error("--seed is required for random strategies or estimator backing")
     seed = args.seed if args.seed is not None else 0
     circ = load_circuit(args.circuit)
+    reductions.IntervalPartition(args.M)  # rejects M < 2 before eps_bound divides by it
     oracle = reductions.MiscountingOracle(
         circ,
         args.x,

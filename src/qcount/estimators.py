@@ -28,7 +28,7 @@ import numpy as np
 from .circuit import VerifierCircuit, _parse_bits
 from .errors import PreconditionError
 from .limits import dense_qubit_cap
-from .rngstreams import stream
+from .rngstreams import stream, uniform_indices
 from .spectral import (
     AcceptanceOperator,
     accept_probability,
@@ -69,15 +69,9 @@ def _resolve_operator(
 
 
 def _witness_probabilities(
-    circuit: VerifierCircuit,
-    x: str,
-    operator: AcceptanceOperator | None,
-    witnesses: np.ndarray,
-    cache: dict[int, float],
+    circuit: VerifierCircuit, x: str, witnesses: np.ndarray, cache: dict[int, float]
 ) -> np.ndarray:
-    if operator is not None:
-        diag = np.clip(np.real(np.diagonal(operator.matrix)), 0.0, 1.0)
-        return diag[witnesses]
+    """Acceptance probability of each witness, one simulation per new witness."""
     w = circuit.num_witness
     out = np.empty(witnesses.shape[0])
     for i, y_val in enumerate(witnesses):
@@ -102,7 +96,9 @@ def make_trace_estimator(
     (from `operator` if given, else a dense build, else lazily per
     sampled witness beyond the dense cap), so repeated runs pay only for
     their own draws.  Sample i consumes the generator's uniforms at
-    positions i (witness pick) and M + i (acceptance coin).
+    positions i (witness pick) and M + i (acceptance coin).  This is the
+    package's one Monte Carlo draw: avg_accept_decider and the
+    estimator-backed miscounting oracle sample through it too.
     """
     if M < 1:
         raise PreconditionError(f"sample count must be >= 1, got {M}")
@@ -123,13 +119,12 @@ def make_trace_estimator(
     prob_cache: dict[int, float] = {}
 
     def run(rng: np.random.Generator, seed_record: int = 0) -> AdditiveEstimate:
-        draws = rng.random((2, M))
-        witnesses = np.floor(draws[0] * dim_w).astype(np.int64)
+        witnesses = uniform_indices(rng, dim_w, M)
         if diag is not None:
             probs = diag[witnesses]
         else:
-            probs = _witness_probabilities(circuit, x, None, witnesses, prob_cache)
-        hits = draws[1] < probs
+            probs = _witness_probabilities(circuit, x, witnesses, prob_cache)
+        hits = rng.random(M) < probs
         value = dim_w * (int(hits.sum()) / M)
         return AdditiveEstimate(
             value=value,
@@ -216,9 +211,11 @@ def avg_accept_decider(
 
     Uses eps = min(1/6, (c-s)/3) unless overridden and M = ceil(3/eps^2)+1
     single-shot samples, which by Chebyshev decides correctly with
-    probability at least 2/3 whenever the promise holds.  The promise is
-    not checkable from samples; when the dense oracle is affordable the
-    result carries a flag saying whether this input actually violated it.
+    probability at least 2/3 whenever the promise holds.  The samples
+    are one run of make_trace_estimator on stream(seed), so the mean is
+    that run's value divided by 2**w.  The promise is not checkable from
+    samples; when the dense oracle is affordable the result carries a
+    flag saying whether this input actually violated it.
     """
     if not 0.0 <= s < c <= 1.0:
         raise PreconditionError(f"need 0 <= s < c <= 1, got c={c}, s={s}")
@@ -228,14 +225,9 @@ def avg_accept_decider(
     if not 0.0 < epsilon < gap / 2.0:
         raise PreconditionError(f"epsilon={epsilon} cannot separate the promise gap {gap}")
     M = math.ceil(3.0 / (epsilon * epsilon)) + 1
-    _parse_bits(x, circuit.num_input, "input bits")
-    dim_w = 1 << circuit.num_witness
     op = _resolve_operator(circuit, x, operator)
-    rng = stream(seed)
-    draws = rng.random((2, M))
-    witnesses = np.floor(draws[0] * dim_w).astype(np.int64)
-    probs = _witness_probabilities(circuit, x, op, witnesses, {})
-    mean = float(np.count_nonzero(draws[1] < probs)) / M
+    run = make_trace_estimator(circuit, x, M, operator=op)
+    mean = run(stream(seed)).value / (1 << circuit.num_witness)
     answer = "YES" if mean >= (c + s) / 2.0 else "NO"
     promise_violated: bool | None = None
     exact: float | None = None

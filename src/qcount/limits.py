@@ -9,6 +9,8 @@ raised or lowered through the QCOUNT_DENSE_CAP environment variable.
 
 import os
 
+from .errors import PreconditionError
+
 SIM_QUBIT_CAP = 20
 DENSE_QUBIT_CAP_DEFAULT = 14
 PATH_BIT_CAP = 24
@@ -24,7 +26,7 @@ def dense_qubit_cap() -> int:
     try:
         cap = int(raw)
     except ValueError as exc:
-        raise ValueError(f"{_ENV_DENSE_CAP} must be an integer, got {raw!r}") from exc
+        raise PreconditionError(f"{_ENV_DENSE_CAP} must be an integer, got {raw!r}") from exc
     if cap < 1:
-        raise ValueError(f"{_ENV_DENSE_CAP} must be positive, got {cap}")
+        raise PreconditionError(f"{_ENV_DENSE_CAP} must be positive, got {cap}")
     return cap

@@ -35,7 +35,7 @@ import numpy as np
 from .circuit import Gate, VerifierCircuit, _bitpos, _parse_bits
 from .errors import CapExceeded, InvariantViolation, PreconditionError
 from .limits import PATH_BIT_CAP, dense_qubit_cap
-from .rngstreams import stream
+from .rngstreams import stream, uniform_indices
 from .estimators import AdditiveEstimate
 
 _CHUNK = 1 << 16
@@ -184,12 +184,9 @@ def _sampled_real_parts(
     q = circuit.num_qubits
     w = circuit.num_witness
     t = circuit.gate_count
-    draws = rng.random((2 * t, samples))
-    y = np.floor(draws[0] * (1 << w)).astype(np.int64)
-    v = np.floor(draws[1] * (1 << (q - 1))).astype(np.int64)
-    z_slots = [
-        np.floor(draws[2 + j] * (1 << q)).astype(np.int64) for j in range(2 * (t - 1))
-    ]
+    y = uniform_indices(rng, 1 << w, samples)
+    v = uniform_indices(rng, 1 << (q - 1), samples)
+    z_slots = [uniform_indices(rng, 1 << q, samples) for _ in range(2 * (t - 1))]
     nonzero, phase = _term_phases(circuit, x_val, y, v, z_slots)
     return np.where(nonzero, (phase == 0).astype(np.int64) - (phase == 2), 0)
 

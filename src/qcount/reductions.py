@@ -49,10 +49,17 @@ from .spectral import (
     count_eigs_interval,
     trace_normalized,
 )
+from .svt import (
+    BlockEncoding,
+    amplified_acceptance,
+    build_block_encoding,
+    eig_to_sv_threshold,
+)
 
 DELTA_STRATEGIES = ("zero", "max", "random")
 EPS_STRATEGIES = ("zero", "adversarial", "random")
 MIN_HEADROOM = 0.05  # smallest supported 1 - c for the padding exponent
+ESTIMATOR_DELTA = 1e-3  # failure probability of each estimator-backed answer
 
 
 @dataclass(frozen=True)
@@ -99,7 +106,11 @@ class MiscountingOracle:
     w + pad_qubits.  With backing="estimator" the answer instead comes
     from SVT amplification plus median-amplified trace sampling, and the
     error budget must absorb genuine noise; every query is audited
-    against the exact range either way.
+    against the exact range either way.  Only the rectangle polynomial
+    changes between estimator-backed queries, so the oracle builds one
+    block encoding on its first such query and every later query reuses
+    it and its cached SVD: one embedding and one SVD per oracle.  The
+    exact backing never builds it.
     """
 
     def __init__(
@@ -114,7 +125,6 @@ class MiscountingOracle:
         pad_qubits: int = 0,
         u_exponent: float = 1.0,
         backing: str = "exact",
-        estimator_delta: float = 1e-3,
     ):
         if delta_strategy not in DELTA_STRATEGIES:
             raise PreconditionError(
@@ -142,13 +152,13 @@ class MiscountingOracle:
         self.pad_qubits = pad_qubits
         self.u_exponent = u_exponent
         self.backing = backing
-        self.estimator_delta = estimator_delta
         self.operator: AcceptanceOperator = build_acceptance_operator(circuit, x)
         self.multiplicity = 1 << pad_qubits
         self.w_total = circuit.num_witness + pad_qubits
         self.normalization = 2.0 ** (u_exponent * self.w_total)
         self.query_log: list[dict] = []
         self._queries = 0
+        self._encoding: BlockEncoding | None = None
 
     def query(self, c: float, s: float) -> float:
         """One noisy count answer for thresholds (c, s), appended to the log."""
@@ -209,15 +219,14 @@ class MiscountingOracle:
         sampling error; the range audit in query() then checks the split
         actually held for this run.
         """
-        from .svt import amplified_acceptance, eig_to_sv_threshold
-
         svt_eps = self.eps_bound / 4.0
         samp_eps = self.eps_bound / 2.0
         if svt_eps <= 0:
             raise PreconditionError("estimator backing needs a positive eps_bound")
-        amplified = amplified_acceptance(
-            self.circuit,
-            self.x,
+        if self._encoding is None:
+            self._encoding = build_block_encoding(self.circuit, self.x)
+        _, amplified = amplified_acceptance(
+            self._encoding,
             eig_to_sv_threshold(c),
             eig_to_sv_threshold(s),
             svt_eps,
@@ -228,7 +237,7 @@ class MiscountingOracle:
         base = make_trace_estimator(
             self.circuit, self.x, M, operator=amplified, epsilon=samp_eps
         )
-        k = median_repetitions(self.estimator_delta)
+        k = median_repetitions(ESTIMATOR_DELTA)
         sub_seed = int(rng.integers(0, 2**63))
         return median_amplify(base, k, sub_seed).value
 

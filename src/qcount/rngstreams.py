@@ -11,13 +11,15 @@ the underlying estimator.
 
 import numpy as np
 
+from .errors import PreconditionError
+
 MAX_SEED = 2**64 - 1
 
 
 def stream(seed: int, jump: int = 0) -> np.random.Generator:
     """Generator for substream `jump` of the given seed."""
     if not 0 <= seed <= MAX_SEED:
-        raise ValueError(f"seed must fit in 64 bits, got {seed}")
+        raise PreconditionError(f"seed must fit in 64 bits, got {seed}")
     bg = np.random.Philox(key=seed)
     if jump:
         bg = bg.jumped(jump)
@@ -32,5 +34,5 @@ def uniform_indices(rng: np.random.Generator, bound: int, size: int) -> np.ndarr
     not exceeding 2**53.  One counter word per sample, no rejection.
     """
     if not 0 < bound <= 2**53:
-        raise ValueError(f"bound must be in (0, 2**53], got {bound}")
+        raise PreconditionError(f"bound must be in (0, 2**53], got {bound}")
     return np.floor(rng.random(size) * bound).astype(np.int64)

@@ -74,27 +74,6 @@ class AcceptanceOperator:
             self._eigenvalues = np.clip(vals, 0.0, 1.0)[::-1].copy()
         return self._eigenvalues
 
-    def to_json_obj(self) -> dict:
-        """Row-major dump with (real, imag) pairs per entry."""
-        flat = self.matrix.reshape(-1)
-        return {
-            "witness_qubits": self.num_witness,
-            "dim": self.dim,
-            "entries": [[float(z.real), float(z.imag)] for z in flat],
-        }
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "AcceptanceOperator":
-        w = int(obj["witness_qubits"])
-        dim = 1 << w
-        entries = obj["entries"]
-        if len(entries) != dim * dim:
-            raise PreconditionError(
-                f"expected {dim * dim} entries for {w} witness qubits, got {len(entries)}"
-            )
-        mat = np.array([complex(re, im) for re, im in entries]).reshape(dim, dim)
-        return cls(mat, w)
-
 
 def build_acceptance_operator(circuit: VerifierCircuit, x: str = "") -> AcceptanceOperator:
     """Dense acceptance operator of the circuit on input x."""

@@ -39,7 +39,7 @@ from .spectral import TIE_TOL, AcceptanceOperator
 log = logging.getLogger(__name__)
 
 DEGREE_BUDGET_FACTOR = 40.0
-DEFAULT_GRID_SIZE = 10001
+GRID_SIZE = 10001
 _SAFETY = 1e-9
 
 
@@ -67,8 +67,8 @@ def degree_budget(delta: float, eps: float) -> int:
     return int(math.ceil(DEGREE_BUDGET_FACTOR * math.log(1.0 / eps) / delta))
 
 
-def _verification_grid(t: float, delta: float, grid_size: int) -> np.ndarray:
-    pts = np.linspace(-1.0, 1.0, grid_size)
+def _verification_grid(t: float, delta: float) -> np.ndarray:
+    pts = np.linspace(-1.0, 1.0, GRID_SIZE)
     edges = np.array([t - delta, t + delta, t, 0.0])
     pts = np.concatenate([pts, edges, -edges])
     return np.unique(np.clip(pts, -1.0, 1.0))
@@ -105,9 +105,7 @@ def _passes(
     return True
 
 
-def rect_poly(
-    t: float, delta: float, eps: float, *, grid_size: int = DEFAULT_GRID_SIZE
-) -> RectanglePolynomial:
+def rect_poly(t: float, delta: float, eps: float) -> RectanglePolynomial:
     """Construct the rectangle polynomial for band center t, half-width delta.
 
     Fails with PreconditionError when the parameters are infeasible
@@ -123,12 +121,10 @@ def rect_poly(
         )
     if not 0.0 < eps < 0.5:
         raise PreconditionError(f"eps must lie in (0, 0.5), got {eps}")
-    if grid_size < 10**4:
-        raise PreconditionError(f"verification grid needs >= 10^4 points, got {grid_size}")
     budget = degree_budget(delta, eps)
     budget_even = budget if budget % 2 == 0 else budget - 1
     k = float(erfcinv(eps / 2.0)) / delta
-    grid = _verification_grid(t, delta, grid_size)
+    grid = _verification_grid(t, delta)
 
     def build(degree: int) -> np.ndarray:
         return _candidate(lambda x: _target(t, k, x), degree)
@@ -164,9 +160,9 @@ def rect_poly(
     return RectanglePolynomial(coefficients=coeffs, degree=hi, t=t, delta=delta, eps=eps)
 
 
-def grid_report(poly: RectanglePolynomial, grid_size: int = DEFAULT_GRID_SIZE) -> dict:
+def grid_report(poly: RectanglePolynomial) -> dict:
     """Measured property margins on a fresh verification grid."""
-    grid = _verification_grid(poly.t, poly.delta, grid_size)
+    grid = _verification_grid(poly.t, poly.delta)
     vals = poly(grid)
     outer = np.abs(grid) >= poly.t + poly.delta
     inner = np.abs(grid) <= poly.t - poly.delta
@@ -282,10 +278,14 @@ def sandwich_bounds(
 
 
 def amplified_acceptance(
-    circuit: VerifierCircuit, x: str, c: float, s: float, eps: float
-) -> AcceptanceOperator:
-    """Amplify the circuit's acceptance operator at singular-value thresholds.
+    encoding: BlockEncoding, c: float, s: float, eps: float
+) -> tuple[RectanglePolynomial, AcceptanceOperator]:
+    """Amplify an encoding's acceptance operator at singular-value thresholds.
 
+    Builds the rectangle polynomial for the band (s, c) and applies it
+    to the encoding's SVD, which the encoding computes once and caches,
+    so callers amplifying one encoding at many thresholds pay for one
+    SVD.  Returns the polynomial together with the amplified operator.
     Thresholds are read in singular-value space; convert eigenvalue-space
     thresholds with eig_to_sv_threshold first.
     """
@@ -294,4 +294,4 @@ def amplified_acceptance(
             f"need 0 < s < c < 1 for a realizable rectangle, got c={c}, s={s}"
         )
     poly = rect_poly((c + s) / 2.0, (c - s) / 2.0, eps)
-    return apply_svt(build_block_encoding(circuit, x), poly)
+    return poly, apply_svt(encoding, poly)

@@ -1,6 +1,7 @@
 """Command line front end: JSON records, exit codes, byte determinism."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -11,11 +12,12 @@ H_QCV = "registers: ancilla=1 input=0 witness=1\nH 0\n"
 H_NO_WITNESS_QCV = "registers: ancilla=1 input=0 witness=0\nH 0\n"
 
 
-def run_cli(*args):
+def run_cli(*args, env=None):
     return subprocess.run(
         [sys.executable, "-m", "qcount.cli", *args],
         capture_output=True,
         text=True,
+        env=None if env is None else {**os.environ, **env},
     )
 
 
@@ -112,10 +114,37 @@ def test_bad_flag_exits_2(circuits):
     assert proc.returncode == 2
 
 
-def test_precondition_violation_exits_2(circuits):
-    proc = run_cli("exact-count", circuits["x"], "--c", "0.3", "--s", "0.6")
+@pytest.mark.parametrize(
+    "args,env",
+    [
+        (("exact-count", "{x}", "--c", "0.3", "--s", "0.6"), None),
+        (("estimate-trace", "{x}", "--M", "16", "--seed", "-1"), None),
+        (
+            ("path-sum", "{x}", "--mode", "sampled", "--samples", "64", "--seed", str(2**64)),
+            None,
+        ),
+        (("decide-avg-accept", "{x}", "--seed", "-1"), None),
+        (("reduce-interval", "{h}", "--M", "8", "--seed", str(2**64)), None),
+        (("reduce-pad", "{h}", "--u-exponent", "0.5", "--eps", "0.9", "--seed", "-1"), None),
+        (("reduce-interval", "{h}", "--M", "0"), None),
+        (("exact-count", "{x}", "--c", "0.6", "--s", "0.3"), {"QCOUNT_DENSE_CAP": "abc"}),
+    ],
+    ids=[
+        "c-below-s",
+        "estimate-trace-seed-negative",
+        "path-sum-seed-too-large",
+        "decide-seed-negative",
+        "reduce-interval-seed-too-large",
+        "reduce-pad-seed-negative",
+        "reduce-interval-M-0",
+        "dense-cap-not-integer",
+    ],
+)
+def test_precondition_violation_exits_2(circuits, args, env):
+    proc = run_cli(*[a.format(**circuits) for a in args], env=env)
     assert proc.returncode == 2
-    assert "qcount exact-count" in proc.stderr
+    assert f"qcount {args[0]}" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_malformed_circuit_exits_2(tmp_path):

@@ -128,3 +128,7 @@ def test_estimator_handles_input_register():
     for circ, x in ensemble(303, 5, max_input=2, max_witness=2):
         est = quantum_trace_estimator(circ, x, M=16, seed=1)
         assert 0.0 <= est.value <= est.normalization
+        # the decider's mean is one estimator run on the same stream, over 2**w
+        decided = avg_accept_decider(circ, x, seed=1)
+        run = make_trace_estimator(circ, x, decided.samples)
+        assert decided.mean == run(stream(1)).value / 2**circ.num_witness

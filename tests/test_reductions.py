@@ -6,6 +6,9 @@ import math
 import numpy as np
 import pytest
 
+import qcount.circuit
+import qcount.spectral
+import qcount.svt
 from circgen import ensemble, gapped_circuit
 from qcount import (
     InvariantViolation,
@@ -199,3 +202,27 @@ def test_estimator_backing_is_seed_deterministic():
     a = MiscountingOracle(X_CIRC, eps_bound=0.5, backing="estimator", seed=3)
     b = MiscountingOracle(X_CIRC, eps_bound=0.5, backing="estimator", seed=3)
     assert a.query(0.7, 0.2) == b.query(0.7, 0.2)
+
+
+def test_estimator_backing_builds_one_encoding(monkeypatch):
+    calls = {"embed": 0, "svd": 0}
+    embed = qcount.circuit.embedded_witness_matrix
+
+    def counting_embed(*args, **kwargs):
+        calls["embed"] += 1
+        return embed(*args, **kwargs)
+
+    svd = qcount.svt.BlockEncoding.svd.fget
+
+    def counting_svd(self):
+        calls["svd"] += self._svd is None
+        return svd(self)
+
+    monkeypatch.setattr(qcount.spectral, "embedded_witness_matrix", counting_embed)
+    monkeypatch.setattr(qcount.svt, "embedded_witness_matrix", counting_embed)
+    monkeypatch.setattr(qcount.svt.BlockEncoding, "svd", property(counting_svd))
+    oracle = MiscountingOracle(H_CIRC, eps_bound=1.0 / 8.0, backing="estimator", seed=5)
+    r = interval_partition_trace(oracle, 8)
+    assert r.abs_error <= r.error_bound
+    assert calls["embed"] <= 2
+    assert calls["svd"] == 1

@@ -136,14 +136,6 @@ def test_clamps_rounding_noise():
     assert op.eigenvalues[1] == 0.0
 
 
-def test_json_round_trip():
-    for circ, x in ensemble(207, 5, max_witness=2):
-        op = build_acceptance_operator(circ, x)
-        back = AcceptanceOperator.from_json_obj(op.to_json_obj())
-        assert back.num_witness == op.num_witness
-        assert np.allclose(back.matrix, op.matrix, atol=0.0)
-
-
 def test_dqc1_bound_values():
     assert dqc1_ancilla_bound(8) == 5
     assert dqc1_ancilla_bound(4) == 4

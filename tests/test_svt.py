@@ -87,8 +87,6 @@ def test_rect_poly_parameter_validation():
         rect_poly(0.5, 0.6, 0.1)  # delta >= min(t, 1-t)
     with pytest.raises(PreconditionError):
         rect_poly(0.5, 0.1, 0.5)
-    with pytest.raises(PreconditionError):
-        rect_poly(0.5, 0.1, 0.1, grid_size=100)
 
 
 def test_apply_svt_threshold_separation():
@@ -134,12 +132,14 @@ def test_worked_sandwich_on_sure_acceptor():
 
 
 def test_amplified_acceptance_end_to_end():
-    op = amplified_acceptance(X_CIRC, "", 0.666, 0.333, 0.05)
+    poly, op = amplified_acceptance(build_block_encoding(X_CIRC), 0.666, 0.333, 0.05)
+    assert (poly.t, poly.delta, poly.eps) == pytest.approx((0.4995, 0.1665, 0.05))
     assert np.all(op.eigenvalues >= (1.0 - 0.05) ** 2 - 1e-9)
 
 
 def test_amplified_acceptance_validates_thresholds():
+    enc = build_block_encoding(X_CIRC)
     with pytest.raises(PreconditionError):
-        amplified_acceptance(X_CIRC, "", 1.0, 0.5, 0.05)
+        amplified_acceptance(enc, 1.0, 0.5, 0.05)
     with pytest.raises(PreconditionError):
-        amplified_acceptance(X_CIRC, "", 0.5, 0.0, 0.05)
+        amplified_acceptance(enc, 0.5, 0.0, 0.05)
