@@ -201,40 +201,37 @@ def _bitpos(num_qubits: int, qubit: int) -> int:
     return num_qubits - 1 - qubit
 
 
-def _apply_gate_rows(mat: np.ndarray, gate: Gate, num_qubits: int) -> np.ndarray:
-    """Multiply the gate unitary into the row index of a (2**Q, m) array.
-
-    Also accepts a bare statevector of shape (2**Q,).  Always returns a
-    fresh array; the input is never mutated.
-    """
-    dim = 1 << num_qubits
-    if gate.kind == "H":
-        q = gate.qubits[0]
-        view = np.ascontiguousarray(mat).reshape(1 << q, 2, -1)
-        out = np.empty_like(view)
-        np.add(view[:, 0], view[:, 1], out=out[:, 0])
-        np.subtract(view[:, 0], view[:, 1], out=out[:, 1])
-        out *= _INV_SQRT2
-        return out.reshape(mat.shape)
+def _apply_gate(view: np.ndarray, gate: Gate) -> None:
+    # One gate on the (2,)*Q + (m,) row view, in place; a function of its
+    # own so that H's half-size temporary is freed before the next gate.
+    *controls, target = gate.qubits
+    index = [slice(1, 2) if ax in controls else slice(None) for ax in range(view.ndim)]
+    index[target] = 0
+    zero = view[tuple(index)]
+    index[target] = 1
+    one = view[tuple(index)]
     if gate.kind == "S":
-        q = gate.qubits[0]
-        out = mat.astype(np.complex128, copy=True)
-        view = out.reshape(1 << q, 2, -1)
-        view[:, 1] *= 1j
-        return out.reshape(mat.shape)
-    # Toffoli: permutation of rows where both control bits are set
-    c1, c2, t = gate.qubits
-    b1, b2, bt = (_bitpos(num_qubits, q) for q in (c1, c2, t))
-    idx = np.arange(dim)
-    lower = ((idx >> b1) & 1).astype(bool) & ((idx >> b2) & 1).astype(bool) & (
-        ((idx >> bt) & 1) == 0
-    )
-    src0 = idx[lower]
-    src1 = src0 | (1 << bt)
-    out = mat.astype(np.complex128, copy=True)
-    out[src0] = mat[src1]
-    out[src1] = mat[src0]
-    return out
+        one *= 1j
+    elif gate.kind == "H":
+        total = zero + one
+        np.subtract(zero, one, out=one)
+        zero[...] = total
+        view *= _INV_SQRT2
+    else:  # TOF: swap the target halves where both controls are set
+        swap = zero.copy()
+        zero[...] = one
+        one[...] = swap
+
+
+def _apply_gates(mat: np.ndarray, gates: tuple[Gate, ...], num_qubits: int) -> None:
+    """Multiply `gates`, first gate first, into the rows of `mat` in place.
+
+    `mat` is a C-contiguous complex128 (2**Q,) or (2**Q, m) array, so
+    the reshape is a view of it.
+    """
+    view = mat.reshape((2,) * num_qubits + (-1,))
+    for gate in gates:
+        _apply_gate(view, gate)
 
 
 def apply_gate(state: np.ndarray, gate: Gate) -> np.ndarray:
@@ -246,7 +243,9 @@ def apply_gate(state: np.ndarray, gate: Gate) -> np.ndarray:
     for q in gate.qubits:
         if not 0 <= q < num_qubits:
             raise PreconditionError(f"gate qubit {q} out of range for {num_qubits} qubits")
-    return _apply_gate_rows(state, gate, num_qubits)
+    out = np.array(state, dtype=np.complex128, order="C")
+    _apply_gates(out, (gate,), num_qubits)
+    return out
 
 
 def _parse_bits(bits: str, length: int, what: str) -> int:
@@ -277,8 +276,7 @@ def simulate(circuit: VerifierCircuit, basis: str) -> np.ndarray:
     index = _parse_bits(basis, q, "basis assignment")
     state = np.zeros(1 << q, dtype=np.complex128)
     state[index] = 1.0
-    for gate in circuit.gates:
-        state = _apply_gate_rows(state, gate, q)
+    _apply_gates(state, circuit.gates, q)
     norm = float(np.linalg.norm(state))
     if abs(norm - 1.0) > NORM_TOL:
         raise InvariantViolation(f"statevector norm drifted to {norm}")
@@ -292,8 +290,7 @@ def circuit_unitary(circuit: VerifierCircuit) -> np.ndarray:
     if q > cap:
         raise CapExceeded(f"{q} qubits exceeds the {cap}-qubit dense cap")
     mat = np.eye(1 << q, dtype=np.complex128)
-    for gate in circuit.gates:
-        mat = _apply_gate_rows(mat, gate, q)
+    _apply_gates(mat, circuit.gates, q)
     return mat
 
 
@@ -313,6 +310,5 @@ def embedded_witness_matrix(circuit: VerifierCircuit, x: str) -> np.ndarray:
     mat = np.zeros((1 << q, dim_w), dtype=np.complex128)
     base = x_val << w
     mat[base : base + dim_w, :] = np.eye(dim_w)
-    for gate in circuit.gates:
-        mat = _apply_gate_rows(mat, gate, q)
+    _apply_gates(mat, circuit.gates, q)
     return mat

@@ -106,6 +106,8 @@ def make_trace_estimator(
     dim_w = 1 << circuit.num_witness
     if epsilon is None:
         epsilon = 2.0 / math.sqrt(M)  # puts the Chebyshev failure bound at 1/4
+    elif not math.isfinite(epsilon):
+        raise PreconditionError(f"epsilon must be finite, got {epsilon}")
     elif epsilon * epsilon * M <= 1.0:
         raise PreconditionError(
             f"epsilon={epsilon} is unattainable at M={M}: the failure "

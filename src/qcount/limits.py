@@ -1,10 +1,12 @@
-"""Size caps for dense linear algebra and path enumeration.
+"""Size caps for dense linear algebra, path enumeration and polynomial degree.
 
 The caps keep every operation desk-scale: statevector simulation stays
 under SIM_QUBIT_CAP total qubits, anything that materializes a full
-unitary or eigendecomposition stays under the dense cap, and exact path
-enumeration stays under PATH_BIT_CAP free bits.  The dense cap can be
-raised or lowered through the QCOUNT_DENSE_CAP environment variable.
+unitary or eigendecomposition stays under the dense cap, exact path
+enumeration stays under PATH_BIT_CAP free bits, and the rectangle
+polynomial search builds no candidate above POLY_DEGREE_CAP.  The dense
+cap can be raised or lowered through the QCOUNT_DENSE_CAP environment
+variable.
 """
 
 import os
@@ -14,6 +16,7 @@ from .errors import PreconditionError
 SIM_QUBIT_CAP = 20
 DENSE_QUBIT_CAP_DEFAULT = 14
 PATH_BIT_CAP = 24
+POLY_DEGREE_CAP = 2**14  # its (p+1)**2 float64 interpolation matrix takes 2 GiB
 
 _ENV_DENSE_CAP = "QCOUNT_DENSE_CAP"
 

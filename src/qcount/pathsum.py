@@ -212,6 +212,8 @@ def path_sum_estimator(
     if epsilon is None:
         # default is the eps whose two-sided Hoeffding bound equals 1/4
         epsilon = float(np.sqrt(2.0 * np.log(8.0) / samples))
+    elif not np.isfinite(epsilon):
+        raise PreconditionError(f"epsilon must be finite, got {epsilon}")
     elif samples * epsilon * epsilon <= 2.0 * np.log(2.0):
         raise PreconditionError(
             f"epsilon={epsilon} is unattainable at {samples} samples: the "

@@ -136,7 +136,7 @@ class MiscountingOracle:
             )
         if backing not in ("exact", "estimator"):
             raise PreconditionError(f"backing must be exact or estimator, got {backing!r}")
-        if eps_bound < 0:
+        if not eps_bound >= 0:
             raise PreconditionError(f"eps_bound must be nonnegative, got {eps_bound}")
         if pad_qubits < 0:
             raise PreconditionError(f"pad_qubits must be nonnegative, got {pad_qubits}")
@@ -342,7 +342,7 @@ def padding_reduction(
             f"normalization exponent leaves headroom {1.0 - c}, below the "
             f"supported floor {MIN_HEADROOM}"
         )
-    if eps <= 0:
+    if not eps > 0:
         raise PreconditionError(f"eps must be positive, got {eps}")
     w = circuit.num_witness
     pad = math.floor(w / (1.0 - c)) + 2

@@ -33,7 +33,8 @@ from numpy.polynomial import chebyshev as cheb
 from scipy.special import erf, erfcinv
 
 from .circuit import VerifierCircuit, embedded_witness_matrix
-from .errors import PreconditionError
+from .errors import CapExceeded, PreconditionError
+from .limits import POLY_DEGREE_CAP
 from .spectral import TIE_TOL, AcceptanceOperator
 
 log = logging.getLogger(__name__)
@@ -90,19 +91,19 @@ def _candidate(target, degree: int) -> np.ndarray:
     return coeffs
 
 
-def _passes(
-    coeffs: np.ndarray, grid: np.ndarray, t: float, delta: float, eps: float
-) -> bool:
-    vals = cheb.chebval(grid, coeffs)
-    if np.any(np.abs(vals) > 1.0):
-        return False
+def _band_check(
+    vals: np.ndarray, grid: np.ndarray, t: float, delta: float, eps: float
+) -> tuple[int, np.ndarray, np.ndarray]:
+    """Band violations of P's values on the grid, with the outer and inner masks."""
     outer = np.abs(grid) >= t + delta
     inner = np.abs(grid) <= t - delta
-    if np.any(vals[outer] < 1.0 - eps):
-        return False
-    if np.any(vals[inner] < 0.0) or np.any(vals[inner] > eps):
-        return False
-    return True
+    violations = int(
+        np.count_nonzero(np.abs(vals) > 1.0)
+        + np.count_nonzero(vals[outer] < 1.0 - eps)
+        + np.count_nonzero(vals[inner] < 0.0)
+        + np.count_nonzero(vals[inner] > eps)
+    )
+    return violations, outer, inner
 
 
 def rect_poly(t: float, delta: float, eps: float) -> RectanglePolynomial:
@@ -110,7 +111,8 @@ def rect_poly(t: float, delta: float, eps: float) -> RectanglePolynomial:
 
     Fails with PreconditionError when the parameters are infeasible
     (delta must leave room on both sides of t) or when no degree within
-    the budget passes the grid verification.
+    the budget passes the grid verification, and with CapExceeded when
+    the search would build a candidate above POLY_DEGREE_CAP.
     """
     if not 0.0 < t < 1.0:
         raise PreconditionError(f"band center t must lie in (0, 1), got {t}")
@@ -119,8 +121,9 @@ def rect_poly(t: float, delta: float, eps: float) -> RectanglePolynomial:
             f"half-width delta must lie in (0, min(t, 1-t)) = "
             f"(0, {min(t, 1.0 - t)}), got {delta}"
         )
-    if not 0.0 < eps < 0.5:
-        raise PreconditionError(f"eps must lie in (0, 0.5), got {eps}")
+    if not _SAFETY < eps < 0.5:
+        # the renormalization caps P near 1 - _SAFETY on the outer band
+        raise PreconditionError(f"eps must lie in ({_SAFETY}, 0.5), got {eps}")
     budget = degree_budget(delta, eps)
     budget_even = budget if budget % 2 == 0 else budget - 1
     k = float(erfcinv(eps / 2.0)) / delta
@@ -129,49 +132,38 @@ def rect_poly(t: float, delta: float, eps: float) -> RectanglePolynomial:
     def build(degree: int) -> np.ndarray:
         return _candidate(lambda x: _target(t, k, x), degree)
 
-    # doubling phase: find some even degree that passes
-    degree = 4
-    passing: int | None = None
-    last_failing = 0
-    while True:
-        coeffs = build(degree)
-        if _passes(coeffs, grid, t, delta, eps):
-            passing = degree
-            break
-        last_failing = degree
-        if degree >= budget_even:
+    def passes(degree: int) -> bool:
+        return _band_check(cheb.chebval(grid, build(degree)), grid, t, delta, eps)[0] == 0
+
+    # doubling phase: lo is the last failing even degree, hi the next to try
+    lo, hi = 0, 4
+    while not passes(hi):
+        if hi >= budget_even:
             raise PreconditionError(
                 f"no rectangle polynomial up to the degree budget {budget} "
                 f"meets (t={t}, delta={delta}, eps={eps})"
             )
-        degree = min(2 * degree, budget_even)
-    # bisection phase: minimal passing even degree in (last_failing, passing]
-    lo, hi = last_failing, passing
+        lo, hi = hi, min(2 * hi, budget_even)
+        if hi > POLY_DEGREE_CAP:
+            raise CapExceeded(
+                f"rectangle polynomial degree {hi} exceeds the {POLY_DEGREE_CAP} cap"
+            )
+    # bisection phase: minimal passing even degree in (lo, hi]
     while hi - lo > 2:
         mid = (lo + hi) // 2
         mid -= mid % 2
-        if mid <= lo:
-            break
-        if _passes(build(mid), grid, t, delta, eps):
+        if passes(mid):
             hi = mid
         else:
             lo = mid
-    coeffs = build(hi)
-    return RectanglePolynomial(coefficients=coeffs, degree=hi, t=t, delta=delta, eps=eps)
+    return RectanglePolynomial(coefficients=build(hi), degree=hi, t=t, delta=delta, eps=eps)
 
 
 def grid_report(poly: RectanglePolynomial) -> dict:
     """Measured property margins on a fresh verification grid."""
     grid = _verification_grid(poly.t, poly.delta)
     vals = poly(grid)
-    outer = np.abs(grid) >= poly.t + poly.delta
-    inner = np.abs(grid) <= poly.t - poly.delta
-    violations = int(
-        np.count_nonzero(np.abs(vals) > 1.0)
-        + np.count_nonzero(vals[outer] < 1.0 - poly.eps)
-        + np.count_nonzero(vals[inner] < 0.0)
-        + np.count_nonzero(vals[inner] > poly.eps)
-    )
+    violations, outer, inner = _band_check(vals, grid, poly.t, poly.delta, poly.eps)
     return {
         "grid_points": int(grid.size),
         "max_abs": float(np.abs(vals).max()),

@@ -1,5 +1,7 @@
 """Parser and simulator checks against an independent kron-product oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -124,6 +126,24 @@ def test_embedded_witness_matrix_columns():
         assert np.allclose(mat[:, y], simulate(circ, basis), atol=1e-12)
 
 
+def test_embedded_witness_matrix_gates_in_place():
+    # tracemalloc sees numpy buffers; a gate that returned a fresh array
+    # would hold two full-size copies at once
+    q = 10
+    gates = []
+    for k in range(q):
+        gates += [Gate("H", (k,)), Gate("S", (k,))]
+        gates.append(Gate("TOF", ((k + 1) % q, (k + 2) % q, k)))
+    circ = VerifierCircuit(2, 0, 8, tuple(gates))
+    tracemalloc.start()
+    try:
+        mat = embedded_witness_matrix(circ, "")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.75 * mat.nbytes
+
+
 def test_apply_gate_matches_kron():
     rng = np.random.default_rng(106)
     state = rng.normal(size=8) + 1j * rng.normal(size=8)
@@ -135,7 +155,9 @@ def test_apply_gate_matches_kron():
             ref = one_qubit_matrix(S2, gate.qubits[0], 3)
         else:
             ref = toffoli_matrix(gate.qubits, 3)
+        before = state.copy()
         assert np.allclose(apply_gate(state, gate), ref @ state, atol=1e-12)
+        assert np.array_equal(state, before)
 
 
 def test_round_trip_through_qcv():

@@ -128,6 +128,8 @@ def test_bad_flag_exits_2(circuits):
         (("reduce-pad", "{h}", "--u-exponent", "0.5", "--eps", "0.9", "--seed", "-1"), None),
         (("reduce-interval", "{h}", "--M", "0"), None),
         (("exact-count", "{x}", "--c", "0.6", "--s", "0.3"), {"QCOUNT_DENSE_CAP": "abc"}),
+        (("reduce-pad", "{h}", "--u-exponent", "0.5", "--eps", "nan"), None),
+        (("svt-amplify", "{x}", "--c", "0.6", "--s", "0.3", "--eps", "1e-300"), None),
     ],
     ids=[
         "c-below-s",
@@ -138,6 +140,8 @@ def test_bad_flag_exits_2(circuits):
         "reduce-pad-seed-negative",
         "reduce-interval-M-0",
         "dense-cap-not-integer",
+        "reduce-pad-eps-nan",
+        "svt-amplify-eps-below-safety",
     ],
 )
 def test_precondition_violation_exits_2(circuits, args, env):

@@ -50,6 +50,9 @@ def test_explicit_epsilon_tightens_delta():
     assert est.delta == pytest.approx(1.0 / (64 * 0.25))
     with pytest.raises(PreconditionError):
         quantum_trace_estimator(H_CIRC, M=9, seed=0, epsilon=1.0 / 3.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(PreconditionError, match="epsilon must be finite"):
+            make_trace_estimator(H_CIRC, M=64, epsilon=bad)
 
 
 def test_unbiased_within_standard_error():

@@ -116,6 +116,9 @@ def test_estimator_metadata_and_validation():
         path_sum_estimator(circ, samples=4, seed=0, epsilon=0.5)
     with pytest.raises(PreconditionError):
         path_sum_estimator(circ, samples=0, seed=0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(PreconditionError, match="epsilon must be finite"):
+            path_sum_estimator(circ, samples=128, seed=0, epsilon=bad)
 
 
 def test_estimator_seed_determinism():

@@ -104,8 +104,9 @@ def test_query_log_is_audited():
 
 
 def test_oracle_validation():
-    with pytest.raises(PreconditionError):
-        MiscountingOracle(H_CIRC, eps_bound=-0.1)
+    for bad in (-0.1, float("nan")):
+        with pytest.raises(PreconditionError):
+            MiscountingOracle(H_CIRC, eps_bound=bad)
     with pytest.raises(PreconditionError):
         MiscountingOracle(H_CIRC, eps_bound=0.1, delta_strategy="worst")
     with pytest.raises(PreconditionError):

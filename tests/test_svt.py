@@ -15,7 +15,9 @@ from qcount import (
     rect_poly,
     sandwich_bounds,
 )
+from qcount import svt
 from qcount.circuit import parse_circuit
+from qcount.errors import CapExceeded
 from qcount.svt import RectanglePolynomial, grid_report
 
 X_CIRC = parse_circuit("registers: ancilla=1 input=0 witness=1\nX 0\n")
@@ -87,6 +89,15 @@ def test_rect_poly_parameter_validation():
         rect_poly(0.5, 0.6, 0.1)  # delta >= min(t, 1-t)
     with pytest.raises(PreconditionError):
         rect_poly(0.5, 0.1, 0.5)
+    with pytest.raises(PreconditionError):
+        rect_poly(0.5, 0.25, 1e-9)  # no candidate can pass at eps <= _SAFETY
+    assert rect_poly(0.5, 0.25, 1.5e-9).degree <= degree_budget(0.25, 1.5e-9)
+
+
+def test_rect_poly_degree_cap(monkeypatch):
+    monkeypatch.setattr(svt, "POLY_DEGREE_CAP", 64)
+    with pytest.raises(CapExceeded, match="exceeds the 64 cap"):
+        rect_poly(0.5, 0.01, 1e-3)
 
 
 def test_apply_svt_threshold_separation():
