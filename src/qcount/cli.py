@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import pathsum, reductions, svt
-from .circuit import circuit_hash, load_circuit
+from .circuit import _parse_bits, circuit_hash, load_circuit
 from .errors import InvariantViolation, PreconditionError
 from .estimators import avg_accept_decider, quantum_trace_estimator
 from .spectral import (
@@ -334,6 +334,7 @@ def _cmd_validate_dqc1(argv: list[str]) -> int:
     _add_circuit_args(p)
     args = p.parse_args(argv)
     circ = load_circuit(args.circuit)
+    _parse_bits(args.x, circ.num_input, "input bits")
     _emit(
         "validate-dqc1",
         vars(args),

@@ -49,8 +49,10 @@ class AdditiveEstimate:
     seed: int
 
     def __post_init__(self) -> None:
-        if self.epsilon <= 0:
-            raise PreconditionError(f"epsilon must be positive, got {self.epsilon}")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise PreconditionError(
+                f"epsilon must be finite and positive, got {self.epsilon}"
+            )
         if not 0.0 < self.delta < 1.0:
             raise PreconditionError(f"delta must lie in (0, 1), got {self.delta}")
         if self.samples < 1:

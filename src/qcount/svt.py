@@ -15,11 +15,12 @@ Delta = (c-s)/2.  Callers holding eigenvalue-space thresholds convert
 them with eig_to_sv_threshold (a square root; every use is logged).
 
 P is built from a difference of scaled error functions, interpolated in
-the Chebyshev basis at Chebyshev nodes, odd coefficients forced to zero
-(evenness is exact), then renormalized affinely into [0, 1].  The
-degree comes from a doubling-then-bisection search over even degrees,
-verified on a dense grid, and must stay within the declared budget
-p <= 40 ln(1/eps) / Delta.
+the Chebyshev basis at Chebyshev nodes (a DCT-II through one real FFT,
+O(p log p)), odd coefficients forced to zero (evenness is exact), then
+renormalized affinely into [0, 1].  P is evaluated by Clenshaw over its
+even terms only, in the variable 2x^2 - 1.  The degree comes from a
+doubling-then-bisection search over even degrees, verified on a dense
+grid, and must stay within the declared budget p <= 40 ln(1/eps) / Delta.
 """
 
 from __future__ import annotations
@@ -27,10 +28,10 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
 from numpy.polynomial import chebyshev as cheb
-from scipy.special import erf, erfcinv
 
 from .circuit import VerifierCircuit, embedded_witness_matrix
 from .errors import CapExceeded, PreconditionError
@@ -60,7 +61,9 @@ class RectanglePolynomial:
     eps: float
 
     def __call__(self, x) -> np.ndarray:
-        return cheb.chebval(x, self.coefficients)
+        if np.any(self.coefficients[1::2] != 0.0):
+            raise PreconditionError("rectangle polynomial has a nonzero odd coefficient")
+        return _even_chebval(x, self.coefficients)
 
 
 def degree_budget(delta: float, eps: float) -> int:
@@ -75,16 +78,62 @@ def _verification_grid(t: float, delta: float) -> np.ndarray:
     return np.unique(np.clip(pts, -1.0, 1.0))
 
 
+def _erf(z: np.ndarray) -> np.ndarray:
+    return np.fromiter(map(math.erf, z.tolist()), dtype=float, count=z.size)
+
+
 def _target(t: float, k: float, x: np.ndarray) -> np.ndarray:
     # 1 outside [-t, t], 0 inside, transitions of width ~1/k; even in x
-    return 1.0 + 0.5 * (erf(k * (x - t)) - erf(k * (x + t)))
+    return 1.0 + 0.5 * (_erf(k * (x - t)) - _erf(k * (x + t)))
+
+
+def _chebinterpolate(func, degree: int) -> np.ndarray:
+    """Chebyshev coefficients of the interpolant of func at degree + 1 nodes.
+
+    Same nodes and coefficients as numpy's chebinterpolate, computed as a
+    DCT-II of the samples through one real FFT of their mirror image.
+    """
+    n = degree + 1
+    # chebpts1 ascends, so reversed it is cos(pi (2j + 1) / 2n), j = 0..n-1
+    samples = np.asarray(func(cheb.chebpts1(n)), dtype=float)[::-1]
+    spectrum = np.fft.rfft(np.concatenate([samples, samples[::-1]]))[:n]
+    shift = np.exp(-0.5j * np.pi * np.arange(n) / n)
+    coeffs = (spectrum * shift).real / n
+    coeffs[0] /= 2.0
+    return coeffs
+
+
+def _even_chebval(x, coeffs: np.ndarray) -> np.ndarray:
+    """Sum of the even Chebyshev terms of coeffs at x, exactly even in x.
+
+    Clenshaw in y = 2x^2 - 1 over c_0, c_2, c_4, ..., using
+    T_2j(x) = T_j(2x^2 - 1); odd coefficients are not read.
+    """
+    x = np.asarray(x, dtype=float)
+    even = np.asarray(coeffs, dtype=float)[::2]
+    y = 2.0 * x * x - 1.0
+    two_y = 2.0 * y
+    b1 = np.zeros_like(y)
+    b2 = np.zeros_like(y)
+    tmp = np.empty_like(y)
+    # b_j = c_2j + 2y b_(j+1) - b_(j+2), down to j = 1
+    for c in even[:0:-1]:
+        np.multiply(two_y, b1, out=tmp)
+        tmp -= b2
+        tmp += c
+        b1, b2, tmp = tmp, b1, b2
+    # P(x) = c_0 + y b_1 - b_2
+    np.multiply(y, b1, out=tmp)
+    tmp -= b2
+    tmp += even[0]
+    return tmp
 
 
 def _candidate(target, degree: int) -> np.ndarray:
-    coeffs = cheb.chebinterpolate(target, degree)
+    coeffs = _chebinterpolate(target, degree)
     coeffs[1::2] = 0.0  # evenness is exact by construction
     # affine renormalization into [0, 1]: P = (Q + d) / (1 + 2d)
-    probe = cheb.chebval(np.linspace(-1.0, 1.0, 2048), coeffs)
+    probe = _even_chebval(np.linspace(-1.0, 1.0, 2048), coeffs)
     d = max(0.0, -float(probe.min()), float(probe.max()) - 1.0) + _SAFETY
     coeffs = coeffs / (1.0 + 2.0 * d)
     coeffs[0] += d / (1.0 + 2.0 * d)
@@ -126,18 +175,20 @@ def rect_poly(t: float, delta: float, eps: float) -> RectanglePolynomial:
         raise PreconditionError(f"eps must lie in ({_SAFETY}, 0.5), got {eps}")
     budget = degree_budget(delta, eps)
     budget_even = budget if budget % 2 == 0 else budget - 1
-    k = float(erfcinv(eps / 2.0)) / delta
+    # erfcinv(eps / 2) through the normal quantile: erfc(z) = 2 Phi(-z sqrt 2)
+    k = -NormalDist().inv_cdf(eps / 4.0) / math.sqrt(2.0) / delta
     grid = _verification_grid(t, delta)
 
-    def build(degree: int) -> np.ndarray:
-        return _candidate(lambda x: _target(t, k, x), degree)
-
-    def passes(degree: int) -> bool:
-        return _band_check(cheb.chebval(grid, build(degree)), grid, t, delta, eps)[0] == 0
+    def accepted(degree: int) -> np.ndarray | None:
+        """The candidate of this degree if it passes the grid check, else None."""
+        coeffs = _candidate(lambda x: _target(t, k, x), degree)
+        if _band_check(_even_chebval(grid, coeffs), grid, t, delta, eps)[0] == 0:
+            return coeffs
+        return None
 
     # doubling phase: lo is the last failing even degree, hi the next to try
     lo, hi = 0, 4
-    while not passes(hi):
+    while (coeffs := accepted(hi)) is None:
         if hi >= budget_even:
             raise PreconditionError(
                 f"no rectangle polynomial up to the degree budget {budget} "
@@ -152,11 +203,11 @@ def rect_poly(t: float, delta: float, eps: float) -> RectanglePolynomial:
     while hi - lo > 2:
         mid = (lo + hi) // 2
         mid -= mid % 2
-        if passes(mid):
-            hi = mid
+        if (found := accepted(mid)) is not None:
+            hi, coeffs = mid, found
         else:
             lo = mid
-    return RectanglePolynomial(coefficients=build(hi), degree=hi, t=t, delta=delta, eps=eps)
+    return RectanglePolynomial(coefficients=coeffs, degree=hi, t=t, delta=delta, eps=eps)
 
 
 def grid_report(poly: RectanglePolynomial) -> dict:
@@ -219,9 +270,11 @@ def eig_to_sv_threshold(value: float) -> float:
 
 
 def apply_svt(encoding: BlockEncoding, poly: RectanglePolynomial) -> AcceptanceOperator:
-    """Amplified acceptance operator V P(Sigma)^2 V' from the SVD of U."""
-    if np.any(poly.coefficients[1::2] != 0.0):
-        raise PreconditionError("singular value transformation needs an even polynomial")
+    """Amplified acceptance operator V P(Sigma)^2 V' from the SVD of U.
+
+    The polynomial must be even; calling it raises PreconditionError
+    otherwise.
+    """
     _, sigma, vh = encoding.svd
     amplified_eigs = poly(np.clip(sigma, 0.0, 1.0)) ** 2
     mat = (vh.conj().T * amplified_eigs) @ vh

@@ -130,6 +130,7 @@ def test_bad_flag_exits_2(circuits):
         (("exact-count", "{x}", "--c", "0.6", "--s", "0.3"), {"QCOUNT_DENSE_CAP": "abc"}),
         (("reduce-pad", "{h}", "--u-exponent", "0.5", "--eps", "nan"), None),
         (("svt-amplify", "{x}", "--c", "0.6", "--s", "0.3", "--eps", "1e-300"), None),
+        (("validate-dqc1", "{x}", "--x", "2"), None),
     ],
     ids=[
         "c-below-s",
@@ -142,6 +143,7 @@ def test_bad_flag_exits_2(circuits):
         "dense-cap-not-integer",
         "reduce-pad-eps-nan",
         "svt-amplify-eps-below-safety",
+        "validate-dqc1-bad-x",
     ],
 )
 def test_precondition_violation_exits_2(circuits, args, env):
@@ -149,6 +151,21 @@ def test_precondition_violation_exits_2(circuits, args, env):
     assert proc.returncode == 2
     assert f"qcount {args[0]}" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_import_loads_no_scipy():
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, qcount.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_malformed_circuit_exits_2(tmp_path):

@@ -7,6 +7,7 @@ import pytest
 
 from circgen import ensemble, random_circuit
 from qcount import (
+    AdditiveEstimate,
     PreconditionError,
     avg_accept_decider,
     build_acceptance_operator,
@@ -53,6 +54,14 @@ def test_explicit_epsilon_tightens_delta():
     for bad in (math.nan, math.inf):
         with pytest.raises(PreconditionError, match="epsilon must be finite"):
             make_trace_estimator(H_CIRC, M=64, epsilon=bad)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+def test_additive_estimate_rejects_unusable_epsilon(bad):
+    with pytest.raises(PreconditionError, match="epsilon must be finite and positive"):
+        AdditiveEstimate(
+            value=0.0, normalization=1.0, epsilon=bad, delta=0.5, samples=1, seed=0
+        )
 
 
 def test_unbiased_within_standard_error():

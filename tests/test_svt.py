@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from numpy.polynomial import chebyshev as cheb
 
 from circgen import ensemble, thresholds_from_sigma_gap
 from qcount import (
@@ -18,7 +19,8 @@ from qcount import (
 from qcount import svt
 from qcount.circuit import parse_circuit
 from qcount.errors import CapExceeded
-from qcount.svt import RectanglePolynomial, grid_report
+from qcount.reductions import IntervalPartition
+from qcount.svt import RectanglePolynomial, _chebinterpolate, _even_chebval, grid_report
 
 X_CIRC = parse_circuit("registers: ancilla=1 input=0 witness=1\nX 0\n")
 
@@ -82,6 +84,30 @@ def test_rect_poly_degree_scaling():
         assert p2 <= 2 * p1 + 16
 
 
+@pytest.mark.parametrize("degree", [2, 34, 1024, 2048])
+def test_fft_interpolation_and_even_clenshaw_match_numpy(degree):
+    def func(x):
+        return np.exp(np.sin(3.0 * x)) + x  # neither even nor odd
+
+    coeffs = _chebinterpolate(func, degree)
+    assert coeffs.shape == (degree + 1,)
+    assert np.max(np.abs(coeffs - cheb.chebinterpolate(func, degree))) <= 1e-12
+    coeffs[1::2] = 0.0
+    xs = np.linspace(-1.0, 1.0, 4001)
+    vals = _even_chebval(xs, coeffs)
+    assert np.max(np.abs(vals - cheb.chebval(xs, coeffs))) <= 1e-12
+    assert np.array_equal(vals, _even_chebval(-xs, coeffs))
+
+
+def test_rect_poly_degrees_are_pinned():
+    assert rect_poly(0.5, 0.01, 1e-3).degree == 1528
+    degrees = []
+    for s, c in IntervalPartition(8).intervals():
+        c_sv, s_sv = eig_to_sv_threshold(c), eig_to_sv_threshold(s)
+        degrees.append(rect_poly((c_sv + s_sv) / 2.0, (c_sv - s_sv) / 2.0, 1 / 32).degree)
+    assert degrees == [240, 604, 756, 806, 256, 668, 374]
+
+
 def test_rect_poly_parameter_validation():
     with pytest.raises(PreconditionError):
         rect_poly(0.0, 0.1, 0.1)
@@ -124,6 +150,8 @@ def test_apply_svt_rejects_odd_polynomial():
     odd = RectanglePolynomial(
         coefficients=np.array([0.5, 0.25]), degree=1, t=0.5, delta=0.1, eps=0.1
     )
+    with pytest.raises(PreconditionError, match="nonzero odd coefficient"):
+        odd(np.linspace(0.0, 1.0, 5))
     enc = build_block_encoding(X_CIRC)
     with pytest.raises(PreconditionError):
         apply_svt(enc, odd)
