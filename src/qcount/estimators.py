@@ -20,16 +20,18 @@ per sample, drawn from counter-based streams (see rngstreams).
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .circuit import VerifierCircuit, _parse_bits
-from .errors import PreconditionError
-from .limits import dense_qubit_cap
+from .errors import CapExceeded, PreconditionError
+from .limits import SAMPLE_CAP, dense_qubit_cap
 from .rngstreams import stream, uniform_indices
 from .spectral import (
+    TIE_TOL,
     AcceptanceOperator,
     accept_probability,
     build_acceptance_operator,
@@ -104,6 +106,8 @@ def make_trace_estimator(
     """
     if M < 1:
         raise PreconditionError(f"sample count must be >= 1, got {M}")
+    if 2 * M > SAMPLE_CAP:
+        raise CapExceeded(f"M={M} needs {2 * M} draws, over the {SAMPLE_CAP} cap")
     _parse_bits(x, circuit.num_input, "input bits")
     dim_w = 1 << circuit.num_witness
     if epsilon is None:
@@ -177,10 +181,9 @@ def median_amplify(
     if k < 1:
         raise PreconditionError(f"need at least one run, got {k}")
     runs = [base(stream(seed, jump=j)) for j in range(k)]
-    values = np.array([r.value for r in runs])
     delta = min(math.exp(-k / 8.0), 0.25)
     return AdditiveEstimate(
-        value=float(np.median(values)),
+        value=statistics.median(r.value for r in runs),
         normalization=runs[0].normalization,
         epsilon=runs[0].epsilon,
         delta=delta,
@@ -237,7 +240,7 @@ def avg_accept_decider(
     exact: float | None = None
     if op is not None:
         exact = trace_normalized(op)
-        promise_violated = bool(s + 1e-12 < exact < c - 1e-12)
+        promise_violated = bool(s + TIE_TOL < exact < c - TIE_TOL)
     return DeciderResult(
         answer=answer,
         mean=mean,

@@ -3,8 +3,9 @@
 The caps keep every operation desk-scale: statevector simulation stays
 under SIM_QUBIT_CAP total qubits, anything that materializes a full
 unitary or eigendecomposition stays under the dense cap, exact path
-enumeration stays under PATH_BIT_CAP free bits, and the rectangle
-polynomial search builds no candidate above POLY_DEGREE_CAP.  The dense
+enumeration stays under PATH_BIT_CAP free bits, the rectangle
+polynomial search builds no candidate above POLY_DEGREE_CAP, and one
+estimator run draws at most SAMPLE_CAP uniforms.  The dense
 cap can be raised or lowered through the QCOUNT_DENSE_CAP environment
 variable.
 """
@@ -17,6 +18,7 @@ SIM_QUBIT_CAP = 20
 DENSE_QUBIT_CAP_DEFAULT = 14
 PATH_BIT_CAP = 24
 POLY_DEGREE_CAP = 2**14  # its (p+1)**2 float64 interpolation matrix takes 2 GiB
+SAMPLE_CAP = 2**24  # uniform draws per estimator run: 128 MiB of float64
 
 _ENV_DENSE_CAP = "QCOUNT_DENSE_CAP"
 

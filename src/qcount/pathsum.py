@@ -34,7 +34,7 @@ import numpy as np
 
 from .circuit import Gate, VerifierCircuit, _bitpos, _parse_bits
 from .errors import CapExceeded, InvariantViolation, PreconditionError
-from .limits import PATH_BIT_CAP, dense_qubit_cap
+from .limits import PATH_BIT_CAP, SAMPLE_CAP, dense_qubit_cap
 from .rngstreams import stream, uniform_indices
 from .estimators import AdditiveEstimate
 
@@ -202,6 +202,9 @@ def path_sum_estimator(
     """Trace estimate from uniformly sampled paths, normalization 2**(N*-h)."""
     if samples < 1:
         raise PreconditionError(f"sample count must be >= 1, got {samples}")
+    draws = samples * 2 * circuit.gate_count  # y, v and 2(T-1) slots per sample
+    if draws > SAMPLE_CAP:
+        raise CapExceeded(f"{samples} samples need {draws} draws, over the {SAMPLE_CAP} cap")
     x_val = _parse_bits(x, circuit.num_input, "input bits")
     n_star = free_path_bits(circuit)
     scale_bits = n_star - circuit.h_count

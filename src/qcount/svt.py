@@ -74,8 +74,9 @@ def degree_budget(delta: float, eps: float) -> int:
 def _verification_grid(t: float, delta: float) -> np.ndarray:
     pts = np.linspace(-1.0, 1.0, GRID_SIZE)
     edges = np.array([t - delta, t + delta, t, 0.0])
-    pts = np.concatenate([pts, edges, -edges])
-    return np.unique(np.clip(pts, -1.0, 1.0))
+    pts = np.sort(np.clip(np.concatenate([pts, edges, -edges]), -1.0, 1.0))
+    # dedupe by hand: np.unique loads numpy.ma on its first call
+    return pts[np.concatenate(([True], np.diff(pts) != 0.0))]
 
 
 def _erf(z: np.ndarray) -> np.ndarray:

@@ -10,6 +10,18 @@ import pytest
 X_QCV = "registers: ancilla=1 input=0 witness=1\nX 0\n"
 H_QCV = "registers: ancilla=1 input=0 witness=1\nH 0\n"
 H_NO_WITNESS_QCV = "registers: ancilla=1 input=0 witness=0\nH 0\n"
+TWO_INPUT_QCV = "registers: ancilla=1 input=2 witness=1\nH 0\nTOF 1 2 0\nH 3\n"
+SUBCOMMANDS = (
+    "decide-avg-accept",
+    "estimate-trace",
+    "exact-count",
+    "path-sum",
+    "rect-poly",
+    "reduce-interval",
+    "reduce-pad",
+    "svt-amplify",
+    "validate-dqc1",
+)
 
 
 def run_cli(*args, env=None):
@@ -32,7 +44,12 @@ def run_json(*args):
 @pytest.fixture
 def circuits(tmp_path):
     paths = {}
-    for name, text in [("x", X_QCV), ("h", H_QCV), ("h0", H_NO_WITNESS_QCV)]:
+    for name, text in [
+        ("x", X_QCV),
+        ("h", H_QCV),
+        ("h0", H_NO_WITNESS_QCV),
+        ("i2", TWO_INPUT_QCV),
+    ]:
         p = tmp_path / f"{name}.qcv"
         p.write_text(text)
         paths[name] = str(p)
@@ -104,6 +121,122 @@ def test_unknown_subcommand_exits_1():
     assert run_cli("frobnicate").returncode == 1
 
 
+def test_no_arguments_exits_1():
+    proc = run_cli()
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+
+
+def test_help_lists_every_subcommand():
+    proc = run_cli("--help")
+    assert proc.returncode == 0
+    assert f"subcommands: {', '.join(SUBCOMMANDS)}" in proc.stderr
+
+
+def test_subcommand_help_exits_0():
+    proc = run_cli("exact-count", "--help")
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: qcount exact-count")
+    for flag in ("circuit", "--x", "--c", "--s"):
+        assert flag in proc.stdout
+
+
+_FRAME_KEYS = {"config", "op", "schema_version"}
+_CIRCUIT_KEYS = _FRAME_KEYS | {"circuit_hash"}
+_CIRCUIT_CONFIG = {"circuit", "x"}
+
+
+@pytest.mark.parametrize(
+    "args,keys,config",
+    [
+        (
+            ("exact-count", "{x}", "--c", "0.666", "--s", "0.333"),
+            _CIRCUIT_KEYS | {"N_geq_c", "N_geq_s", "n_interval", "trace", "trace_normalized"},
+            _CIRCUIT_CONFIG | {"c", "s"},
+        ),
+        (
+            ("estimate-trace", "{x}", "--M", "16", "--seed", "7"),
+            _CIRCUIT_KEYS
+            | {"M", "delta", "epsilon", "normalization", "seed", "value", "x"},
+            _CIRCUIT_CONFIG | {"M", "eps", "seed"},
+        ),
+        (
+            ("path-sum", "{h0}", "--mode", "exact"),
+            _CIRCUIT_KEYS | {"N_star", "f", "g", "h", "mode", "trace"},
+            _CIRCUIT_CONFIG | {"eps", "mode", "samples", "seed"},
+        ),
+        (
+            ("path-sum", "{x}", "--mode", "sampled", "--samples", "128", "--seed", "5"),
+            _CIRCUIT_KEYS
+            | {"N_star", "delta", "epsilon", "h", "mode", "normalization", "samples",
+               "seed", "value"},
+            _CIRCUIT_CONFIG | {"eps", "mode", "samples", "seed"},
+        ),
+        (
+            ("rect-poly", "--t", "0.5", "--width", "0.2", "--eps", "0.1"),
+            _FRAME_KEYS
+            | {"coefficients", "degree", "degree_budget", "grid_points", "inner_max",
+               "inner_min", "max_abs", "outer_min", "violations"},
+            {"eps", "t", "width"},
+        ),
+        (
+            ("svt-amplify", "{x}", "--c", "0.666", "--s", "0.333", "--eps", "0.05"),
+            _CIRCUIT_KEYS
+            | {"N_geq_c", "N_geq_s", "amplified_eigenvalues", "lower", "poly_degree",
+               "satisfied", "sigma_in_gap", "singular_values", "trace_amplified", "upper"},
+            _CIRCUIT_CONFIG | {"c", "eps", "s"},
+        ),
+        (
+            ("reduce-interval", "{h}", "--M", "8"),
+            _CIRCUIT_KEYS
+            | {"abs_error", "error_bound", "estimate", "exact_trace", "n_hat",
+               "within_bound"},
+            _CIRCUIT_CONFIG | {"M", "delta_strategy", "eps_strategy", "mode", "seed"},
+        ),
+        (
+            ("reduce-pad", "{h}", "--u-exponent", "0.5", "--eps", "0.9"),
+            _CIRCUIT_KEYS
+            | {"N_geq_c", "N_geq_s", "count", "in_interval", "normalization",
+               "pad_qubits", "raw_answer", "rounding_margin"},
+            _CIRCUIT_CONFIG
+            | {"c", "delta_strategy", "eps", "eps_strategy", "s", "seed", "u_exponent"},
+        ),
+        (
+            ("decide-avg-accept", "{x}", "--seed", "3"),
+            _CIRCUIT_KEYS
+            | {"answer", "epsilon", "exact_normalized_trace", "mean", "promise_violated",
+               "samples"},
+            _CIRCUIT_CONFIG | {"c", "eps", "s", "seed"},
+        ),
+        (
+            ("validate-dqc1", "{x}"),
+            _CIRCUIT_KEYS
+            | {"ancilla_bound", "num_ancilla", "num_input", "num_witness", "valid"},
+            _CIRCUIT_CONFIG,
+        ),
+    ],
+    ids=[
+        "exact-count",
+        "estimate-trace",
+        "path-sum-exact",
+        "path-sum-sampled",
+        "rect-poly",
+        "svt-amplify",
+        "reduce-interval",
+        "reduce-pad",
+        "decide-avg-accept",
+        "validate-dqc1",
+    ],
+)
+def test_record_schema_is_pinned(circuits, args, keys, config):
+    rec = run_json(*[a.format(**circuits) for a in args])
+    assert sorted(rec) == sorted(keys)
+    assert sorted(rec["config"]) == sorted(config)
+    assert rec["op"] == args[0]
+    if args[0].startswith("reduce-"):
+        assert rec["config"]["seed"] == 0  # the defaulted seed is echoed
+
+
 def test_missing_file_exits_2(circuits):
     proc = run_cli("exact-count", "/no/such/file.qcv", "--c", "0.6", "--s", "0.3")
     assert proc.returncode == 2
@@ -131,6 +264,16 @@ def test_bad_flag_exits_2(circuits):
         (("reduce-pad", "{h}", "--u-exponent", "0.5", "--eps", "nan"), None),
         (("svt-amplify", "{x}", "--c", "0.6", "--s", "0.3", "--eps", "1e-300"), None),
         (("validate-dqc1", "{x}", "--x", "2"), None),
+        (("exact-count", "{x}", "--x", "1", "--c", "0.6", "--s", "0.3"), None),
+        (("estimate-trace", "{i2}", "--x", "0a", "--M", "16", "--seed", "1"), None),
+        (("path-sum", "{i2}", "--x", "101", "--mode", "exact"), None),
+        (("svt-amplify", "{i2}", "--x", "2b", "--c", "0.6", "--s", "0.3", "--eps", "0.1"), None),
+        (("estimate-trace", "{x}", "--M", "1000000000000", "--seed", "1"), None),
+        (
+            ("path-sum", "{x}", "--mode", "sampled", "--samples", "1000000000000", "--seed", "1"),
+            None,
+        ),
+        (("decide-avg-accept", "{x}", "--seed", "1", "--eps", "1e-7"), None),
     ],
     ids=[
         "c-below-s",
@@ -144,6 +287,13 @@ def test_bad_flag_exits_2(circuits):
         "reduce-pad-eps-nan",
         "svt-amplify-eps-below-safety",
         "validate-dqc1-bad-x",
+        "exact-count-x-wrong-length",
+        "estimate-trace-x-not-bits",
+        "path-sum-x-wrong-length",
+        "svt-amplify-x-not-bits",
+        "estimate-trace-M-over-sample-cap",
+        "path-sum-samples-over-sample-cap",
+        "decide-eps-over-sample-cap",
     ],
 )
 def test_precondition_violation_exits_2(circuits, args, env):

@@ -17,7 +17,9 @@ from qcount import (
     trace_normalized,
 )
 from qcount.circuit import parse_circuit
+from qcount.errors import CapExceeded
 from qcount.estimators import make_trace_estimator
+from qcount.limits import SAMPLE_CAP
 from qcount.rngstreams import stream
 
 X_CIRC = parse_circuit("registers: ancilla=1 input=0 witness=1\nX 0\n")
@@ -97,6 +99,23 @@ def test_median_amplification_metadata():
         median_repetitions(0.0)
     with pytest.raises(PreconditionError):
         median_amplify(base, 0, seed=1)
+
+
+@pytest.mark.parametrize("k", [4, 5])
+def test_median_amplify_takes_the_middle_runs(k):
+    base = make_trace_estimator(H_CIRC, M=16)
+    values = sorted(base(stream(8, jump=j)).value for j in range(k))
+    middle = (values[(k - 1) // 2] + values[k // 2]) / 2.0  # even k: mean of the two
+    assert median_amplify(base, k, seed=8).value == middle
+
+
+def test_sample_cap_rejects_before_drawing():
+    # 2 uniforms per sample: M = SAMPLE_CAP / 2 is the largest accepted
+    make_trace_estimator(H_CIRC, M=SAMPLE_CAP // 2)
+    with pytest.raises(CapExceeded, match="cap"):
+        make_trace_estimator(H_CIRC, M=SAMPLE_CAP // 2 + 1)
+    with pytest.raises(CapExceeded):
+        avg_accept_decider(X_CIRC, seed=1, epsilon=1e-7)  # M = 3e14 + 1
 
 
 def test_same_seed_same_value():

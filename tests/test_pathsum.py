@@ -13,6 +13,7 @@ from qcount import (
     path_sum_exact,
 )
 from qcount.circuit import VerifierCircuit, parse_circuit
+from qcount.limits import SAMPLE_CAP
 
 
 def test_worked_single_h():
@@ -119,6 +120,9 @@ def test_estimator_metadata_and_validation():
     for bad in (np.nan, np.inf):
         with pytest.raises(PreconditionError, match="epsilon must be finite"):
             path_sum_estimator(circ, samples=128, seed=0, epsilon=bad)
+    # X is 4 core gates, so each sample draws 2T = 8 uniforms
+    with pytest.raises(CapExceeded, match="cap"):
+        path_sum_estimator(circ, samples=SAMPLE_CAP // 8 + 1, seed=0)
 
 
 def test_estimator_seed_determinism():

@@ -1,5 +1,8 @@
 """Block encodings, rectangle polynomials, and the trace sandwich."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from numpy.polynomial import chebyshev as cheb
@@ -118,6 +121,32 @@ def test_rect_poly_parameter_validation():
     with pytest.raises(PreconditionError):
         rect_poly(0.5, 0.25, 1e-9)  # no candidate can pass at eps <= _SAFETY
     assert rect_poly(0.5, 0.25, 1.5e-9).degree <= degree_budget(0.25, 1.5e-9)
+
+
+def test_verification_grid_matches_numpy_unique():
+    for t, delta in [(0.5, 0.01), (0.6, 0.2), (0.3, 0.29), (0.9, 0.1)]:
+        pts = np.concatenate(
+            [np.linspace(-1.0, 1.0, svt.GRID_SIZE), [t - delta, t + delta, t, 0.0]]
+        )
+        pts = np.concatenate([pts, -pts[svt.GRID_SIZE:]])
+        assert np.array_equal(svt._verification_grid(t, delta), np.unique(np.clip(pts, -1, 1)))
+
+
+def test_rect_poly_and_median_load_no_numpy_ma():
+    # np.unique and np.median import numpy.ma on their first call
+    code = (
+        "import sys\n"
+        "from qcount.circuit import parse_circuit\n"
+        "from qcount.estimators import make_trace_estimator, median_amplify\n"
+        "from qcount.svt import rect_poly\n"
+        "rect_poly(0.6, 0.2, 0.05)\n"
+        "circ = parse_circuit('registers: ancilla=1 input=0 witness=1\\nH 0\\n')\n"
+        "median_amplify(make_trace_estimator(circ, M=16), 4, seed=1)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_rect_poly_degree_cap(monkeypatch):
