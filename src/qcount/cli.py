@@ -163,7 +163,7 @@ def _rect_poly(p, args, circ) -> dict:
         "degree": poly.degree,
         "degree_budget": svt.degree_budget(args.width, args.eps),
         "coefficients": poly.coefficients,
-        **svt.grid_report(poly),
+        **poly.report,
     }
 
 

@@ -17,7 +17,7 @@ from .errors import PreconditionError
 SIM_QUBIT_CAP = 20
 DENSE_QUBIT_CAP_DEFAULT = 14
 PATH_BIT_CAP = 24
-POLY_DEGREE_CAP = 2**14  # its (p+1)**2 float64 interpolation matrix takes 2 GiB
+POLY_DEGREE_CAP = 2**14  # O(p * GRID_SIZE) Clenshaw work a candidate; p + 1 coefficients a record
 SAMPLE_CAP = 2**24  # uniform draws per estimator run: 128 MiB of float64
 
 _ENV_DENSE_CAP = "QCOUNT_DENSE_CAP"

@@ -39,8 +39,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circuit import VerifierCircuit, _parse_bits, pad_witness
-from .errors import InvariantViolation, PreconditionError
+from .errors import CapExceeded, InvariantViolation, PreconditionError
 from .estimators import make_trace_estimator, median_amplify, median_repetitions
+from .limits import SAMPLE_CAP
 from .rngstreams import stream
 from .spectral import (
     AcceptanceOperator,
@@ -110,7 +111,8 @@ class MiscountingOracle:
     changes between estimator-backed queries, so the oracle builds one
     block encoding on its first such query and every later query reuses
     it and its cached SVD: one embedding and one SVD per oracle.  The
-    exact backing never builds it.
+    exact backing never builds it; the estimator backing checks its
+    per-query sample count against SAMPLE_CAP before anything is built.
     """
 
     def __init__(
@@ -143,6 +145,16 @@ class MiscountingOracle:
         if backing == "estimator" and pad_qubits:
             raise PreconditionError("estimator backing does not support padded queries")
         _parse_bits(x, circuit.num_input, "input bits")
+        if backing == "estimator":
+            if not eps_bound > 0:
+                raise PreconditionError("estimator backing needs a positive eps_bound")
+            # per query: radius eps/2 at confidence 3/4 needs M >= 4/(eps/2)^2
+            self._samples = math.ceil(4.0 / ((eps_bound / 2.0) * (eps_bound / 2.0)))
+            if 2 * self._samples > SAMPLE_CAP:
+                raise CapExceeded(
+                    f"eps_bound={eps_bound} needs {2 * self._samples} draws a query, "
+                    f"over the {SAMPLE_CAP} cap"
+                )
         self.circuit = circuit
         self.x = x
         self.eps_bound = eps_bound
@@ -219,23 +231,18 @@ class MiscountingOracle:
         sampling error; the range audit in query() then checks the split
         actually held for this run.
         """
-        svt_eps = self.eps_bound / 4.0
         samp_eps = self.eps_bound / 2.0
-        if svt_eps <= 0:
-            raise PreconditionError("estimator backing needs a positive eps_bound")
         if self._encoding is None:
             self._encoding = build_block_encoding(self.circuit, self.x)
         _, amplified = amplified_acceptance(
             self._encoding,
             eig_to_sv_threshold(c),
             eig_to_sv_threshold(s),
-            svt_eps,
+            self.eps_bound / 4.0,
         )
-        # radius samp_eps at confidence 3/4 needs M >= 4/samp_eps^2; the
-        # remaining eps/2 absorbs the amplification's (2e-e^2) trace loss
-        M = math.ceil(4.0 / (samp_eps * samp_eps))
+        # the other eps/2 absorbs the amplification's (2e-e^2) trace loss
         base = make_trace_estimator(
-            self.circuit, self.x, M, operator=amplified, epsilon=samp_eps
+            self.circuit, self.x, self._samples, operator=amplified, epsilon=samp_eps
         )
         k = median_repetitions(ESTIMATOR_DELTA)
         sub_seed = int(rng.integers(0, 2**63))

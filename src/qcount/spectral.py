@@ -9,11 +9,11 @@ entries are the acceptance probabilities of individual witnesses, and
 its trace equals the total acceptance weight that every estimator in
 this package tries to approximate.
 
-Everything here is dense and exact (up to machine precision): operators
-are built column-by-column from the statevector simulator, then
-eigendecomposed once and cached.  Eigenvalue counts use closed
-thresholds with a 1e-12 tie tolerance, so an eigenvalue numerically at
-a threshold counts as above it.
+Everything here is dense and exact (up to machine precision): an
+operator is the Gram product of the output-qubit-1 half of the embedded
+witness matrix, eigendecomposed once and cached.  Eigenvalue counts use
+closed thresholds with a 1e-12 tie tolerance, so an eigenvalue
+numerically at a threshold counts as above it.
 """
 
 from __future__ import annotations

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from statistics import NormalDist
 
 import numpy as np
@@ -51,7 +51,7 @@ class RectanglePolynomial:
 
     Guarantees (verified on the construction grid): |P| <= 1 on [-1, 1],
     P in [1-eps, 1] for |x| >= t + delta, and P in [0, eps] for
-    |x| <= t - delta.
+    |x| <= t - delta.  `report` is that check's grid_report.
     """
 
     coefficients: np.ndarray
@@ -59,6 +59,7 @@ class RectanglePolynomial:
     t: float
     delta: float
     eps: float
+    report: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __call__(self, x) -> np.ndarray:
         if np.any(self.coefficients[1::2] != 0.0):
@@ -180,16 +181,17 @@ def rect_poly(t: float, delta: float, eps: float) -> RectanglePolynomial:
     k = -NormalDist().inv_cdf(eps / 4.0) / math.sqrt(2.0) / delta
     grid = _verification_grid(t, delta)
 
-    def accepted(degree: int) -> np.ndarray | None:
-        """The candidate of this degree if it passes the grid check, else None."""
+    def accepted(degree: int) -> tuple[np.ndarray, np.ndarray] | None:
+        """The candidate of this degree and its grid values if it passes, else None."""
         coeffs = _candidate(lambda x: _target(t, k, x), degree)
-        if _band_check(_even_chebval(grid, coeffs), grid, t, delta, eps)[0] == 0:
-            return coeffs
+        vals = _even_chebval(grid, coeffs)
+        if _band_check(vals, grid, t, delta, eps)[0] == 0:
+            return coeffs, vals
         return None
 
     # doubling phase: lo is the last failing even degree, hi the next to try
     lo, hi = 0, 4
-    while (coeffs := accepted(hi)) is None:
+    while (best := accepted(hi)) is None:
         if hi >= budget_even:
             raise PreconditionError(
                 f"no rectangle polynomial up to the degree budget {budget} "
@@ -205,17 +207,22 @@ def rect_poly(t: float, delta: float, eps: float) -> RectanglePolynomial:
         mid = (lo + hi) // 2
         mid -= mid % 2
         if (found := accepted(mid)) is not None:
-            hi, coeffs = mid, found
+            hi, best = mid, found
         else:
             lo = mid
-    return RectanglePolynomial(coefficients=coeffs, degree=hi, t=t, delta=delta, eps=eps)
+    coeffs, vals = best
+    return RectanglePolynomial(coeffs, hi, t, delta, eps, _report(vals, grid, t, delta, eps))
 
 
 def grid_report(poly: RectanglePolynomial) -> dict:
     """Measured property margins on a fresh verification grid."""
     grid = _verification_grid(poly.t, poly.delta)
-    vals = poly(grid)
-    violations, outer, inner = _band_check(vals, grid, poly.t, poly.delta, poly.eps)
+    return _report(poly(grid), grid, poly.t, poly.delta, poly.eps)
+
+
+def _report(vals: np.ndarray, grid: np.ndarray, t: float, delta: float, eps: float) -> dict:
+    """grid_report's fields for P's values on the verification grid."""
+    violations, outer, inner = _band_check(vals, grid, t, delta, eps)
     return {
         "grid_points": int(grid.size),
         "max_abs": float(np.abs(vals).max()),

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import qcount.circuit
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -142,6 +143,46 @@ def test_embedded_witness_matrix_gates_in_place():
     finally:
         tracemalloc.stop()
     assert peak < 1.75 * mat.nbytes
+
+
+def test_blocked_kernel_is_bit_identical(monkeypatch):
+    # a 16 KiB block holds 64 of the 256 rows x 128 columns: two blocks
+    rng = np.random.default_rng(108)
+    circ = random_circuit(rng, num_ancilla=1, num_witness=7, gate_count=150)
+    unblocked = embedded_witness_matrix(circ, "")
+    monkeypatch.setattr(qcount.circuit, "_BLOCK_BYTES", 16 * 256 * 64)
+    assert np.array_equal(embedded_witness_matrix(circ, ""), unblocked)
+    monkeypatch.setattr(qcount.circuit, "_BLOCK_BYTES", 16 * 256 * 48)  # ragged last block
+    assert np.array_equal(embedded_witness_matrix(circ, ""), unblocked)
+
+
+# without the rescale every 64 H, h = 2101 would overflow at 2**1050
+@pytest.mark.parametrize("h", [1, 3, 63, 64, 65, 131, 2101])
+def test_unnormalized_h_rescales_exactly(h):
+    rng = np.random.default_rng(109 + h)
+    gates = [Gate("H", (int(q),)) for q in rng.integers(0, 3, size=h)]
+    gates += [Gate("S", (1,)), Gate("TOF", (0, 2, 1)), Gate("S", (2,))]
+    rng.shuffle(gates)
+    circ = VerifierCircuit(1, 0, 2, tuple(gates))
+    assert circ.h_count == h
+    u = circuit_unitary(circ)
+    assert np.allclose(u, kron_unitary(circ), atol=1e-12)
+    assert np.allclose(np.linalg.norm(u, axis=0), 1.0, atol=1e-12)
+    for col in range(8):
+        assert np.allclose(simulate(circ, format(col, "03b")), u[:, col], atol=1e-12)
+
+
+def test_even_h_embedding_is_exactly_dyadic():
+    rng = np.random.default_rng(110)
+    checked = 0
+    for _ in range(12):
+        circ = random_circuit(rng, num_ancilla=2, num_witness=4, gate_count=160)
+        if circ.h_count % 2:
+            continue
+        scaled = embedded_witness_matrix(circ, "") * 2.0 ** (circ.h_count // 2)
+        assert np.array_equal(scaled, np.round(scaled.real) + 1j * np.round(scaled.imag))
+        checked += 1
+    assert checked
 
 
 def test_apply_gate_matches_kron():

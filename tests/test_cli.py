@@ -303,6 +303,51 @@ def test_precondition_violation_exits_2(circuits, args, env):
     assert "Traceback" not in proc.stderr
 
 
+def test_estimator_reduction_over_sample_cap_exits_before_embedding(
+    circuits, monkeypatch, capsys
+):
+    import qcount.cli
+    import qcount.spectral
+    import qcount.svt
+
+    embeds = []
+    for module in (qcount.spectral, qcount.svt):
+        monkeypatch.setattr(module, "embedded_witness_matrix", lambda *a: embeds.append(a))
+    argv = ["reduce-interval", circuits["h"], "--M", "1000", "--mode", "estimator", "--seed", "1"]
+    assert qcount.cli.run(argv) == 2
+    assert embeds == []
+    assert "eps_bound=0.001" in capsys.readouterr().err
+
+
+_TRACER_CHECK = """
+import importlib, inspect, qcount.cli, tracer
+for module, attr, name in tracer.TARGETS:
+    owner, _, member = attr.rpartition(".")
+    scope = vars(importlib.import_module(module))
+    value = vars(scope[owner])[member] if owner else scope[member]
+    lazy = name in tracer._CACHE_ATTRS  # cached spans wrap lazy properties
+    assert isinstance(value, property) if lazy else inspect.isfunction(value), attr
+t = tracer.Tracer(0)
+t.install()
+print(t.unwrapped())
+"""
+
+
+def test_benchmark_tracer_wraps_every_target():
+    # a renamed, deleted or retyped target of the benchmark's span tracer
+    # fails here instead of in a benchmark run; perfbench/ is only read
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    paths = [os.path.join(root, "src"), os.path.join(root, "perfbench")]
+    proc = subprocess.run(
+        [sys.executable, "-c", _TRACER_CHECK],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(paths)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_import_loads_no_scipy():
     proc = subprocess.run(
         [
