@@ -333,7 +333,7 @@ def embedded_witness_matrix(circuit: VerifierCircuit, x: str) -> np.ndarray:
     w = circuit.num_witness
     dim_w = 1 << w
     mat = np.zeros((1 << q, dim_w), dtype=np.complex128)
-    base = x_val << w
-    mat[base : base + dim_w, :] = np.eye(dim_w)
+    diag = np.arange(dim_w)
+    mat[(x_val << w) + diag, diag] = 1.0  # no dense identity temporary
     _apply_gates(mat, circuit.gates, q)
     return mat

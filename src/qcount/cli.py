@@ -180,7 +180,7 @@ def _svt_amplify(p, args, circ) -> dict:
     return {
         "poly_degree": poly.degree,
         "singular_values": encoding.singular_values,
-        "amplified_eigenvalues": amplified.eigenvalues,
+        "amplified_eigenvalues": np.sort(amplified)[::-1],
         "trace_amplified": bounds.trace_amplified,
         "lower": bounds.lower,
         "upper": bounds.upper,

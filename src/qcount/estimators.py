@@ -30,13 +30,7 @@ from .circuit import VerifierCircuit, _parse_bits
 from .errors import CapExceeded, PreconditionError
 from .limits import SAMPLE_CAP, dense_qubit_cap
 from .rngstreams import stream, uniform_indices
-from .spectral import (
-    TIE_TOL,
-    AcceptanceOperator,
-    accept_probability,
-    build_acceptance_operator,
-    trace_normalized,
-)
+from .spectral import TIE_TOL, accept_probability, build_acceptance_operator
 
 
 @dataclass(frozen=True)
@@ -61,14 +55,17 @@ class AdditiveEstimate:
             raise PreconditionError(f"need at least one sample, got {self.samples}")
 
 
-def _resolve_operator(
-    circuit: VerifierCircuit, x: str, operator: AcceptanceOperator | None
-) -> AcceptanceOperator | None:
-    """The dense operator when affordable, else None (stay single-shot)."""
-    if operator is not None:
-        return operator
+def _check_sample_count(M: int) -> None:
+    if M < 1:
+        raise PreconditionError(f"sample count must be >= 1, got {M}")
+    if 2 * M > SAMPLE_CAP:
+        raise CapExceeded(f"M={M} needs {2 * M} draws, over the {SAMPLE_CAP} cap")
+
+
+def _dense_probabilities(circuit: VerifierCircuit, x: str) -> np.ndarray | None:
+    """Every witness's acceptance probability when the dense build is affordable."""
     if circuit.num_qubits <= dense_qubit_cap():
-        return build_acceptance_operator(circuit, x)
+        return build_acceptance_operator(circuit, x).probabilities
     return None
 
 
@@ -91,23 +88,20 @@ def make_trace_estimator(
     x: str = "",
     M: int = 64,
     *,
-    operator: AcceptanceOperator | None = None,
+    probabilities: np.ndarray | None = None,
     epsilon: float | None = None,
 ) -> Callable[[np.random.Generator], AdditiveEstimate]:
     """Closure running one M-sample estimate per generator handed in.
 
     The per-witness acceptance probabilities are resolved once up front
-    (from `operator` if given, else a dense build, else lazily per
-    sampled witness beyond the dense cap), so repeated runs pay only for
-    their own draws.  Sample i consumes the generator's uniforms at
-    positions i (witness pick) and M + i (acceptance coin).  This is the
-    package's one Monte Carlo draw: avg_accept_decider and the
-    estimator-backed miscounting oracle sample through it too.
+    (`probabilities`, one per witness, if given, else a dense build, else
+    lazily per sampled witness beyond the dense cap), so repeated runs
+    pay only for their own draws.  Sample i consumes the generator's
+    uniforms at positions i (witness pick) and M + i (acceptance coin).
+    This is the package's one Monte Carlo draw: avg_accept_decider and
+    the estimator-backed miscounting oracle sample through it too.
     """
-    if M < 1:
-        raise PreconditionError(f"sample count must be >= 1, got {M}")
-    if 2 * M > SAMPLE_CAP:
-        raise CapExceeded(f"M={M} needs {2 * M} draws, over the {SAMPLE_CAP} cap")
+    _check_sample_count(M)
     _parse_bits(x, circuit.num_input, "input bits")
     dim_w = 1 << circuit.num_witness
     if epsilon is None:
@@ -120,16 +114,14 @@ def make_trace_estimator(
             f"bound 1/(M eps^2) would reach 1"
         )
     delta = 1.0 / (M * epsilon * epsilon)
-    op = _resolve_operator(circuit, x, operator)
-    diag = None
-    if op is not None:
-        diag = np.clip(np.real(np.diagonal(op.matrix)), 0.0, 1.0)
+    if probabilities is None:
+        probabilities = _dense_probabilities(circuit, x)
     prob_cache: dict[int, float] = {}
 
     def run(rng: np.random.Generator, seed_record: int = 0) -> AdditiveEstimate:
         witnesses = uniform_indices(rng, dim_w, M)
-        if diag is not None:
-            probs = diag[witnesses]
+        if probabilities is not None:
+            probs = probabilities[witnesses]
         else:
             probs = _witness_probabilities(circuit, x, witnesses, prob_cache)
         hits = rng.random(M) < probs
@@ -152,11 +144,11 @@ def quantum_trace_estimator(
     M: int = 64,
     seed: int = 0,
     *,
-    operator: AcceptanceOperator | None = None,
+    probabilities: np.ndarray | None = None,
     epsilon: float | None = None,
 ) -> AdditiveEstimate:
     """One M-sample additive estimate of the acceptance-operator trace."""
-    run = make_trace_estimator(circuit, x, M, operator=operator, epsilon=epsilon)
+    run = make_trace_estimator(circuit, x, M, probabilities=probabilities, epsilon=epsilon)
     return run(stream(seed), seed_record=seed)
 
 
@@ -212,7 +204,7 @@ def avg_accept_decider(
     seed: int = 0,
     *,
     epsilon: float | None = None,
-    operator: AcceptanceOperator | None = None,
+    probabilities: np.ndarray | None = None,
 ) -> DeciderResult:
     """Decide whether the normalized trace is >= c or <= s by plain averaging.
 
@@ -221,8 +213,10 @@ def avg_accept_decider(
     probability at least 2/3 whenever the promise holds.  The samples
     are one run of make_trace_estimator on stream(seed), so the mean is
     that run's value divided by 2**w.  The promise is not checkable from
-    samples; when the dense oracle is affordable the result carries a
-    flag saying whether this input actually violated it.
+    samples; when the per-witness probabilities are given or the dense
+    oracle is affordable, the result carries a flag saying whether this
+    input actually violated it.  The sample count is checked against
+    SAMPLE_CAP before anything is built.
     """
     if not 0.0 <= s < c <= 1.0:
         raise PreconditionError(f"need 0 <= s < c <= 1, got c={c}, s={s}")
@@ -232,14 +226,17 @@ def avg_accept_decider(
     if not 0.0 < epsilon < gap / 2.0:
         raise PreconditionError(f"epsilon={epsilon} cannot separate the promise gap {gap}")
     M = math.ceil(3.0 / (epsilon * epsilon)) + 1
-    op = _resolve_operator(circuit, x, operator)
-    run = make_trace_estimator(circuit, x, M, operator=op)
-    mean = run(stream(seed)).value / (1 << circuit.num_witness)
+    _check_sample_count(M)
+    if probabilities is None:
+        probabilities = _dense_probabilities(circuit, x)
+    run = make_trace_estimator(circuit, x, M, probabilities=probabilities)
+    dim_w = 1 << circuit.num_witness
+    mean = run(stream(seed)).value / dim_w
     answer = "YES" if mean >= (c + s) / 2.0 else "NO"
     promise_violated: bool | None = None
     exact: float | None = None
-    if op is not None:
-        exact = trace_normalized(op)
+    if probabilities is not None:
+        exact = min(1.0, float(probabilities.sum()) / dim_w)
         promise_violated = bool(s + TIE_TOL < exact < c - TIE_TOL)
     return DeciderResult(
         answer=answer,

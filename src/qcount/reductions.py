@@ -50,12 +50,7 @@ from .spectral import (
     count_eigs_interval,
     trace_normalized,
 )
-from .svt import (
-    BlockEncoding,
-    amplified_acceptance,
-    build_block_encoding,
-    eig_to_sv_threshold,
-)
+from .svt import BlockEncoding, band_polynomial, eig_to_sv_threshold
 
 DELTA_STRATEGIES = ("zero", "max", "random")
 EPS_STRATEGIES = ("zero", "adversarial", "random")
@@ -108,11 +103,12 @@ class MiscountingOracle:
     from SVT amplification plus median-amplified trace sampling, and the
     error budget must absorb genuine noise; every query is audited
     against the exact range either way.  Only the rectangle polynomial
-    changes between estimator-backed queries, so the oracle builds one
-    block encoding on its first such query and every later query reuses
-    it and its cached SVD: one embedding and one SVD per oracle.  The
-    exact backing never builds it; the estimator backing checks its
-    per-query sample count against SAMPLE_CAP before anything is built.
+    changes between estimator-backed queries: the block encoding is a
+    view of the oracle's own operator, whose eigh its first such query
+    computes and every later query reuses, so there is one embedding and
+    one eigh per oracle.  The exact backing never decomposes beyond
+    eigvalsh; the estimator backing checks its per-query sample count
+    against SAMPLE_CAP before anything is built.
     """
 
     def __init__(
@@ -165,12 +161,12 @@ class MiscountingOracle:
         self.u_exponent = u_exponent
         self.backing = backing
         self.operator: AcceptanceOperator = build_acceptance_operator(circuit, x)
+        self.encoding = BlockEncoding(self.operator)
         self.multiplicity = 1 << pad_qubits
         self.w_total = circuit.num_witness + pad_qubits
         self.normalization = 2.0 ** (u_exponent * self.w_total)
         self.query_log: list[dict] = []
         self._queries = 0
-        self._encoding: BlockEncoding | None = None
 
     def query(self, c: float, s: float) -> float:
         """One noisy count answer for thresholds (c, s), appended to the log."""
@@ -232,17 +228,15 @@ class MiscountingOracle:
         actually held for this run.
         """
         samp_eps = self.eps_bound / 2.0
-        if self._encoding is None:
-            self._encoding = build_block_encoding(self.circuit, self.x)
-        _, amplified = amplified_acceptance(
-            self._encoding,
-            eig_to_sv_threshold(c),
-            eig_to_sv_threshold(s),
-            self.eps_bound / 4.0,
-        )
+        c_sv, s_sv = eig_to_sv_threshold(c), eig_to_sv_threshold(s)
+        poly = band_polynomial(c_sv, s_sv, self.eps_bound / 4.0)
+        # per-witness probabilities: the amplified diagonal sum_k |V_yk|^2 P(sigma_k)^2,
+        # clipped like any diagonal (P is checked on a grid, not between its points)
+        sigma, vh = self.encoding.svd
+        probs = np.clip((np.abs(vh) ** 2).T @ (poly(sigma) ** 2), 0.0, 1.0)
         # the other eps/2 absorbs the amplification's (2e-e^2) trace loss
         base = make_trace_estimator(
-            self.circuit, self.x, self._samples, operator=amplified, epsilon=samp_eps
+            self.circuit, self.x, self._samples, probabilities=probs, epsilon=samp_eps
         )
         k = median_repetitions(ESTIMATOR_DELTA)
         sub_seed = int(rng.integers(0, 2**63))

@@ -11,9 +11,10 @@ this package tries to approximate.
 
 Everything here is dense and exact (up to machine precision): an
 operator is the Gram product of the output-qubit-1 half of the embedded
-witness matrix, eigendecomposed once and cached.  Eigenvalue counts use
-closed thresholds with a 1e-12 tie tolerance, so an eigenvalue
-numerically at a threshold counts as above it.
+witness matrix, eigendecomposed once and cached.  It is the one spectral
+object per (circuit, x): the SVT block encoding reads its spectrum too.
+Eigenvalue counts use closed thresholds with a 1e-12 tie tolerance, so
+an eigenvalue numerically at a threshold counts as above it.
 """
 
 from __future__ import annotations
@@ -33,10 +34,9 @@ TIE_TOL = 1e-12
 class AcceptanceOperator:
     """Hermitian PSD matrix on the witness register with spectrum in [0, 1].
 
-    Eigenvalues are computed lazily, once, and stored sorted descending.
-    Values inside [-1e-9, 0) and (1, 1+1e-9] are clamped to the boundary;
-    anything further out fails loudly, because no rounding story explains
-    it.  Instances are treated as immutable after construction.
+    Eigenvalues are computed lazily, once, clamped by clamp_to_unit and
+    stored sorted descending.  Instances are treated as immutable after
+    construction.
     """
 
     def __init__(self, matrix: np.ndarray, num_witness: int):
@@ -65,14 +65,23 @@ class AcceptanceOperator:
         """All 2**w eigenvalues, clamped into [0, 1], sorted descending."""
         if self._eigenvalues is None:
             vals = np.linalg.eigvalsh(self.matrix)  # ascending
-            low, high = float(vals[0]), float(vals[-1])
-            if low < -EIG_CLAMP_TOL or high > 1.0 + EIG_CLAMP_TOL:
-                raise InvariantViolation(
-                    f"eigenvalues escape [0,1] beyond tolerance: "
-                    f"min {low:.3e}, max {high:.6e}"
-                )
-            self._eigenvalues = np.clip(vals, 0.0, 1.0)[::-1].copy()
+            self._eigenvalues = clamp_to_unit(vals)[::-1].copy()
         return self._eigenvalues
+
+    @property
+    def probabilities(self) -> np.ndarray:
+        """Acceptance probability of each witness basis state: the diagonal."""
+        return np.clip(np.real(np.diagonal(self.matrix)), 0.0, 1.0)
+
+
+def clamp_to_unit(values: np.ndarray) -> np.ndarray:
+    """Values within 1e-9 of [0, 1] clamped into it; anything further out fails loudly."""
+    low, high = float(values.min()), float(values.max())
+    if low < -EIG_CLAMP_TOL or high > 1.0 + EIG_CLAMP_TOL:
+        raise InvariantViolation(
+            f"eigenvalues escape [0,1] beyond tolerance: min {low:.3e}, max {high:.6e}"
+        )
+    return np.clip(values, 0.0, 1.0)
 
 
 def build_acceptance_operator(circuit: VerifierCircuit, x: str = "") -> AcceptanceOperator:

@@ -3,12 +3,13 @@
 The bottom half-block U of the embedded circuit matrix (output qubit
 fixed at |1>, ancillas and input fixed on the column side) satisfies
 U'U = A, the acceptance operator, so the singular values of U are the
-square roots of A's eigenvalues.  Pushing the singular values through
-an even rectangle-shaped polynomial P and squaring yields the amplified
-operator  D = V P(Sigma)^2 V',  whose trace is sandwiched between the
+square roots of A's eigenvalues and its right singular vectors are A's
+eigenvectors: a block encoding is a view of A.  Pushing the singular
+values through an even rectangle-shaped polynomial P and squaring yields
+the amplified spectrum P(sigma)^2, whose sum is sandwiched between the
 exact counts:
 
-    N_geq_c - (2 eps - eps^2) 2**w  <=  Tr D  <=  N_geq_s + eps^2 2**w
+    N_geq_c - (2 eps - eps^2) 2**w  <=  sum P(sigma)^2  <=  N_geq_s + eps^2 2**w
 
 with thresholds read on singular values, t = (c+s)/2, half-width
 Delta = (c-s)/2.  Callers holding eigenvalue-space thresholds convert
@@ -33,16 +34,17 @@ from statistics import NormalDist
 import numpy as np
 from numpy.polynomial import chebyshev as cheb
 
-from .circuit import VerifierCircuit, embedded_witness_matrix
+from .circuit import VerifierCircuit
 from .errors import CapExceeded, PreconditionError
 from .limits import POLY_DEGREE_CAP
-from .spectral import TIE_TOL, AcceptanceOperator
+from .spectral import TIE_TOL, AcceptanceOperator, build_acceptance_operator, clamp_to_unit
 
 log = logging.getLogger(__name__)
 
 DEGREE_BUDGET_FACTOR = 40.0
 GRID_SIZE = 10001
 _SAFETY = 1e-9
+SV_FLOOR = 1e-6  # smallest threshold s: sqrt(lambda) is off by ~1e-8 near lambda = 0
 
 
 @dataclass(frozen=True)
@@ -234,38 +236,29 @@ def _report(vals: np.ndarray, grid: np.ndarray, t: float, delta: float, eps: flo
 
 
 class BlockEncoding:
-    """The half-block U with U'U equal to the acceptance operator."""
+    """The output block U of a circuit, held only as its acceptance operator U'U."""
 
-    def __init__(self, matrix: np.ndarray, num_witness: int):
-        matrix = np.asarray(matrix, dtype=np.complex128)
-        if matrix.shape[1] != 1 << num_witness:
-            raise PreconditionError(
-                f"block encoding for {num_witness} witness qubits needs "
-                f"{1 << num_witness} columns, got {matrix.shape[1]}"
-            )
-        if matrix.shape[0] < matrix.shape[1]:
-            raise PreconditionError("block encoding cannot be wider than tall")
-        self.matrix = matrix
-        self.num_witness = num_witness
-        self._svd: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+    def __init__(self, operator: AcceptanceOperator):
+        self.operator = operator
+        self._svd: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
-    def svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def svd(self) -> tuple[np.ndarray, np.ndarray]:
+        """(sigma, V') of U, sigma descending, from one eigh of U'U."""
         if self._svd is None:
-            self._svd = np.linalg.svd(self.matrix, full_matrices=False)
+            lam, vecs = np.linalg.eigh(self.operator.matrix)  # ascending
+            self._svd = (np.sqrt(clamp_to_unit(lam[::-1])), vecs[:, ::-1].conj().T)
         return self._svd
 
     @property
     def singular_values(self) -> np.ndarray:
-        """All 2**w singular values, descending, in [0, 1] up to rounding."""
-        return self.svd[1]
+        """All 2**w singular values, descending: sqrt of the operator's eigenvalues."""
+        return np.sqrt(self.operator.eigenvalues)
 
 
 def build_block_encoding(circuit: VerifierCircuit, x: str = "") -> BlockEncoding:
     """Output-block of the circuit on the embedded witness register."""
-    ve = embedded_witness_matrix(circuit, x)
-    half = ve.shape[0] // 2
-    return BlockEncoding(ve[half:], circuit.num_witness)
+    return BlockEncoding(build_acceptance_operator(circuit, x))
 
 
 def eig_to_sv_threshold(value: float) -> float:
@@ -277,16 +270,14 @@ def eig_to_sv_threshold(value: float) -> float:
     return converted
 
 
-def apply_svt(encoding: BlockEncoding, poly: RectanglePolynomial) -> AcceptanceOperator:
-    """Amplified acceptance operator V P(Sigma)^2 V' from the SVD of U.
+def apply_svt(encoding: BlockEncoding, poly: RectanglePolynomial) -> np.ndarray:
+    """Amplified spectrum P(sigma)^2, elementwise in singular_values order.
 
-    The polynomial must be even; calling it raises PreconditionError
-    otherwise.
+    These are the eigenvalues of the amplified operator V P(Sigma)^2 V',
+    which is never built.  The polynomial must be even; calling it
+    raises PreconditionError otherwise.
     """
-    _, sigma, vh = encoding.svd
-    amplified_eigs = poly(np.clip(sigma, 0.0, 1.0)) ** 2
-    mat = (vh.conj().T * amplified_eigs) @ vh
-    return AcceptanceOperator(mat, encoding.num_witness)
+    return clamp_to_unit(poly(encoding.singular_values) ** 2)
 
 
 @dataclass(frozen=True)
@@ -307,15 +298,15 @@ def sandwich_bounds(
     c: float,
     s: float,
     eps: float,
-    amplified: AcceptanceOperator,
+    amplified: np.ndarray,
 ) -> SandwichBounds:
-    """Check Tr D against the counting sandwich at thresholds (c, s)."""
+    """Check the amplified trace, the sum of apply_svt's spectrum, at (c, s)."""
     sigma = encoding.singular_values
-    dim = float(1 << encoding.num_witness)
+    dim = float(encoding.operator.dim)
     n_c = int(np.count_nonzero(sigma >= c - TIE_TOL))
     n_s = int(np.count_nonzero(sigma >= s - TIE_TOL))
     in_gap = int(np.count_nonzero((sigma > s + TIE_TOL) & (sigma < c - TIE_TOL)))
-    trace = float(np.real(np.trace(amplified.matrix)))
+    trace = float(amplified.sum())
     lower = n_c - (2.0 * eps - eps * eps) * dim
     upper = n_s + eps * eps * dim
     satisfied = bool(lower - 1e-9 <= trace <= upper + 1e-9)
@@ -330,21 +321,26 @@ def sandwich_bounds(
     )
 
 
+def band_polynomial(c: float, s: float, eps: float) -> RectanglePolynomial:
+    """Rectangle polynomial for the singular-value band (s, c), s >= SV_FLOOR.
+
+    Convert eigenvalue-space thresholds with eig_to_sv_threshold first.
+    """
+    if not SV_FLOOR <= s < c < 1.0:
+        raise PreconditionError(
+            f"need {SV_FLOOR} <= s < c < 1 for a realizable rectangle on "
+            f"trustworthy singular values, got c={c}, s={s}"
+        )
+    return rect_poly((c + s) / 2.0, (c - s) / 2.0, eps)
+
+
 def amplified_acceptance(
     encoding: BlockEncoding, c: float, s: float, eps: float
-) -> tuple[RectanglePolynomial, AcceptanceOperator]:
-    """Amplify an encoding's acceptance operator at singular-value thresholds.
+) -> tuple[RectanglePolynomial, np.ndarray]:
+    """band_polynomial(c, s, eps) and its apply_svt spectrum on the encoding.
 
-    Builds the rectangle polynomial for the band (s, c) and applies it
-    to the encoding's SVD, which the encoding computes once and caches,
-    so callers amplifying one encoding at many thresholds pay for one
-    SVD.  Returns the polynomial together with the amplified operator.
-    Thresholds are read in singular-value space; convert eigenvalue-space
-    thresholds with eig_to_sv_threshold first.
+    The singular values are the operator's cached eigvalsh values, so
+    amplifying one encoding at many thresholds decomposes it once.
     """
-    if not 0.0 < s < c < 1.0:
-        raise PreconditionError(
-            f"need 0 < s < c < 1 for a realizable rectangle, got c={c}, s={s}"
-        )
-    poly = rect_poly((c + s) / 2.0, (c - s) / 2.0, eps)
+    poly = band_polynomial(c, s, eps)
     return poly, apply_svt(encoding, poly)

@@ -145,6 +145,24 @@ def test_embedded_witness_matrix_gates_in_place():
     assert peak < 1.75 * mat.nbytes
 
 
+def test_embed_allocates_no_identity_temporary():
+    # a dense 2**w x 2**w identity would add 8 MiB at w=10; what remains
+    # is the reused column block plus the kernel's half-block temporaries
+    q = 12
+    gates = []
+    for k in range(q):
+        gates += [Gate("H", (k,)), Gate("S", (k,))]
+        gates.append(Gate("TOF", ((k + 1) % q, (k + 2) % q, k)))
+    circ = VerifierCircuit(2, 0, 10, tuple(gates))
+    tracemalloc.start()
+    try:
+        mat = embedded_witness_matrix(circ, "")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - mat.nbytes <= 2 * qcount.circuit._BLOCK_BYTES
+
+
 def test_blocked_kernel_is_bit_identical(monkeypatch):
     # a 16 KiB block holds 64 of the 256 rows x 128 columns: two blocks
     rng = np.random.default_rng(108)

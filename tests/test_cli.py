@@ -274,6 +274,7 @@ def test_bad_flag_exits_2(circuits):
             None,
         ),
         (("decide-avg-accept", "{x}", "--seed", "1", "--eps", "1e-7"), None),
+        (("svt-amplify", "{x}", "--c", "0.6", "--s", "1e-9", "--eps", "0.1"), None),
     ],
     ids=[
         "c-below-s",
@@ -294,6 +295,7 @@ def test_bad_flag_exits_2(circuits):
         "estimate-trace-M-over-sample-cap",
         "path-sum-samples-over-sample-cap",
         "decide-eps-over-sample-cap",
+        "svt-amplify-s-below-floor",
     ],
 )
 def test_precondition_violation_exits_2(circuits, args, env):
@@ -308,15 +310,41 @@ def test_estimator_reduction_over_sample_cap_exits_before_embedding(
 ):
     import qcount.cli
     import qcount.spectral
-    import qcount.svt
 
     embeds = []
-    for module in (qcount.spectral, qcount.svt):
-        monkeypatch.setattr(module, "embedded_witness_matrix", lambda *a: embeds.append(a))
+    monkeypatch.setattr(qcount.spectral, "embedded_witness_matrix", lambda *a: embeds.append(a))
     argv = ["reduce-interval", circuits["h"], "--M", "1000", "--mode", "estimator", "--seed", "1"]
     assert qcount.cli.run(argv) == 2
     assert embeds == []
     assert "eps_bound=0.001" in capsys.readouterr().err
+
+
+def test_svt_amplify_decomposes_once_without_svd_or_eigh(circuits, monkeypatch, capsys):
+    import numpy as np
+    import qcount.cli
+    import qcount.spectral
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("svt-amplify reads the eigvalsh spectrum only")
+
+    calls = {"embed": 0, "eigvalsh": 0}
+    embed, eigvalsh = qcount.spectral.embedded_witness_matrix, np.linalg.eigvalsh
+
+    def counting(name, func):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return func(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "svd", forbidden)
+    monkeypatch.setattr(np.linalg, "eigh", forbidden)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", eigvalsh))
+    monkeypatch.setattr(qcount.spectral, "embedded_witness_matrix", counting("embed", embed))
+    argv = ["svt-amplify", circuits["i2"], "--x", "10", "--c", "0.8", "--s", "0.4", "--eps", "0.05"]
+    assert qcount.cli.run(argv) == 0
+    assert json.loads(capsys.readouterr().out)["satisfied"] is True
+    assert calls == {"embed": 1, "eigvalsh": 1}
 
 
 _TRACER_CHECK = """
@@ -414,6 +442,8 @@ def test_random_strategy_requires_seed(circuits):
             "--seed",
             "99",
         ),
+        ("svt-amplify", "{h}", "--c", "0.8", "--s", "0.4", "--eps", "0.05"),
+        ("reduce-interval", "{h}", "--M", "8", "--mode", "estimator", "--seed", "3"),
     ],
 )
 def test_stochastic_subcommands_are_byte_deterministic(circuits, args):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import qcount.estimators
 from circgen import ensemble, random_circuit
 from qcount import (
     AdditiveEstimate,
@@ -71,7 +72,7 @@ def test_unbiased_within_standard_error():
     circ = random_circuit(rng, num_witness=3, gate_count=15)
     op = build_acceptance_operator(circ)
     exact = float(np.real(np.trace(op.matrix)))
-    base = make_trace_estimator(circ, M=8, operator=op)
+    base = make_trace_estimator(circ, M=8, probabilities=op.probabilities)
     runs = 4000
     gen = stream(302)
     values = np.array([base(gen).value for _ in range(runs)])
@@ -116,6 +117,16 @@ def test_sample_cap_rejects_before_drawing():
         make_trace_estimator(H_CIRC, M=SAMPLE_CAP // 2 + 1)
     with pytest.raises(CapExceeded):
         avg_accept_decider(X_CIRC, seed=1, epsilon=1e-7)  # M = 3e14 + 1
+
+
+def test_decider_checks_sample_cap_before_building(monkeypatch):
+    builds = []
+    monkeypatch.setattr(
+        qcount.estimators, "build_acceptance_operator", lambda *a: builds.append(a)
+    )
+    with pytest.raises(CapExceeded, match="cap"):
+        avg_accept_decider(H_CIRC, seed=1, epsilon=1e-7)
+    assert builds == []
 
 
 def test_same_seed_same_value():

@@ -206,6 +206,7 @@ def test_estimator_backing_is_seed_deterministic():
 
 
 def test_estimator_backing_builds_one_encoding(monkeypatch):
+    # one embed and one eigh per oracle, whatever the number of queries
     calls = {"embed": 0, "svd": 0}
     embed = qcount.circuit.embedded_witness_matrix
 
@@ -219,11 +220,12 @@ def test_estimator_backing_builds_one_encoding(monkeypatch):
         calls["svd"] += self._svd is None
         return svd(self)
 
-    monkeypatch.setattr(qcount.spectral, "embedded_witness_matrix", counting_embed)
-    monkeypatch.setattr(qcount.svt, "embedded_witness_matrix", counting_embed)
+    for module in (qcount.spectral, qcount.svt):  # every binding that could embed
+        if hasattr(module, "embedded_witness_matrix"):
+            monkeypatch.setattr(module, "embedded_witness_matrix", counting_embed)
     monkeypatch.setattr(qcount.svt.BlockEncoding, "svd", property(counting_svd))
     oracle = MiscountingOracle(H_CIRC, eps_bound=1.0 / 8.0, backing="estimator", seed=5)
     r = interval_partition_trace(oracle, 8)
     assert r.abs_error <= r.error_bound
-    assert calls["embed"] <= 2
-    assert calls["svd"] == 1
+    assert len(oracle.query_log) == 7
+    assert calls == {"embed": 1, "svd": 1}

@@ -20,7 +20,7 @@ from qcount import (
     sandwich_bounds,
 )
 from qcount import svt
-from qcount.circuit import parse_circuit
+from qcount.circuit import circuit_unitary, embedded_witness_matrix, parse_circuit
 from qcount.errors import CapExceeded
 from qcount.reductions import IntervalPartition
 from qcount.svt import RectanglePolynomial, _chebinterpolate, _even_chebval, grid_report
@@ -30,23 +30,33 @@ X_CIRC = parse_circuit("registers: ancilla=1 input=0 witness=1\nX 0\n")
 
 def test_block_encoding_of_sure_acceptor():
     enc = build_block_encoding(X_CIRC)
-    assert enc.matrix.shape == (2, 2)
+    assert enc.operator.matrix.shape == (2, 2)
     assert np.allclose(enc.singular_values, [1.0, 1.0], atol=1e-12)
+    sigma, vh = enc.svd
+    assert np.allclose(sigma, [1.0, 1.0], atol=1e-12)
+    assert np.allclose(vh @ vh.conj().T, np.eye(2), atol=1e-12)
 
 
 def test_gram_matrix_is_acceptance_operator():
+    # U from the embedded columns of the full unitary, not from the embed
     for circ, x in ensemble(501, 30, max_ancilla=2, max_input=1, max_witness=3):
-        enc = build_block_encoding(circ, x)
-        gram = enc.matrix.conj().T @ enc.matrix
+        u = circuit_unitary(circ)
+        cols = (int(x or "0", 2) << circ.num_witness) + np.arange(1 << circ.num_witness)
+        block = u[u.shape[0] // 2 :, cols]
         op = build_acceptance_operator(circ, x)
-        assert np.max(np.abs(gram - op.matrix)) <= 1e-9
+        assert np.max(np.abs(block.conj().T @ block - op.matrix)) <= 1e-9
 
 
 def test_singular_values_square_to_eigenvalues():
     for circ, x in ensemble(502, 15, max_witness=3):
+        ve = embedded_witness_matrix(circ, x)
+        sigma = np.linalg.svd(ve[ve.shape[0] // 2 :], compute_uv=False)  # descending
         enc = build_block_encoding(circ, x)
-        eigs = build_acceptance_operator(circ, x).eigenvalues
-        assert np.allclose(np.sort(enc.singular_values**2), np.sort(eigs), atol=1e-9)
+        assert np.allclose(enc.singular_values**2, sigma**2, atol=1e-9)
+        eigh_sigma, vh = enc.svd
+        assert np.allclose(eigh_sigma**2, sigma**2, atol=1e-9)
+        rebuilt = (vh.conj().T * eigh_sigma**2) @ vh
+        assert np.max(np.abs(rebuilt - enc.operator.matrix)) <= 1e-9
 
 
 def test_eig_to_sv_threshold():
@@ -165,10 +175,8 @@ def test_apply_svt_threshold_separation():
         c, s = picked
         t, delta = (c + s) / 2.0, (c - s) / 2.0
         amplified = apply_svt(enc, rect_poly(t, delta, eps))
-        for sigma, lam in zip(
-            np.sort(enc.singular_values), np.sort(amplified.eigenvalues)
-        ):
-            # P is monotone-matched per singular value by sorting both sides
+        # the amplified spectrum is elementwise: entry k is P(sigma_k)^2
+        for sigma, lam in zip(enc.singular_values, amplified):
             if sigma >= c:
                 assert lam >= (1.0 - eps) ** 2 - 1e-9
             elif sigma <= s:
@@ -200,9 +208,10 @@ def test_worked_sandwich_on_sure_acceptor():
 
 
 def test_amplified_acceptance_end_to_end():
-    poly, op = amplified_acceptance(build_block_encoding(X_CIRC), 0.666, 0.333, 0.05)
+    poly, amplified = amplified_acceptance(build_block_encoding(X_CIRC), 0.666, 0.333, 0.05)
     assert (poly.t, poly.delta, poly.eps) == pytest.approx((0.4995, 0.1665, 0.05))
-    assert np.all(op.eigenvalues >= (1.0 - 0.05) ** 2 - 1e-9)
+    assert amplified.shape == (2,)
+    assert np.all(amplified >= (1.0 - 0.05) ** 2 - 1e-9)
 
 
 def test_amplified_acceptance_validates_thresholds():
@@ -211,3 +220,5 @@ def test_amplified_acceptance_validates_thresholds():
         amplified_acceptance(enc, 1.0, 0.5, 0.05)
     with pytest.raises(PreconditionError):
         amplified_acceptance(enc, 0.5, 0.0, 0.05)
+    with pytest.raises(PreconditionError, match="trustworthy"):
+        amplified_acceptance(enc, 0.5, svt.SV_FLOOR / 2.0, 0.05)
