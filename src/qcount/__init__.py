@@ -51,7 +51,6 @@ from .spectral import (
     count_eigs_interval,
     dqc1_ancilla_bound,
     exact_count_interval,
-    trace_in_interval,
     trace_normalized,
     validate_dqc1,
 )

@@ -35,7 +35,8 @@ from .limits import SIM_QUBIT_CAP, dense_qubit_cap
 
 CORE_KINDS = ("H", "S", "TOF")
 
-_SUGAR = {
+_MNEMONICS = {
+    **{kind: (kind,) for kind in CORE_KINDS},
     "X": ("H", "S", "S", "H"),
     "Z": ("S", "S"),
     "SDG": ("S", "S", "S"),
@@ -133,59 +134,40 @@ _HEADER_RE = re.compile(r"^registers:\s*ancilla=(\d+)\s+input=(\d+)\s+witness=(\
 
 
 def parse_circuit(text: str) -> VerifierCircuit:
-    """Parse qcv v1 text, expanding sugar gates into the core set."""
-    header: tuple[int, int, int] | None = None
+    """Parse qcv v1 text, expanding sugar gates into the core set.
+
+    Each line is checked by building it through Gate and VerifierCircuit;
+    their errors, and a qubit index that is not an integer, come back as a
+    CircuitFormatError naming the line and quoting it.
+    """
+    header: tuple[int, ...] | None = None
     gates: list[Gate] = []
-    num_qubits = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if header is None:
-            m = _HEADER_RE.match(line)
-            if m is None:
-                raise CircuitFormatError(
-                    f"line {lineno}: expected 'registers: ancilla=<a> input=<n> "
-                    f"witness=<w>' header, got {line!r}"
-                )
-            header = (int(m.group(1)), int(m.group(2)), int(m.group(3)))
-            if header[0] < 1:
-                raise CircuitFormatError(f"line {lineno}: ancilla=0 is not allowed")
-            num_qubits = sum(header)
-            continue
-        tokens = line.split()
-        kind = tokens[0].upper()
-        args = tokens[1:]
         try:
-            qubits = tuple(int(tok) for tok in args)
-        except ValueError:
-            raise CircuitFormatError(
-                f"line {lineno}: qubit indices must be integers, got {line!r}"
-            ) from None
-        for q in qubits:
-            if not 0 <= q < num_qubits:
-                raise CircuitFormatError(
-                    f"line {lineno}: qubit {q} out of range for {num_qubits} qubits"
-                )
-        if kind == "TOF":
-            if len(qubits) != 3:
-                raise CircuitFormatError(f"line {lineno}: TOF takes c1 c2 t, got {line!r}")
-            if len(set(qubits)) != 3:
-                raise CircuitFormatError(f"line {lineno}: TOF qubits must be distinct")
-            gates.append(Gate("TOF", qubits))
-        elif kind in ("H", "S"):
-            if len(qubits) != 1:
-                raise CircuitFormatError(f"line {lineno}: {kind} takes one qubit")
-            gates.append(Gate(kind, qubits))
-        elif kind in _SUGAR:
-            if len(qubits) != 1:
-                raise CircuitFormatError(f"line {lineno}: {kind} takes one qubit")
-            gates.extend(Gate(k, qubits) for k in _SUGAR[kind])
-        else:
-            raise CircuitFormatError(f"line {lineno}: unknown gate mnemonic {tokens[0]!r}")
+            if header is None:
+                m = _HEADER_RE.match(line)
+                if m is None:
+                    raise CircuitFormatError(
+                        "expected 'registers: ancilla=<a> input=<n> witness=<w>' header"
+                    )
+                header, line_gates = tuple(map(int, m.groups())), ()
+            else:
+                mnemonic, *args = line.split()
+                kinds = _MNEMONICS.get(mnemonic.upper())
+                if kinds is None:
+                    raise CircuitFormatError(f"unknown gate mnemonic {mnemonic!r}")
+                qubits = tuple(map(int, args))
+                line_gates = tuple(Gate(kind, qubits) for kind in kinds)
+            VerifierCircuit(*header, line_gates)
+        except ValueError as exc:  # PreconditionError is a ValueError too
+            raise CircuitFormatError(f"line {lineno} ({line!r}): {exc}") from None
+        gates.extend(line_gates)
     if header is None:
         raise CircuitFormatError("no registers header found")
-    return VerifierCircuit(header[0], header[1], header[2], tuple(gates))
+    return VerifierCircuit(*header, tuple(gates))
 
 
 def load_circuit(path: str) -> VerifierCircuit:

@@ -99,7 +99,7 @@ def _exact_count(p, args, circ) -> dict:
         "N_geq_c": count.n_geq_c,
         "N_geq_s": count.n_geq_s,
         "n_interval": count.n_interval,
-        "trace": float(np.real(np.trace(op.matrix))),
+        "trace": op.trace,
         "trace_normalized": trace_normalized(op),
     }
 
@@ -217,7 +217,7 @@ def _reduce_interval(p, args, circ) -> dict:
         "error_bound": r.error_bound,
         "exact_trace": r.exact_trace,
         "abs_error": r.abs_error,
-        "within_bound": bool(r.abs_error <= r.error_bound + 1e-9),
+        "within_bound": r.within_bound,
         "n_hat": r.n_hat,
     }
 

@@ -27,10 +27,10 @@ from typing import Callable
 import numpy as np
 
 from .circuit import VerifierCircuit, _parse_bits
-from .errors import CapExceeded, PreconditionError
-from .limits import SAMPLE_CAP, dense_qubit_cap
+from .errors import PreconditionError
+from .limits import check_draws, dense_qubit_cap
 from .rngstreams import stream, uniform_indices
-from .spectral import TIE_TOL, accept_probability, build_acceptance_operator
+from .spectral import accept_probability, at_least, at_most, build_acceptance_operator
 
 
 @dataclass(frozen=True)
@@ -58,8 +58,7 @@ class AdditiveEstimate:
 def _check_sample_count(M: int) -> None:
     if M < 1:
         raise PreconditionError(f"sample count must be >= 1, got {M}")
-    if 2 * M > SAMPLE_CAP:
-        raise CapExceeded(f"M={M} needs {2 * M} draws, over the {SAMPLE_CAP} cap")
+    check_draws(2 * M, f"M={M}")
 
 
 def _dense_probabilities(circuit: VerifierCircuit, x: str) -> np.ndarray | None:
@@ -144,11 +143,10 @@ def quantum_trace_estimator(
     M: int = 64,
     seed: int = 0,
     *,
-    probabilities: np.ndarray | None = None,
     epsilon: float | None = None,
 ) -> AdditiveEstimate:
     """One M-sample additive estimate of the acceptance-operator trace."""
-    run = make_trace_estimator(circuit, x, M, probabilities=probabilities, epsilon=epsilon)
+    run = make_trace_estimator(circuit, x, M, epsilon=epsilon)
     return run(stream(seed), seed_record=seed)
 
 
@@ -237,7 +235,7 @@ def avg_accept_decider(
     exact: float | None = None
     if probabilities is not None:
         exact = min(1.0, float(probabilities.sum()) / dim_w)
-        promise_violated = bool(s + TIE_TOL < exact < c - TIE_TOL)
+        promise_violated = not at_most(exact, s) and not at_least(exact, c)
     return DeciderResult(
         answer=answer,
         mean=mean,

@@ -12,7 +12,7 @@ variable.
 
 import os
 
-from .errors import PreconditionError
+from .errors import CapExceeded, PreconditionError
 
 SIM_QUBIT_CAP = 20
 DENSE_QUBIT_CAP_DEFAULT = 14
@@ -35,3 +35,9 @@ def dense_qubit_cap() -> int:
     if cap < 1:
         raise PreconditionError(f"{_ENV_DENSE_CAP} must be positive, got {cap}")
     return cap
+
+
+def check_draws(draws: int, who: str) -> None:
+    """Reject one estimator run of more than SAMPLE_CAP uniform draws."""
+    if draws > SAMPLE_CAP:
+        raise CapExceeded(f"{who} needs {draws} draws, over the {SAMPLE_CAP} cap")

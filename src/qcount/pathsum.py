@@ -34,12 +34,12 @@ import numpy as np
 
 from .circuit import Gate, VerifierCircuit, _bitpos, _parse_bits
 from .errors import CapExceeded, InvariantViolation, PreconditionError
-from .limits import PATH_BIT_CAP, SAMPLE_CAP, dense_qubit_cap
+from .limits import PATH_BIT_CAP, check_draws, dense_qubit_cap
 from .rngstreams import stream, uniform_indices
 from .estimators import AdditiveEstimate
+from .spectral import AUDIT_SLACK, build_acceptance_operator
 
 _CHUNK = 1 << 16
-TRACE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -123,14 +123,12 @@ def _decode_paths(circuit: VerifierCircuit, ids: np.ndarray):
     return y, v, z_slots
 
 
-def path_sum_exact(
-    circuit: VerifierCircuit, x: str = "", *, check: bool = True
-) -> PathSumResult:
+def path_sum_exact(circuit: VerifierCircuit, x: str = "") -> PathSumResult:
     """Enumerate every path and tally the product signs exactly.
 
-    With `check` on (the default) the trace is also compared against the
-    dense spectral oracle whenever the circuit fits under the dense cap;
-    a mismatch is an invariant violation, not a report.
+    The trace is also compared against the dense spectral oracle whenever
+    the circuit fits under the dense cap; a mismatch is an invariant
+    violation, not a report.
     """
     x_val = _parse_bits(x, circuit.num_input, "input bits")
     n_star = free_path_bits(circuit)
@@ -153,11 +151,9 @@ def path_sum_exact(
             f"imaginary path contributions fail to cancel: {i_plus} vs {i_minus}"
         )
     trace = (g - f) / float(1 << circuit.h_count)
-    if check and circuit.num_qubits <= dense_qubit_cap():
-        from .spectral import build_acceptance_operator
-
-        exact = float(np.real(np.trace(build_acceptance_operator(circuit, x).matrix)))
-        if abs(trace - exact) > TRACE_TOL:
+    if circuit.num_qubits <= dense_qubit_cap():
+        exact = build_acceptance_operator(circuit, x).trace
+        if abs(trace - exact) > AUDIT_SLACK:
             raise InvariantViolation(
                 f"path sum {trace} disagrees with spectral trace {exact}"
             )
@@ -202,9 +198,7 @@ def path_sum_estimator(
     """Trace estimate from uniformly sampled paths, normalization 2**(N*-h)."""
     if samples < 1:
         raise PreconditionError(f"sample count must be >= 1, got {samples}")
-    draws = samples * 2 * circuit.gate_count  # y, v and 2(T-1) slots per sample
-    if draws > SAMPLE_CAP:
-        raise CapExceeded(f"{samples} samples need {draws} draws, over the {SAMPLE_CAP} cap")
+    check_draws(samples * 2 * circuit.gate_count, f"{samples}-sample path estimate")  # y, v, 2(T-1)
     x_val = _parse_bits(x, circuit.num_input, "input bits")
     n_star = free_path_bits(circuit)
     scale_bits = n_star - circuit.h_count

@@ -39,15 +39,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circuit import VerifierCircuit, _parse_bits, pad_witness
-from .errors import CapExceeded, InvariantViolation, PreconditionError
+from .errors import InvariantViolation, PreconditionError
 from .estimators import make_trace_estimator, median_amplify, median_repetitions
-from .limits import SAMPLE_CAP
+from .limits import check_draws
 from .rngstreams import stream
 from .spectral import (
-    AcceptanceOperator,
+    AUDIT_SLACK,
+    SpectralCount,
     build_acceptance_operator,
-    count_eigs_geq,
-    count_eigs_interval,
     trace_normalized,
 )
 from .svt import BlockEncoding, band_polynomial, eig_to_sv_threshold
@@ -146,11 +145,7 @@ class MiscountingOracle:
                 raise PreconditionError("estimator backing needs a positive eps_bound")
             # per query: radius eps/2 at confidence 3/4 needs M >= 4/(eps/2)^2
             self._samples = math.ceil(4.0 / ((eps_bound / 2.0) * (eps_bound / 2.0)))
-            if 2 * self._samples > SAMPLE_CAP:
-                raise CapExceeded(
-                    f"eps_bound={eps_bound} needs {2 * self._samples} draws a query, "
-                    f"over the {SAMPLE_CAP} cap"
-                )
+            check_draws(2 * self._samples, f"eps_bound={eps_bound}")
         self.circuit = circuit
         self.x = x
         self.eps_bound = eps_bound
@@ -160,7 +155,7 @@ class MiscountingOracle:
         self.pad_qubits = pad_qubits
         self.u_exponent = u_exponent
         self.backing = backing
-        self.operator: AcceptanceOperator = build_acceptance_operator(circuit, x)
+        self.operator = build_acceptance_operator(circuit, x)
         self.encoding = BlockEncoding(self.operator)
         self.multiplicity = 1 << pad_qubits
         self.w_total = circuit.num_witness + pad_qubits
@@ -170,14 +165,13 @@ class MiscountingOracle:
 
     def query(self, c: float, s: float) -> float:
         """One noisy count answer for thresholds (c, s), appended to the log."""
-        if not 0.0 <= s < c <= 1.0:
-            raise PreconditionError(f"need 0 <= s < c <= 1, got c={c}, s={s}")
+        # checks (c, s) before the query counter moves
+        count = SpectralCount.from_operator(self.operator, c, s)
         rng = stream(self.seed, jump=self._queries)
         self._queries += 1
         mult = self.multiplicity
-        n_c = count_eigs_geq(self.operator, c) * mult
-        n_s = count_eigs_geq(self.operator, s) * mult
-        n_interval = count_eigs_interval(self.operator, s, c) * mult
+        n_c = count.n_geq_c * mult
+        n_interval = count.n_interval * mult
         budget = self.eps_bound * self.normalization
         if self.backing == "exact":
             if self.delta_strategy == "zero":
@@ -199,8 +193,8 @@ class MiscountingOracle:
             eps = float("nan")
         # n_interval can double-count an eigenvalue sitting exactly at c,
         # so the honest ceiling is n_c + n_interval, not n_s
-        lo = n_c - budget - 1e-9
-        hi = n_c + n_interval + budget + 1e-9
+        lo = n_c - budget - AUDIT_SLACK
+        hi = n_c + n_interval + budget + AUDIT_SLACK
         if not lo <= answer <= hi:
             raise InvariantViolation(
                 f"oracle answer {answer} escapes its allowed range "
@@ -211,7 +205,7 @@ class MiscountingOracle:
                 "c": c,
                 "s": s,
                 "n_geq_c": n_c,
-                "n_geq_s": n_s,
+                "n_geq_s": count.n_geq_s * mult,
                 "n_interval": n_interval,
                 "delta": delta,
                 "eps": eps,
@@ -254,6 +248,11 @@ class IntervalTraceResult:
     exact_trace: float
     abs_error: float
 
+    @property
+    def within_bound(self) -> bool:
+        """Whether the recovery error met its certified bound."""
+        return self.abs_error <= self.error_bound + AUDIT_SLACK
+
 
 def interval_partition_trace(oracle: MiscountingOracle, M: int) -> IntervalTraceResult:
     """Recover the trace from M-1 noisy interval counts.
@@ -266,7 +265,7 @@ def interval_partition_trace(oracle: MiscountingOracle, M: int) -> IntervalTrace
     if oracle.pad_qubits or oracle.u_exponent != 1.0:
         raise PreconditionError("interval recovery expects an unpadded, u = 2**w oracle")
     dim = float(1 << oracle.w_total)
-    if oracle.eps_bound * oracle.normalization > dim / M + 1e-9:
+    if oracle.eps_bound * oracle.normalization > dim / M + AUDIT_SLACK:
         raise PreconditionError(
             f"oracle allows errors up to {oracle.eps_bound * oracle.normalization}, "
             f"more than the 2**w / M = {dim / M} the bound needs"

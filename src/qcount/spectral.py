@@ -13,8 +13,10 @@ Everything here is dense and exact (up to machine precision): an
 operator is the Gram product of the output-qubit-1 half of the embedded
 witness matrix, eigendecomposed once and cached.  It is the one spectral
 object per (circuit, x): the SVT block encoding reads its spectrum too.
-Eigenvalue counts use closed thresholds with a 1e-12 tie tolerance, so
-an eigenvalue numerically at a threshold counts as above it.
+Two rules of the whole package live here: every threshold comparison goes
+through at_least and at_most (within TIE_TOL of a threshold counts as on
+it), and every certified inequality between computed floats, such as an
+oracle answer in its allowed range, holds within AUDIT_SLACK.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .errors import InvariantViolation, PreconditionError
 HERM_TOL = 1e-9
 EIG_CLAMP_TOL = 1e-9
 TIE_TOL = 1e-12
+AUDIT_SLACK = 1e-9
 
 
 class AcceptanceOperator:
@@ -69,6 +72,11 @@ class AcceptanceOperator:
         return self._eigenvalues
 
     @property
+    def trace(self) -> float:
+        """Real part of the trace, unclamped: the total acceptance weight."""
+        return float(np.real(np.trace(self.matrix)))
+
+    @property
     def probabilities(self) -> np.ndarray:
         """Acceptance probability of each witness basis state: the diagonal."""
         return np.clip(np.real(np.diagonal(self.matrix)), 0.0, 1.0)
@@ -88,33 +96,35 @@ def build_acceptance_operator(circuit: VerifierCircuit, x: str = "") -> Acceptan
     """Dense acceptance operator of the circuit on input x."""
     ve = embedded_witness_matrix(circuit, x)
     half = ve.shape[0] // 2
-    block = ve[half:]  # rows with the output qubit at |1>
-    mat = block.conj().T @ block
+    top, block = ve[:half], ve[half:]  # U: the rows with the output qubit at |1>
+    np.conjugate(block, out=top)  # conj(U) into the unused rows: U is never copied
+    mat = top.T @ block
+    del ve, top, block  # the embed is freed before the Hermitian check allocates
     return AcceptanceOperator(mat, circuit.num_witness)
 
 
+def at_least(values, a: float):
+    """values >= a under the tie rule: within TIE_TOL below a counts as at a."""
+    return values >= a - TIE_TOL
+
+
+def at_most(values, a: float):
+    """values <= a under the tie rule: within TIE_TOL above a counts as at a."""
+    return values <= a + TIE_TOL
+
+
 def count_eigs_geq(op: AcceptanceOperator, a: float) -> int:
-    """Number of eigenvalues >= a, ties resolved upward within 1e-12."""
+    """Number of eigenvalues at_least a."""
     if not 0.0 <= a <= 1.0:
         raise PreconditionError(f"threshold must lie in [0, 1], got {a}")
-    return int(np.count_nonzero(op.eigenvalues >= a - TIE_TOL))
+    return int(np.count_nonzero(at_least(op.eigenvalues, a)))
 
 
 def count_eigs_interval(op: AcceptanceOperator, lo: float, hi: float) -> int:
-    """Number of eigenvalues in the closed interval [lo, hi]."""
+    """Number of eigenvalues in the closed interval [lo, hi], by the tie rule."""
     if lo > hi:
         raise PreconditionError(f"empty interval [{lo}, {hi}]")
-    vals = op.eigenvalues
-    return int(np.count_nonzero((vals >= lo - TIE_TOL) & (vals <= hi + TIE_TOL)))
-
-
-def trace_in_interval(op: AcceptanceOperator, lo: float, hi: float) -> float:
-    """Sum of eigenvalues inside the closed interval [lo, hi]."""
-    if lo > hi:
-        raise PreconditionError(f"empty interval [{lo}, {hi}]")
-    vals = op.eigenvalues
-    sel = (vals >= lo - TIE_TOL) & (vals <= hi + TIE_TOL)
-    return float(vals[sel].sum())
+    return int(np.count_nonzero(at_least(op.eigenvalues, lo) & at_most(op.eigenvalues, hi)))
 
 
 def exact_count_interval(op: AcceptanceOperator, c: float, s: float) -> tuple[int, int]:
@@ -126,8 +136,7 @@ def exact_count_interval(op: AcceptanceOperator, c: float, s: float) -> tuple[in
 
 def trace_normalized(op: AcceptanceOperator) -> float:
     """Trace divided by 2**w; always in [0, 1]."""
-    raw = float(np.real(np.trace(op.matrix))) / op.dim
-    return min(1.0, max(0.0, raw))
+    return min(1.0, max(0.0, op.trace / op.dim))
 
 
 def accept_probability(circuit: VerifierCircuit, x: str, y: str) -> float:
@@ -164,7 +173,6 @@ class SpectralCount:
     n_geq_c: int
     n_geq_s: int
     n_interval: int
-    trace_interval: float
 
     @classmethod
     def from_operator(cls, op: AcceptanceOperator, c: float, s: float) -> "SpectralCount":
@@ -175,5 +183,4 @@ class SpectralCount:
             n_geq_c=n_c,
             n_geq_s=n_s,
             n_interval=count_eigs_interval(op, s, c),
-            trace_interval=trace_in_interval(op, s, c),
         )

@@ -13,7 +13,8 @@ exact counts:
 
 with thresholds read on singular values, t = (c+s)/2, half-width
 Delta = (c-s)/2.  Callers holding eigenvalue-space thresholds convert
-them with eig_to_sv_threshold (a square root; every use is logged).
+them with eig_to_sv_threshold (a square root).  Counts use spectral's
+tie rule, and the sandwich check its AUDIT_SLACK.
 
 P is built from a difference of scaled error functions, interpolated in
 the Chebyshev basis at Chebyshev nodes (a DCT-II through one real FFT,
@@ -26,20 +27,23 @@ grid, and must stay within the declared budget p <= 40 ln(1/eps) / Delta.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 from statistics import NormalDist
 
 import numpy as np
-from numpy.polynomial import chebyshev as cheb
 
 from .circuit import VerifierCircuit
 from .errors import CapExceeded, PreconditionError
 from .limits import POLY_DEGREE_CAP
-from .spectral import TIE_TOL, AcceptanceOperator, build_acceptance_operator, clamp_to_unit
-
-log = logging.getLogger(__name__)
+from .spectral import (
+    AUDIT_SLACK,
+    AcceptanceOperator,
+    at_least,
+    at_most,
+    build_acceptance_operator,
+    clamp_to_unit,
+)
 
 DEGREE_BUDGET_FACTOR = 40.0
 GRID_SIZE = 10001
@@ -98,8 +102,9 @@ def _chebinterpolate(func, degree: int) -> np.ndarray:
     DCT-II of the samples through one real FFT of their mirror image.
     """
     n = degree + 1
-    # chebpts1 ascends, so reversed it is cos(pi (2j + 1) / 2n), j = 0..n-1
-    samples = np.asarray(func(cheb.chebpts1(n)), dtype=float)[::-1]
+    # numpy's chebpts1(n), ascending; reversed it is cos(pi (2j + 1) / 2n), j = 0..n-1
+    nodes = np.sin(0.5 * np.pi / n * np.arange(-n + 1, n + 1, 2))
+    samples = np.asarray(func(nodes), dtype=float)[::-1]
     spectrum = np.fft.rfft(np.concatenate([samples, samples[::-1]]))[:n]
     shift = np.exp(-0.5j * np.pi * np.arange(n) / n)
     coeffs = (spectrum * shift).real / n
@@ -265,9 +270,7 @@ def eig_to_sv_threshold(value: float) -> float:
     """Convert an eigenvalue-space threshold to singular-value space."""
     if not 0.0 <= value <= 1.0:
         raise PreconditionError(f"threshold must lie in [0, 1], got {value}")
-    converted = math.sqrt(value)
-    log.info("eigenvalue threshold %.12g converted to singular-value %.12g", value, converted)
-    return converted
+    return math.sqrt(value)
 
 
 def apply_svt(encoding: BlockEncoding, poly: RectanglePolynomial) -> np.ndarray:
@@ -303,13 +306,13 @@ def sandwich_bounds(
     """Check the amplified trace, the sum of apply_svt's spectrum, at (c, s)."""
     sigma = encoding.singular_values
     dim = float(encoding.operator.dim)
-    n_c = int(np.count_nonzero(sigma >= c - TIE_TOL))
-    n_s = int(np.count_nonzero(sigma >= s - TIE_TOL))
-    in_gap = int(np.count_nonzero((sigma > s + TIE_TOL) & (sigma < c - TIE_TOL)))
+    n_c = int(np.count_nonzero(at_least(sigma, c)))
+    n_s = int(np.count_nonzero(at_least(sigma, s)))
+    in_gap = int(np.count_nonzero(~at_most(sigma, s) & ~at_least(sigma, c)))
     trace = float(amplified.sum())
     lower = n_c - (2.0 * eps - eps * eps) * dim
     upper = n_s + eps * eps * dim
-    satisfied = bool(lower - 1e-9 <= trace <= upper + 1e-9)
+    satisfied = bool(lower - AUDIT_SLACK <= trace <= upper + AUDIT_SLACK)
     return SandwichBounds(
         n_geq_c=n_c,
         n_geq_s=n_s,

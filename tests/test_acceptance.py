@@ -74,7 +74,7 @@ def test_criterion_01_path_sum_identity():
         circ = random_circuit(
             rng, num_ancilla=a, num_witness=w, gate_count=int(rng.integers(1, 5))
         )
-        r = path_sum_exact(circ, check=False)
+        r = path_sum_exact(circ)
         exact = float(np.real(np.trace(build_acceptance_operator(circ).matrix)))
         worst = max(worst, abs(r.trace - exact))
     elapsed = time.time() - t0

@@ -242,21 +242,24 @@ def test_parse_accepts_comments_blanks_and_case():
     assert [g.kind for g in circ.gates] == ["H", "TOF"]
 
 
+_MALFORMED = [  # (text, number of the offending line)
+    ("H 0\n", 1),  # no header
+    ("registers: ancilla=0 input=0 witness=1\nH 0\n", 1),  # needs one ancilla
+    ("registers: ancilla=1 input=0 witness=1\nCNOT 0 1\n", 2),  # unknown gate
+    ("registers: ancilla=1 input=0 witness=1\nH 5\n", 2),  # qubit out of range
+    ("registers: ancilla=1 input=0 witness=1\nH 0 1\n", 2),  # wrong arity
+    ("registers: ancilla=1 input=0 witness=1\nX 0 1\n", 2),  # wrong sugar arity
+    ("registers: ancilla=1 input=0 witness=2\nTOF 0 0 1\n", 2),  # repeated qubit
+    ("registers: ancilla=1 input=0 witness=1\nH x\n", 2),  # non-integer qubit
+    ("registers: ancilla=1 witness=1\nH 0\n", 1),  # missing register field
+]
+
+
 @pytest.mark.parametrize(
-    "text",
-    [
-        "H 0\n",  # no header
-        "registers: ancilla=0 input=0 witness=1\nH 0\n",  # needs one ancilla
-        "registers: ancilla=1 input=0 witness=1\nCNOT 0 1\n",  # unknown gate
-        "registers: ancilla=1 input=0 witness=1\nH 5\n",  # qubit out of range
-        "registers: ancilla=1 input=0 witness=1\nH 0 1\n",  # wrong arity
-        "registers: ancilla=1 input=0 witness=2\nTOF 0 0 1\n",  # repeated qubit
-        "registers: ancilla=1 input=0 witness=1\nH x\n",  # non-integer qubit
-        "registers: ancilla=1 witness=1\nH 0\n",  # missing register field
-    ],
+    "text, line", [pytest.param(text, line, id=text) for text, line in _MALFORMED]
 )
-def test_parse_rejects_malformed_text(text):
-    with pytest.raises(CircuitFormatError):
+def test_parse_rejects_malformed_text(text, line):
+    with pytest.raises(CircuitFormatError, match=f"^line {line} "):
         parse_circuit(text)
 
 

@@ -61,10 +61,9 @@ def test_enumeration_cap():
         path_sum_exact(circ)
 
 
-def test_matches_spectral_oracle_with_internal_check_off():
-    # check=False so the comparison below is the only oracle consultation
+def test_matches_spectral_oracle():
     for circ, x in ensemble(403, 40, max_ancilla=1, max_input=1, max_witness=1, max_gates=3):
-        r = path_sum_exact(circ, x, check=False)
+        r = path_sum_exact(circ, x)
         exact = float(np.real(np.trace(build_acceptance_operator(circ, x).matrix)))
         assert r.trace == pytest.approx(exact, abs=1e-9)
 
@@ -81,7 +80,7 @@ def test_toffoli_paths_match_oracle():
         circ = random_circuit(rng, num_witness=2, gate_count=3)
         if all(g.kind != "TOF" for g in circ.gates):
             continue
-        r = path_sum_exact(circ, check=False)
+        r = path_sum_exact(circ)
         exact = float(np.real(np.trace(build_acceptance_operator(circ).matrix)))
         assert r.trace == pytest.approx(exact, abs=1e-9)
 

@@ -1,25 +1,30 @@
 """Exact spectral oracle: operator build, eigenvalue counts, dqc1 regime."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from circgen import ensemble
+from circgen import ensemble, random_circuit
 from qcount import (
     AcceptanceOperator,
+    BlockEncoding,
     InvariantViolation,
     PreconditionError,
     SpectralCount,
     accept_probability,
+    avg_accept_decider,
     build_acceptance_operator,
     count_eigs_geq,
     count_eigs_interval,
     dqc1_ancilla_bound,
     exact_count_interval,
-    trace_in_interval,
+    sandwich_bounds,
     trace_normalized,
     validate_dqc1,
 )
-from qcount.circuit import VerifierCircuit, parse_circuit
+from qcount.circuit import _BLOCK_BYTES, VerifierCircuit, embedded_witness_matrix, parse_circuit
+from qcount.spectral import TIE_TOL
 
 X_CIRC = parse_circuit("registers: ancilla=1 input=0 witness=1\nX 0\n")
 H_CIRC = parse_circuit("registers: ancilla=1 input=0 witness=1\nH 0\n")
@@ -101,9 +106,47 @@ def test_interval_counts_are_consistent():
         n_c, n_s = exact_count_interval(op, 0.7, 0.2)
         assert 0 <= n_c <= n_s <= op.dim
         assert count_eigs_interval(op, 0.2, 0.7) >= n_s - n_c
-        assert trace_in_interval(op, 0.0, 1.0) == pytest.approx(
-            float(op.eigenvalues.sum()), abs=1e-12
-        )
+
+
+def test_operator_build_copies_no_output_block():
+    # conj(U) is written into the embed's unused top half, and the embed is
+    # freed before the Hermitian check: the peak is the embed plus the Gram
+    circ = random_circuit(
+        np.random.default_rng(207), num_ancilla=2, num_witness=10, gate_count=12
+    )
+    embed_bytes = 16 << (circ.num_qubits + circ.num_witness)
+    tracemalloc.start()
+    try:
+        op = build_acceptance_operator(circ)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= embed_bytes + op.matrix.nbytes + 2 * _BLOCK_BYTES
+    block = embedded_witness_matrix(circ, "")[1 << (circ.num_qubits - 1) :]
+    assert np.array_equal(op.matrix, block.conj().T @ block)  # the same bits
+
+
+@pytest.mark.parametrize(
+    "offset, at_least, at_most",
+    [(-2.0, False, True), (-0.5, True, True), (0.5, True, True), (2.0, True, False)],
+)
+def test_every_threshold_comparison_shares_the_tie_rule(offset, at_least, at_most):
+    # a value within TIE_TOL of a threshold counts as on it, wherever it is compared
+    a = 0.5
+    v = a + offset * TIE_TOL
+    op = AcceptanceOperator(np.diag([v, 0.0]).astype(complex), 1)
+    assert count_eigs_geq(op, a) == at_least
+    assert count_eigs_interval(op, a, 1.0) == at_least
+    assert count_eigs_interval(op, 0.1, a) == at_most
+    enc = BlockEncoding(AcceptanceOperator(np.diag([v * v, 0.0]).astype(complex), 1))
+    amplified = np.zeros(2)
+    assert sandwich_bounds(enc, a, 0.1, 0.1, amplified).n_geq_c == at_least
+    assert sandwich_bounds(enc, 0.9, a, 0.1, amplified).sigma_in_gap == (not at_most)
+    probs = np.array([v, v])
+    below_c = avg_accept_decider(H_CIRC, c=a, s=0.2, probabilities=probs)
+    assert below_c.promise_violated == (not at_least)
+    above_s = avg_accept_decider(H_CIRC, c=0.8, s=a, probabilities=probs)
+    assert above_s.promise_violated == (not at_most)
 
 
 def test_threshold_validation():
@@ -155,4 +198,3 @@ def test_spectral_count_record():
     rec = SpectralCount.from_operator(op, 0.666, 0.333)
     assert (rec.n_geq_c, rec.n_geq_s) == (2, 2)
     assert rec.n_interval == 0
-    assert rec.trace_interval == 0.0
