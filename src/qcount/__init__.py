@@ -47,10 +47,8 @@ from .spectral import (
     SpectralCount,
     accept_probability,
     build_acceptance_operator,
-    count_eigs_geq,
-    count_eigs_interval,
+    check_promise,
     dqc1_ancilla_bound,
-    exact_count_interval,
     trace_normalized,
     validate_dqc1,
 )
@@ -58,7 +56,6 @@ from .svt import (
     BlockEncoding,
     RectanglePolynomial,
     SandwichBounds,
-    amplified_acceptance,
     apply_svt,
     build_block_encoding,
     degree_budget,

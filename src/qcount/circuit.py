@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapExceeded, CircuitFormatError, InvariantViolation, PreconditionError
-from .limits import SIM_QUBIT_CAP, dense_qubit_cap
+from .limits import SIM_QUBIT_CAP, check_dense
 
 CORE_KINDS = ("H", "S", "TOF")
 
@@ -293,9 +293,7 @@ def simulate(circuit: VerifierCircuit, basis: str) -> np.ndarray:
 def circuit_unitary(circuit: VerifierCircuit) -> np.ndarray:
     """Dense unitary of the whole circuit (gate order: first gate rightmost)."""
     q = circuit.num_qubits
-    cap = dense_qubit_cap()
-    if q > cap:
-        raise CapExceeded(f"{q} qubits exceeds the {cap}-qubit dense cap")
+    check_dense(q)
     mat = np.eye(1 << q, dtype=np.complex128)
     _apply_gates(mat, circuit.gates, q)
     return mat
@@ -308,9 +306,7 @@ def embedded_witness_matrix(circuit: VerifierCircuit, x: str) -> np.ndarray:
     |0...0>, input register at |x>, witness register at basis state |y>.
     """
     q = circuit.num_qubits
-    cap = dense_qubit_cap()
-    if q > cap:
-        raise CapExceeded(f"{q} qubits exceeds the {cap}-qubit dense cap")
+    check_dense(q)
     x_val = _parse_bits(x, circuit.num_input, "input bits")
     w = circuit.num_witness
     dim_w = 1 << w

@@ -25,6 +25,7 @@ from .estimators import avg_accept_decider, quantum_trace_estimator
 from .spectral import (
     SpectralCount,
     build_acceptance_operator,
+    check_promise,
     dqc1_ancilla_bound,
     trace_normalized,
     validate_dqc1,
@@ -93,8 +94,9 @@ def _default_seed(p: argparse.ArgumentParser, args, why: str, estimator: bool = 
     _flag("--s", type=float, required=True),
 )
 def _exact_count(p, args, circ) -> dict:
+    check_promise(args.c, args.s)  # before the embed and eigvalsh it would waste
     op = build_acceptance_operator(circ, args.x)
-    count = SpectralCount.from_operator(op, args.c, args.s)
+    count = SpectralCount.of(op.eigenvalues, args.c, args.s)
     return {
         "N_geq_c": count.n_geq_c,
         "N_geq_s": count.n_geq_s,
@@ -175,12 +177,11 @@ def _rect_poly(p, args, circ) -> dict:
 )
 def _svt_amplify(p, args, circ) -> dict:
     encoding = svt.build_block_encoding(circ, args.x)
-    poly, amplified = svt.amplified_acceptance(encoding, args.c, args.s, args.eps)
-    bounds = svt.sandwich_bounds(encoding, args.c, args.s, args.eps, amplified)
+    bounds = svt.sandwich_bounds(encoding, args.c, args.s, args.eps)
     return {
-        "poly_degree": poly.degree,
+        "poly_degree": bounds.poly.degree,
         "singular_values": encoding.singular_values,
-        "amplified_eigenvalues": np.sort(amplified)[::-1],
+        "amplified_eigenvalues": np.sort(bounds.amplified)[::-1],
         "trace_amplified": bounds.trace_amplified,
         "lower": bounds.lower,
         "upper": bounds.upper,

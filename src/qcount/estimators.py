@@ -30,7 +30,13 @@ from .circuit import VerifierCircuit, _parse_bits
 from .errors import PreconditionError
 from .limits import check_draws, dense_qubit_cap
 from .rngstreams import stream, uniform_indices
-from .spectral import accept_probability, at_least, at_most, build_acceptance_operator
+from .spectral import (
+    accept_probability,
+    at_least,
+    at_most,
+    build_acceptance_operator,
+    check_promise,
+)
 
 
 @dataclass(frozen=True)
@@ -216,8 +222,7 @@ def avg_accept_decider(
     input actually violated it.  The sample count is checked against
     SAMPLE_CAP before anything is built.
     """
-    if not 0.0 <= s < c <= 1.0:
-        raise PreconditionError(f"need 0 <= s < c <= 1, got c={c}, s={s}")
+    check_promise(c, s)
     gap = c - s
     if epsilon is None:
         epsilon = min(1.0 / 6.0, gap / 3.0)

@@ -4,10 +4,10 @@ The caps keep every operation desk-scale: statevector simulation stays
 under SIM_QUBIT_CAP total qubits, anything that materializes a full
 unitary or eigendecomposition stays under the dense cap, exact path
 enumeration stays under PATH_BIT_CAP free bits, the rectangle
-polynomial search builds no candidate above POLY_DEGREE_CAP, and one
-estimator run draws at most SAMPLE_CAP uniforms.  The dense
-cap can be raised or lowered through the QCOUNT_DENSE_CAP environment
-variable.
+polynomial search builds no candidate above POLY_DEGREE_CAP, one
+estimator run draws at most SAMPLE_CAP uniforms, and an interval
+partition has at most PARTITION_CAP bands.  QCOUNT_DENSE_CAP overrides
+the dense cap; check_dense and check_draws are the one check of each.
 """
 
 import os
@@ -19,6 +19,7 @@ DENSE_QUBIT_CAP_DEFAULT = 14
 PATH_BIT_CAP = 24
 POLY_DEGREE_CAP = 2**14  # O(p * GRID_SIZE) Clenshaw work a candidate; p + 1 coefficients a record
 SAMPLE_CAP = 2**24  # uniform draws per estimator run: 128 MiB of float64
+PARTITION_CAP = 2**16  # interval-partition bands: M - 1 oracle queries and an M + 1 n_hat
 
 _ENV_DENSE_CAP = "QCOUNT_DENSE_CAP"
 
@@ -35,6 +36,13 @@ def dense_qubit_cap() -> int:
     if cap < 1:
         raise PreconditionError(f"{_ENV_DENSE_CAP} must be positive, got {cap}")
     return cap
+
+
+def check_dense(qubits: int) -> None:
+    """Reject a dense operation on more qubits than the dense cap."""
+    cap = dense_qubit_cap()
+    if qubits > cap:
+        raise CapExceeded(f"{qubits} qubits exceeds the {cap}-qubit dense cap")
 
 
 def check_draws(draws: int, who: str) -> None:

@@ -39,14 +39,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circuit import VerifierCircuit, _parse_bits, pad_witness
-from .errors import InvariantViolation, PreconditionError
+from .errors import CapExceeded, InvariantViolation, PreconditionError
 from .estimators import make_trace_estimator, median_amplify, median_repetitions
-from .limits import check_draws
+from .limits import PARTITION_CAP, check_draws
 from .rngstreams import stream
 from .spectral import (
     AUDIT_SLACK,
     SpectralCount,
     build_acceptance_operator,
+    check_promise,
     trace_normalized,
 )
 from .svt import BlockEncoding, band_polynomial, eig_to_sv_threshold
@@ -66,6 +67,8 @@ class IntervalPartition:
     def __post_init__(self) -> None:
         if self.M < 2:
             raise PreconditionError(f"partition needs M >= 2, got {self.M}")
+        if self.M > PARTITION_CAP:
+            raise CapExceeded(f"partition M={self.M} exceeds the {PARTITION_CAP}-band cap")
 
     def c(self, i: int) -> float:
         self._check(i)
@@ -166,7 +169,7 @@ class MiscountingOracle:
     def query(self, c: float, s: float) -> float:
         """One noisy count answer for thresholds (c, s), appended to the log."""
         # checks (c, s) before the query counter moves
-        count = SpectralCount.from_operator(self.operator, c, s)
+        count = SpectralCount.of(self.operator.eigenvalues, c, s)
         rng = stream(self.seed, jump=self._queries)
         self._queries += 1
         mult = self.multiplicity
@@ -293,8 +296,7 @@ def decide_by_interval_recovery(
     oracle: MiscountingOracle, c: float, s: float
 ) -> tuple[str, IntervalTraceResult]:
     """YES/NO for the promise (trace/2**w >= c or <= s) via the reduction."""
-    if not 0.0 <= s < c <= 1.0:
-        raise PreconditionError(f"need 0 <= s < c <= 1, got c={c}, s={s}")
+    check_promise(c, s)
     M = math.ceil(5.0 / (c - s)) + 1
     result = interval_partition_trace(oracle, M)
     dim = float(1 << oracle.w_total)

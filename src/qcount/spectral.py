@@ -13,10 +13,12 @@ Everything here is dense and exact (up to machine precision): an
 operator is the Gram product of the output-qubit-1 half of the embedded
 witness matrix, eigendecomposed once and cached.  It is the one spectral
 object per (circuit, x): the SVT block encoding reads its spectrum too.
-Two rules of the whole package live here: every threshold comparison goes
+The rules of the whole package live here: every threshold comparison goes
 through at_least and at_most (within TIE_TOL of a threshold counts as on
-it), and every certified inequality between computed floats, such as an
-oracle answer in its allowed range, holds within AUDIT_SLACK.
+it), every threshold pair passes check_promise, every count of a spectrum
+(eigenvalues or singular values) is one SpectralCount.of, and every
+certified inequality between computed floats, such as an oracle answer in
+its allowed range, holds within AUDIT_SLACK.
 """
 
 from __future__ import annotations
@@ -87,7 +89,8 @@ def clamp_to_unit(values: np.ndarray) -> np.ndarray:
     low, high = float(values.min()), float(values.max())
     if low < -EIG_CLAMP_TOL or high > 1.0 + EIG_CLAMP_TOL:
         raise InvariantViolation(
-            f"eigenvalues escape [0,1] beyond tolerance: min {low:.3e}, max {high:.6e}"
+            f"eigenvalues escape [0,1] beyond tolerance: {max(-low, 0.0):.3e} below 0, "
+            f"{max(high - 1.0, 0.0):.3e} above 1"
         )
     return np.clip(values, 0.0, 1.0)
 
@@ -113,25 +116,10 @@ def at_most(values, a: float):
     return values <= a + TIE_TOL
 
 
-def count_eigs_geq(op: AcceptanceOperator, a: float) -> int:
-    """Number of eigenvalues at_least a."""
-    if not 0.0 <= a <= 1.0:
-        raise PreconditionError(f"threshold must lie in [0, 1], got {a}")
-    return int(np.count_nonzero(at_least(op.eigenvalues, a)))
-
-
-def count_eigs_interval(op: AcceptanceOperator, lo: float, hi: float) -> int:
-    """Number of eigenvalues in the closed interval [lo, hi], by the tie rule."""
-    if lo > hi:
-        raise PreconditionError(f"empty interval [{lo}, {hi}]")
-    return int(np.count_nonzero(at_least(op.eigenvalues, lo) & at_most(op.eigenvalues, hi)))
-
-
-def exact_count_interval(op: AcceptanceOperator, c: float, s: float) -> tuple[int, int]:
-    """Both endpoints (N_geq_c, N_geq_s) of the exact counting interval."""
+def check_promise(c: float, s: float) -> None:
+    """Reject thresholds outside the promise 0 <= s < c <= 1."""
     if not 0.0 <= s < c <= 1.0:
         raise PreconditionError(f"need 0 <= s < c <= 1, got c={c}, s={s}")
-    return count_eigs_geq(op, c), count_eigs_geq(op, s)
 
 
 def trace_normalized(op: AcceptanceOperator) -> float:
@@ -166,21 +154,23 @@ def validate_dqc1(circuit: VerifierCircuit) -> bool:
 
 @dataclass(frozen=True)
 class SpectralCount:
-    """Exact per-threshold record used when auditing noisy count oracles."""
+    """The exact counting interval [N_geq_c, N_geq_s] of a spectrum at (c, s)."""
 
     c: float
     s: float
     n_geq_c: int
     n_geq_s: int
-    n_interval: int
+    n_interval: int  # values in the closed band [s, c]
 
     @classmethod
-    def from_operator(cls, op: AcceptanceOperator, c: float, s: float) -> "SpectralCount":
-        n_c, n_s = exact_count_interval(op, c, s)
+    def of(cls, values: np.ndarray, c: float, s: float) -> "SpectralCount":
+        """Counts of a descending spectrum (eigenvalues or singular values) by the tie rule."""
+        check_promise(c, s)
+        geq_s = at_least(values, s)
         return cls(
             c=c,
             s=s,
-            n_geq_c=n_c,
-            n_geq_s=n_s,
-            n_interval=count_eigs_interval(op, s, c),
+            n_geq_c=int(np.count_nonzero(at_least(values, c))),
+            n_geq_s=int(np.count_nonzero(geq_s)),
+            n_interval=int(np.count_nonzero(geq_s & at_most(values, c))),
         )

@@ -13,8 +13,10 @@ exact counts:
 
 with thresholds read on singular values, t = (c+s)/2, half-width
 Delta = (c-s)/2.  Callers holding eigenvalue-space thresholds convert
-them with eig_to_sv_threshold (a square root).  Counts use spectral's
-tie rule, and the sandwich check its AUDIT_SLACK.
+them with eig_to_sv_threshold (a square root).  sandwich_bounds is the
+one amplification call: it builds P, applies it once and checks the
+bracket, counting the singular values with spectral's SpectralCount.of
+and checking within its AUDIT_SLACK.
 
 P is built from a difference of scaled error functions, interpolated in
 the Chebyshev basis at Chebyshev nodes (a DCT-II through one real FFT,
@@ -39,6 +41,7 @@ from .limits import POLY_DEGREE_CAP
 from .spectral import (
     AUDIT_SLACK,
     AcceptanceOperator,
+    SpectralCount,
     at_least,
     at_most,
     build_acceptance_operator,
@@ -57,7 +60,8 @@ class RectanglePolynomial:
 
     Guarantees (verified on the construction grid): |P| <= 1 on [-1, 1],
     P in [1-eps, 1] for |x| >= t + delta, and P in [0, eps] for
-    |x| <= t - delta.  `report` is that check's grid_report.
+    |x| <= t - delta.  `report` is that check: the accepted candidate's
+    margins on the grid, with 0 violations.
     """
 
     coefficients: np.ndarray
@@ -75,7 +79,10 @@ class RectanglePolynomial:
 
 def degree_budget(delta: float, eps: float) -> int:
     """Largest degree the construction may use for these parameters."""
-    return int(math.ceil(DEGREE_BUDGET_FACTOR * math.log(1.0 / eps) / delta))
+    budget = DEGREE_BUDGET_FACTOR * math.log(1.0 / eps) / delta
+    if not math.isfinite(budget):
+        raise PreconditionError(f"half-width delta={delta} leaves no finite degree budget")
+    return int(math.ceil(budget))
 
 
 def _verification_grid(t: float, delta: float) -> np.ndarray:
@@ -149,21 +156,6 @@ def _candidate(target, degree: int) -> np.ndarray:
     return coeffs
 
 
-def _band_check(
-    vals: np.ndarray, grid: np.ndarray, t: float, delta: float, eps: float
-) -> tuple[int, np.ndarray, np.ndarray]:
-    """Band violations of P's values on the grid, with the outer and inner masks."""
-    outer = np.abs(grid) >= t + delta
-    inner = np.abs(grid) <= t - delta
-    violations = int(
-        np.count_nonzero(np.abs(vals) > 1.0)
-        + np.count_nonzero(vals[outer] < 1.0 - eps)
-        + np.count_nonzero(vals[inner] < 0.0)
-        + np.count_nonzero(vals[inner] > eps)
-    )
-    return violations, outer, inner
-
-
 def rect_poly(t: float, delta: float, eps: float) -> RectanglePolynomial:
     """Construct the rectangle polynomial for band center t, half-width delta.
 
@@ -188,13 +180,11 @@ def rect_poly(t: float, delta: float, eps: float) -> RectanglePolynomial:
     k = -NormalDist().inv_cdf(eps / 4.0) / math.sqrt(2.0) / delta
     grid = _verification_grid(t, delta)
 
-    def accepted(degree: int) -> tuple[np.ndarray, np.ndarray] | None:
-        """The candidate of this degree and its grid values if it passes, else None."""
+    def accepted(degree: int) -> tuple[np.ndarray, dict] | None:
+        """The candidate of this degree and its report if it has no violations, else None."""
         coeffs = _candidate(lambda x: _target(t, k, x), degree)
-        vals = _even_chebval(grid, coeffs)
-        if _band_check(vals, grid, t, delta, eps)[0] == 0:
-            return coeffs, vals
-        return None
+        report = _report(_even_chebval(grid, coeffs), grid, t, delta, eps)
+        return (coeffs, report) if report["violations"] == 0 else None
 
     # doubling phase: lo is the last failing even degree, hi the next to try
     lo, hi = 0, 4
@@ -217,26 +207,27 @@ def rect_poly(t: float, delta: float, eps: float) -> RectanglePolynomial:
             hi, best = mid, found
         else:
             lo = mid
-    coeffs, vals = best
-    return RectanglePolynomial(coeffs, hi, t, delta, eps, _report(vals, grid, t, delta, eps))
-
-
-def grid_report(poly: RectanglePolynomial) -> dict:
-    """Measured property margins on a fresh verification grid."""
-    grid = _verification_grid(poly.t, poly.delta)
-    return _report(poly(grid), grid, poly.t, poly.delta, poly.eps)
+    coeffs, report = best
+    return RectanglePolynomial(coeffs, hi, t, delta, eps, report)
 
 
 def _report(vals: np.ndarray, grid: np.ndarray, t: float, delta: float, eps: float) -> dict:
-    """grid_report's fields for P's values on the verification grid."""
-    violations, outer, inner = _band_check(vals, grid, t, delta, eps)
+    """Band violations and margins of P's values on the verification grid."""
+    abs_vals = np.abs(vals)
+    outer = vals[np.abs(grid) >= t + delta]
+    inner = vals[np.abs(grid) <= t - delta]
     return {
         "grid_points": int(grid.size),
-        "max_abs": float(np.abs(vals).max()),
-        "outer_min": float(vals[outer].min()),
-        "inner_max": float(vals[inner].max()),
-        "inner_min": float(vals[inner].min()),
-        "violations": violations,
+        "max_abs": float(abs_vals.max()),
+        "outer_min": float(outer.min()),
+        "inner_max": float(inner.max()),
+        "inner_min": float(inner.min()),
+        "violations": int(
+            np.count_nonzero(abs_vals > 1.0)
+            + np.count_nonzero(outer < 1.0 - eps)
+            + np.count_nonzero(inner < 0.0)
+            + np.count_nonzero(inner > eps)
+        ),
     }
 
 
@@ -285,7 +276,7 @@ def apply_svt(encoding: BlockEncoding, poly: RectanglePolynomial) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SandwichBounds:
-    """Exact-count bracket around the amplified trace."""
+    """Exact-count bracket around the amplified trace, with what was amplified."""
 
     n_geq_c: int
     n_geq_s: int
@@ -294,33 +285,36 @@ class SandwichBounds:
     trace_amplified: float
     sigma_in_gap: int
     satisfied: bool
+    poly: RectanglePolynomial = field(compare=False, repr=False)
+    amplified: np.ndarray = field(compare=False, repr=False)  # apply_svt's spectrum
 
 
-def sandwich_bounds(
-    encoding: BlockEncoding,
-    c: float,
-    s: float,
-    eps: float,
-    amplified: np.ndarray,
-) -> SandwichBounds:
-    """Check the amplified trace, the sum of apply_svt's spectrum, at (c, s)."""
+def sandwich_bounds(encoding: BlockEncoding, c: float, s: float, eps: float) -> SandwichBounds:
+    """Amplify the encoding over the singular-value band (s, c) and check the sandwich.
+
+    One band_polynomial(c, s, eps), one apply_svt; the amplified trace is
+    bracketed by the exact sigma counts.  The singular values are the
+    operator's cached eigvalsh values, so amplifying one encoding at many
+    thresholds decomposes it once.
+    """
+    poly = band_polynomial(c, s, eps)
+    amplified = apply_svt(encoding, poly)
     sigma = encoding.singular_values
+    count = SpectralCount.of(sigma, c, s)
     dim = float(encoding.operator.dim)
-    n_c = int(np.count_nonzero(at_least(sigma, c)))
-    n_s = int(np.count_nonzero(at_least(sigma, s)))
-    in_gap = int(np.count_nonzero(~at_most(sigma, s) & ~at_least(sigma, c)))
     trace = float(amplified.sum())
-    lower = n_c - (2.0 * eps - eps * eps) * dim
-    upper = n_s + eps * eps * dim
-    satisfied = bool(lower - AUDIT_SLACK <= trace <= upper + AUDIT_SLACK)
+    lower = count.n_geq_c - (2.0 * eps - eps * eps) * dim
+    upper = count.n_geq_s + eps * eps * dim
     return SandwichBounds(
-        n_geq_c=n_c,
-        n_geq_s=n_s,
+        n_geq_c=count.n_geq_c,
+        n_geq_s=count.n_geq_s,
         lower=lower,
         upper=upper,
         trace_amplified=trace,
-        sigma_in_gap=in_gap,
-        satisfied=satisfied,
+        sigma_in_gap=int(np.count_nonzero(~at_most(sigma, s) & ~at_least(sigma, c))),
+        satisfied=bool(lower - AUDIT_SLACK <= trace <= upper + AUDIT_SLACK),
+        poly=poly,
+        amplified=amplified,
     )
 
 
@@ -335,15 +329,3 @@ def band_polynomial(c: float, s: float, eps: float) -> RectanglePolynomial:
             f"trustworthy singular values, got c={c}, s={s}"
         )
     return rect_poly((c + s) / 2.0, (c - s) / 2.0, eps)
-
-
-def amplified_acceptance(
-    encoding: BlockEncoding, c: float, s: float, eps: float
-) -> tuple[RectanglePolynomial, np.ndarray]:
-    """band_polynomial(c, s, eps) and its apply_svt spectrum on the encoding.
-
-    The singular values are the operator's cached eigvalsh values, so
-    amplifying one encoding at many thresholds decomposes it once.
-    """
-    poly = band_polynomial(c, s, eps)
-    return poly, apply_svt(encoding, poly)

@@ -22,7 +22,6 @@ from circgen import (
 )
 from qcount import (
     MiscountingOracle,
-    apply_svt,
     avg_accept_decider,
     build_acceptance_operator,
     build_block_encoding,
@@ -37,7 +36,6 @@ from qcount import (
 from qcount.circuit import embedded_witness_matrix
 from qcount.estimators import make_trace_estimator
 from qcount.rngstreams import stream
-from qcount.svt import grid_report
 
 
 def report(num, name, ok, detail):
@@ -215,7 +213,7 @@ def test_criterion_07_rectangle_polynomial_grid():
         t0 = time.time()
         poly = rect_poly(0.5, delta, eps)
         elapsed = time.time() - t0
-        rep = grid_report(poly)
+        rep = poly.report
         budget = degree_budget(delta, eps)
         good = (
             rep["violations"] == 0
@@ -250,9 +248,7 @@ def test_criterion_08_trace_sandwich():
     eps = 0.01
     violations = 0
     for circ, enc, (c, s) in sandwich_test_circuits(1448, 50):
-        poly = rect_poly((c + s) / 2.0, (c - s) / 2.0, eps)
-        amplified = apply_svt(enc, poly)
-        bounds = sandwich_bounds(enc, c, s, eps, amplified)
+        bounds = sandwich_bounds(enc, c, s, eps)
         if bounds.sigma_in_gap != 0 or not bounds.satisfied:
             violations += 1
     report(

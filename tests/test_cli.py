@@ -275,6 +275,7 @@ def test_bad_flag_exits_2(circuits):
         ),
         (("decide-avg-accept", "{x}", "--seed", "1", "--eps", "1e-7"), None),
         (("svt-amplify", "{x}", "--c", "0.6", "--s", "1e-9", "--eps", "0.1"), None),
+        (("rect-poly", "--t", "0.5", "--width", "5e-324", "--eps", "0.1"), None),
     ],
     ids=[
         "c-below-s",
@@ -296,6 +297,7 @@ def test_bad_flag_exits_2(circuits):
         "path-sum-samples-over-sample-cap",
         "decide-eps-over-sample-cap",
         "svt-amplify-s-below-floor",
+        "rect-poly-width-without-finite-budget",
     ],
 )
 def test_precondition_violation_exits_2(circuits, args, env):
@@ -317,6 +319,30 @@ def test_estimator_reduction_over_sample_cap_exits_before_embedding(
     assert qcount.cli.run(argv) == 2
     assert embeds == []
     assert "eps_bound=0.001" in capsys.readouterr().err
+
+
+def test_exact_count_rejects_thresholds_before_embedding(circuits, monkeypatch, capsys):
+    import qcount.cli
+    import qcount.spectral
+
+    embeds = []
+    monkeypatch.setattr(qcount.spectral, "embedded_witness_matrix", lambda *a: embeds.append(a))
+    assert qcount.cli.run(["exact-count", circuits["x"], "--c", "0.3", "--s", "0.6"]) == 2
+    assert embeds == []
+    assert "need 0 <= s < c <= 1, got c=0.3, s=0.6" in capsys.readouterr().err
+
+
+def test_reduction_over_partition_cap_exits_before_embedding(circuits, monkeypatch, capsys):
+    import qcount.cli
+    import qcount.spectral
+    from qcount.limits import PARTITION_CAP
+
+    embeds = []
+    monkeypatch.setattr(qcount.spectral, "embedded_witness_matrix", lambda *a: embeds.append(a))
+    # 10**8 exact queries would take hours and tens of GB of query log
+    assert qcount.cli.run(["reduce-interval", circuits["h"], "--M", str(10**8)]) == 2
+    assert embeds == []
+    assert f"M=100000000 exceeds the {PARTITION_CAP}-band cap" in capsys.readouterr().err
 
 
 def test_svt_amplify_decomposes_once_without_svd_or_eigh(circuits, monkeypatch, capsys):

@@ -11,6 +11,7 @@ import qcount.spectral
 import qcount.svt
 from circgen import ensemble, gapped_circuit
 from qcount import (
+    CapExceeded,
     InvariantViolation,
     IntervalPartition,
     MiscountingOracle,
@@ -21,6 +22,7 @@ from qcount import (
     padding_reduction,
 )
 from qcount.circuit import pad_witness, parse_circuit
+from qcount.limits import PARTITION_CAP
 from qcount.reductions import DELTA_STRATEGIES, EPS_STRATEGIES
 
 X_CIRC = parse_circuit("registers: ancilla=1 input=0 witness=1\nX 0\n")
@@ -50,6 +52,9 @@ def test_partition_intervals_disjoint(M):
 def test_partition_validation():
     with pytest.raises(PreconditionError):
         IntervalPartition(1)
+    IntervalPartition(PARTITION_CAP)
+    with pytest.raises(CapExceeded, match=f"M={PARTITION_CAP + 1} exceeds"):
+        IntervalPartition(PARTITION_CAP + 1)
     part = IntervalPartition(4)
     with pytest.raises(PreconditionError):
         part.c(0)

@@ -15,10 +15,8 @@ from qcount import (
     accept_probability,
     avg_accept_decider,
     build_acceptance_operator,
-    count_eigs_geq,
-    count_eigs_interval,
+    check_promise,
     dqc1_ancilla_bound,
-    exact_count_interval,
     sandwich_bounds,
     trace_normalized,
     validate_dqc1,
@@ -40,8 +38,8 @@ def test_x_operator_is_identity():
 def test_h_operator_is_half_identity():
     op = build_acceptance_operator(H_CIRC)
     assert np.allclose(op.matrix, 0.5 * np.eye(2), atol=1e-12)
-    assert count_eigs_geq(op, 0.5) == 2
-    assert count_eigs_geq(op, 0.6) == 0
+    count = SpectralCount.of(op.eigenvalues, 0.6, 0.5)
+    assert (count.n_geq_c, count.n_geq_s) == (0, 2)
     assert trace_normalized(op) == pytest.approx(0.5, abs=1e-12)
 
 
@@ -53,7 +51,8 @@ def test_identity_circuit_never_accepts():
 
 def test_worked_exact_count_interval():
     op = build_acceptance_operator(X_CIRC)
-    assert exact_count_interval(op, 0.666, 0.333) == (2, 2)
+    count = SpectralCount.of(op.eigenvalues, 0.666, 0.333)
+    assert (count.n_geq_c, count.n_geq_s) == (2, 2)
 
 
 def test_accept_probability_h_any_witness():
@@ -90,22 +89,25 @@ def test_counts_match_brute_scan():
         op = build_acceptance_operator(circ, x)
         eigs = op.eigenvalues
         for a in rng.uniform(0.0, 1.0, size=5):
-            assert count_eigs_geq(op, float(a)) == int(np.sum(eigs >= a - 1e-12))
+            count = SpectralCount.of(eigs, 1.0, float(a))
+            assert count.n_geq_s == int(np.sum(eigs >= a - 1e-12))
 
 
 def test_count_edges():
     for circ, x in ensemble(205, 10, max_witness=3):
         op = build_acceptance_operator(circ, x)
-        assert count_eigs_geq(op, 0.0) == op.dim
-        assert count_eigs_geq(op, 1.0) == count_eigs_interval(op, 1.0, 1.0)
+        count = SpectralCount.of(op.eigenvalues, 1.0, 0.0)
+        assert count.n_geq_s == count.n_interval == op.dim
+        # nothing lies above 1, so at least 1 means at 1
+        assert count.n_geq_c == int(np.sum(np.abs(op.eigenvalues - 1.0) <= TIE_TOL))
 
 
 def test_interval_counts_are_consistent():
     for circ, x in ensemble(206, 20, max_witness=3):
         op = build_acceptance_operator(circ, x)
-        n_c, n_s = exact_count_interval(op, 0.7, 0.2)
-        assert 0 <= n_c <= n_s <= op.dim
-        assert count_eigs_interval(op, 0.2, 0.7) >= n_s - n_c
+        count = SpectralCount.of(op.eigenvalues, 0.7, 0.2)
+        assert 0 <= count.n_geq_c <= count.n_geq_s <= op.dim
+        assert count.n_interval >= count.n_geq_s - count.n_geq_c
 
 
 def test_operator_build_copies_no_output_block():
@@ -134,14 +136,14 @@ def test_every_threshold_comparison_shares_the_tie_rule(offset, at_least, at_mos
     # a value within TIE_TOL of a threshold counts as on it, wherever it is compared
     a = 0.5
     v = a + offset * TIE_TOL
-    op = AcceptanceOperator(np.diag([v, 0.0]).astype(complex), 1)
-    assert count_eigs_geq(op, a) == at_least
-    assert count_eigs_interval(op, a, 1.0) == at_least
-    assert count_eigs_interval(op, 0.1, a) == at_most
+    eigs = AcceptanceOperator(np.diag([v, 0.0]).astype(complex), 1).eigenvalues
+    assert SpectralCount.of(eigs, a, 0.1).n_geq_c == at_least
+    assert SpectralCount.of(eigs, 1.0, a).n_geq_s == at_least
+    assert SpectralCount.of(eigs, 1.0, a).n_interval == at_least
+    assert SpectralCount.of(eigs, a, 0.1).n_interval == at_most
     enc = BlockEncoding(AcceptanceOperator(np.diag([v * v, 0.0]).astype(complex), 1))
-    amplified = np.zeros(2)
-    assert sandwich_bounds(enc, a, 0.1, 0.1, amplified).n_geq_c == at_least
-    assert sandwich_bounds(enc, 0.9, a, 0.1, amplified).sigma_in_gap == (not at_most)
+    assert sandwich_bounds(enc, a, 0.1, 0.1).n_geq_c == at_least
+    assert sandwich_bounds(enc, 0.9, a, 0.1).sigma_in_gap == (not at_most)
     probs = np.array([v, v])
     below_c = avg_accept_decider(H_CIRC, c=a, s=0.2, probabilities=probs)
     assert below_c.promise_violated == (not at_least)
@@ -150,13 +152,16 @@ def test_every_threshold_comparison_shares_the_tie_rule(offset, at_least, at_mos
 
 
 def test_threshold_validation():
-    op = build_acceptance_operator(H_CIRC)
-    with pytest.raises(PreconditionError):
-        count_eigs_geq(op, 1.5)
-    with pytest.raises(PreconditionError):
-        exact_count_interval(op, 0.3, 0.6)
-    with pytest.raises(PreconditionError):
-        count_eigs_interval(op, 0.6, 0.3)
+    eigs = build_acceptance_operator(H_CIRC).eigenvalues
+    promise = "need 0 <= s < c <= 1"
+    with pytest.raises(PreconditionError, match=promise):
+        SpectralCount.of(eigs, 1.5, 0.5)
+    with pytest.raises(PreconditionError, match=promise):
+        SpectralCount.of(eigs, 0.3, 0.6)
+    for c, s in [(0.5, 0.5), (0.5, -0.1), (1.5, 0.5), (0.3, 0.6)]:
+        with pytest.raises(PreconditionError, match=promise):
+            check_promise(c, s)
+    check_promise(1.0, 0.0)  # both ends of [0, 1] are allowed
 
 
 def test_rejects_non_hermitian():
@@ -168,6 +173,10 @@ def test_rejects_escaping_eigenvalues():
     bad = AcceptanceOperator(np.diag([1.5, 0.0]).astype(complex), 1)
     with pytest.raises(InvariantViolation):
         bad.eigenvalues
+    # the message shows the excess, not 1 + 2e-9 rounded to 1.000000e+00
+    near = AcceptanceOperator(np.diag([1.0 + 2e-9, 0.0]).astype(complex), 1)
+    with pytest.raises(InvariantViolation, match=r"2\.000e-09 above 1"):
+        near.eigenvalues
     neg = AcceptanceOperator(np.diag([-0.5, 0.0]).astype(complex), 1)
     with pytest.raises(InvariantViolation):
         neg.eigenvalues
@@ -195,6 +204,6 @@ def test_validate_dqc1():
 
 def test_spectral_count_record():
     op = build_acceptance_operator(X_CIRC)
-    rec = SpectralCount.from_operator(op, 0.666, 0.333)
+    rec = SpectralCount.of(op.eigenvalues, 0.666, 0.333)
     assert (rec.n_geq_c, rec.n_geq_s) == (2, 2)
     assert rec.n_interval == 0

@@ -10,7 +10,6 @@ from numpy.polynomial import chebyshev as cheb
 from circgen import ensemble, thresholds_from_sigma_gap
 from qcount import (
     PreconditionError,
-    amplified_acceptance,
     apply_svt,
     build_acceptance_operator,
     build_block_encoding,
@@ -23,7 +22,7 @@ from qcount import svt
 from qcount.circuit import circuit_unitary, embedded_witness_matrix, parse_circuit
 from qcount.errors import CapExceeded
 from qcount.reductions import IntervalPartition
-from qcount.svt import RectanglePolynomial, _chebinterpolate, _even_chebval, grid_report
+from qcount.svt import RectanglePolynomial, _chebinterpolate, _even_chebval
 
 X_CIRC = parse_circuit("registers: ancilla=1 input=0 witness=1\nX 0\n")
 
@@ -67,7 +66,9 @@ def test_eig_to_sv_threshold():
 @pytest.mark.parametrize("delta,eps", [(0.2, 0.1), (0.1, 0.01)])
 def test_rect_poly_properties(delta, eps):
     poly = rect_poly(0.5, delta, eps)
-    report = grid_report(poly)
+    report = poly.report
+    grid = svt._verification_grid(0.5, delta)
+    assert report["max_abs"] == float(np.abs(poly(grid)).max())  # it reports these coefficients
     assert report["violations"] == 0
     assert report["max_abs"] <= 1.0
     assert report["outer_min"] >= 1.0 - eps
@@ -87,6 +88,7 @@ def test_rect_poly_respects_degree_budget():
         poly = rect_poly(0.5, delta, eps)
         assert poly.degree % 2 == 0
         assert poly.degree <= degree_budget(delta, eps)
+    assert degree_budget(0.1, 0.01) == 1843  # ceil(40 ln(100) / 0.1), printed by rect-poly
 
 
 def test_rect_poly_degree_scaling():
@@ -130,6 +132,8 @@ def test_rect_poly_parameter_validation():
         rect_poly(0.5, 0.1, 0.5)
     with pytest.raises(PreconditionError):
         rect_poly(0.5, 0.25, 1e-9)  # no candidate can pass at eps <= _SAFETY
+    with pytest.raises(PreconditionError, match="delta=5e-324"):
+        rect_poly(0.5, 5e-324, 0.1)  # 40 ln(10) / delta overflows to inf
     assert rect_poly(0.5, 0.25, 1.5e-9).degree <= degree_budget(0.25, 1.5e-9)
 
 
@@ -197,9 +201,8 @@ def test_apply_svt_rejects_odd_polynomial():
 def test_worked_sandwich_on_sure_acceptor():
     eps = 0.05
     enc = build_block_encoding(X_CIRC)
-    poly = rect_poly(0.4995, 0.1665, eps)
-    amplified = apply_svt(enc, poly)
-    bounds = sandwich_bounds(enc, 0.666, 0.333, eps, amplified)
+    bounds = sandwich_bounds(enc, 0.666, 0.333, eps)
+    assert np.array_equal(bounds.amplified, apply_svt(enc, bounds.poly))
     assert (bounds.n_geq_c, bounds.n_geq_s) == (2, 2)
     assert bounds.lower == pytest.approx(2.0 - (2 * eps - eps * eps) * 2.0)
     assert bounds.upper == pytest.approx(2.0 + eps * eps * 2.0)
@@ -207,18 +210,20 @@ def test_worked_sandwich_on_sure_acceptor():
     assert bounds.sigma_in_gap == 0
 
 
-def test_amplified_acceptance_end_to_end():
-    poly, amplified = amplified_acceptance(build_block_encoding(X_CIRC), 0.666, 0.333, 0.05)
+def test_sandwich_bounds_amplifies_end_to_end():
+    bounds = sandwich_bounds(build_block_encoding(X_CIRC), 0.666, 0.333, 0.05)
+    poly = bounds.poly
     assert (poly.t, poly.delta, poly.eps) == pytest.approx((0.4995, 0.1665, 0.05))
-    assert amplified.shape == (2,)
-    assert np.all(amplified >= (1.0 - 0.05) ** 2 - 1e-9)
+    assert bounds.amplified.shape == (2,)
+    assert np.all(bounds.amplified >= (1.0 - 0.05) ** 2 - 1e-9)
+    assert bounds.trace_amplified == float(bounds.amplified.sum())
 
 
-def test_amplified_acceptance_validates_thresholds():
+def test_sandwich_bounds_validates_thresholds():
     enc = build_block_encoding(X_CIRC)
     with pytest.raises(PreconditionError):
-        amplified_acceptance(enc, 1.0, 0.5, 0.05)
+        sandwich_bounds(enc, 1.0, 0.5, 0.05)
     with pytest.raises(PreconditionError):
-        amplified_acceptance(enc, 0.5, 0.0, 0.05)
+        sandwich_bounds(enc, 0.5, 0.0, 0.05)
     with pytest.raises(PreconditionError, match="trustworthy"):
-        amplified_acceptance(enc, 0.5, svt.SV_FLOOR / 2.0, 0.05)
+        sandwich_bounds(enc, 0.5, svt.SV_FLOOR / 2.0, 0.05)
