@@ -2,7 +2,7 @@
 
 Small dense simulations of {H, S, Toffoli} verifier circuits feed an
 exact spectral oracle, and every approximate route in the package --
-Monte Carlo trace estimation, sign-path enumeration, singular value
+Monte Carlo trace estimation, sign-path sums, singular value
 transformation, and the two counting reductions -- is cross-validated
 against it.
 """
@@ -14,7 +14,6 @@ from .circuit import (
     circuit_hash,
     circuit_unitary,
     load_circuit,
-    pad_witness,
     parse_circuit,
     simulate,
 )

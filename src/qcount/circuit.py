@@ -118,18 +118,6 @@ def circuit_hash(circuit: VerifierCircuit) -> str:
     return hashlib.sha256(circuit.to_qcv().encode("utf-8")).hexdigest()
 
 
-def pad_witness(circuit: VerifierCircuit, extra: int) -> VerifierCircuit:
-    """Append `extra` untouched witness qubits (tensoring with identity)."""
-    if extra < 0:
-        raise PreconditionError(f"cannot pad by {extra} qubits")
-    return VerifierCircuit(
-        circuit.num_ancilla,
-        circuit.num_input,
-        circuit.num_witness + extra,
-        circuit.gates,
-    )
-
-
 _HEADER_RE = re.compile(r"^registers:\s*ancilla=(\d+)\s+input=(\d+)\s+witness=(\d+)$")
 
 
@@ -179,14 +167,16 @@ def load_circuit(path: str) -> VerifierCircuit:
     return parse_circuit(text)
 
 
-def _bitpos(num_qubits: int, qubit: int) -> int:
-    # qubit 0 is the most significant bit of the basis index
-    return num_qubits - 1 - qubit
+def _times_i(one: np.ndarray) -> None:
+    one *= 1j
 
 
-def _apply_gate(view: np.ndarray, gate: Gate) -> None:
-    # One gate on the (2,)*Q + (m,) row view, in place; a function of its
-    # own so that H's half-size temporary is freed before the next gate.
+def _apply_gate(view: np.ndarray, gate: Gate, sub=np.subtract, times_i=_times_i) -> None:
+    # One gate on the (2,)*Q + (m, ...) row view, in place; a function of
+    # its own so that H's half-size temporary is freed before the next gate.
+    # `sub(a, b, out=b)` and `times_i(b)` are the two ring operations the
+    # gates need beyond addition: complex by default, and the phase-tally
+    # ring of the path sum (pathsum) when it passes its own.
     *controls, target = gate.qubits
     index = [slice(1, 2) if ax in controls else slice(None) for ax in range(view.ndim)]
     index[target] = 0
@@ -194,10 +184,10 @@ def _apply_gate(view: np.ndarray, gate: Gate) -> None:
     index[target] = 1
     one = view[tuple(index)]
     if gate.kind == "S":
-        one *= 1j
+        times_i(one)
     elif gate.kind == "H":  # unnormalized: [[1, 1], [1, -1]]
         total = zero + one
-        np.subtract(zero, one, out=one)
+        sub(zero, one, out=one)
         zero[...] = total
     else:  # TOF: swap the target halves where both controls are set
         swap = zero.copy()

@@ -12,18 +12,32 @@ intermediate state per gate boundary on the backward and forward chains
 
     N* = w + (Q-1) + 2(T-1) Q = 2 T Q - (a + n + 1)
 
-free bits, where Q = a + n + w and the a + n endpoint bits are pinned
-by the ancilla zeros and the classical input.  Writing g and f for the
-number of paths whose element product is +1 and -1,
+free bits index the path space, where Q = a + n + w and the a + n
+endpoint bits are pinned by the ancilla zeros and the classical input.
+
+A path with a nonzero product is a pair of walks from |0^a x y> through
+gates 1..T to the same output-1 state v: H moves its target bit to
+either value and adds phase 2 (in powers of i) when both values are 1,
+S adds its target bit to the phase, and Toffoli permutes.  The path's
+phase is the second walk's minus the first's.  Writing g and f for the
+number of paths of phase 0 and 2 mod 4,
 
     Tr = (g - f) / 2**h,
 
-with the +i and -i path counts cancelling exactly.  Phases are tracked
-as integers mod 4, so g, f and the cancellation check are exact.
+and the phase-1 and phase-3 counts i+ and i- are equal (swap the walks).
 
-Uniformly sampling paths instead of enumerating them gives an unbiased
-estimator with normalization u = 2**(N* - h) and the Hoeffding tail
-Pr(|est - Tr| >= eps * u) <= 2 exp(-S eps^2 / 2).
+Exact mode counts walks, not paths.  C[v, y, a], the number of walks from
+|0^a x y> to v that end with phase i**a, is the gate kernel run over the
+group ring Z[Z_4]: int64 tallies with a trailing phase axis, where
+negation rolls that axis by 2 and multiplication by i rolls it by 1.
+Then N_k = sum over b - a = k (mod 4) of <C_a, C_b> gives g = N_0,
+i+ = N_1, f = N_2 and i- = N_3, exactly.
+
+Sampled mode draws walk pairs: one uniform witness and one uniform branch
+per H on each walk.  A pair scores +1 or -1 when both walks end on the
+same output-1 state with phase difference 0 or 2, and 0 otherwise, so
+the mean score times u = 2**(w + h) is an unbiased trace estimate with
+the Hoeffding tail Pr(|est - Tr| >= eps * u) <= 2 exp(-S eps^2 / 2).
 """
 
 from __future__ import annotations
@@ -32,14 +46,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Gate, VerifierCircuit, _bitpos, _parse_bits
+from .circuit import _BLOCK_BYTES, VerifierCircuit, _apply_gate, _parse_bits
 from .errors import CapExceeded, InvariantViolation, PreconditionError
-from .limits import PATH_BIT_CAP, check_draws, dense_qubit_cap
+from .limits import check_dense, check_draws
 from .rngstreams import stream, uniform_indices
 from .estimators import AdditiveEstimate
 from .spectral import AUDIT_SLACK, build_acceptance_operator
 
-_CHUNK = 1 << 16
+_MAX_H = 62  # an H at most doubles a walk count, so counts stay below 2**h: int64 while h <= 62
+_LIMB = 16  # bits per limb: a limb product is below 2**32, so 2**31 of them sum exactly in int64
 
 
 @dataclass(frozen=True)
@@ -63,128 +78,92 @@ def free_path_bits(circuit: VerifierCircuit) -> int:
     return 2 * circuit.gate_count * q - (circuit.num_ancilla + circuit.num_input + 1)
 
 
-def _elem(gate: Gate, num_qubits: int, rows: np.ndarray, cols: np.ndarray):
-    """Vectorized <row|q|col> for the rescaled gate, as (nonzero, phase mod 4)."""
-    if gate.kind == "H":
-        bp = _bitpos(num_qubits, gate.qubits[0])
-        others = ((1 << num_qubits) - 1) ^ (1 << bp)
-        nonzero = ((rows ^ cols) & others) == 0
-        phase = 2 * (((rows >> bp) & 1) * ((cols >> bp) & 1))
-        return nonzero, phase
-    if gate.kind == "S":
-        bp = _bitpos(num_qubits, gate.qubits[0])
-        nonzero = rows == cols
-        phase = (cols >> bp) & 1
-        return nonzero, phase
-    c1, c2, t = gate.qubits
-    b1, b2, bt = (_bitpos(num_qubits, q) for q in (c1, c2, t))
-    ctrl = ((cols >> b1) & 1) & ((cols >> b2) & 1)
-    nonzero = rows == (cols ^ (ctrl << bt))
-    return nonzero, np.zeros_like(rows)
+def _z4_sub(zero: np.ndarray, one: np.ndarray, out: np.ndarray) -> None:
+    np.add(zero, np.roll(one, 2, axis=-1), out=out)  # -b is b with its phase rolled by 2
 
 
-def _term_phases(
-    circuit: VerifierCircuit,
-    x_val: int,
-    y: np.ndarray,
-    v: np.ndarray,
-    z_slots: list[np.ndarray],
-):
-    """(nonzero, phase mod 4) of the element product along each path."""
-    q = circuit.num_qubits
-    w = circuit.num_witness
-    t = circuit.gate_count
-    endpoint = (x_val << w) | y
-    projected = (1 << (q - 1)) | v
-    backward = [endpoint, *z_slots[: t - 1], projected]
-    forward = [projected, *z_slots[t - 1 :], endpoint]
-    nonzero = np.ones(y.shape, dtype=bool)
-    phase = np.zeros(y.shape, dtype=np.int64)
-    for m in range(1, t + 1):
-        # <B_{m-1}| q_m^dag |B_m> conjugates, hence the negated phase
-        nz, ph = _elem(circuit.gates[m - 1], q, backward[m], backward[m - 1])
-        nonzero &= nz
-        phase -= ph
-        nz, ph = _elem(circuit.gates[t - m], q, forward[m - 1], forward[m])
-        nonzero &= nz
-        phase += ph
-    return nonzero, phase % 4
+def _z4_times_i(one: np.ndarray) -> None:
+    one[...] = np.roll(one, 1, axis=-1)
 
 
-def _decode_paths(circuit: VerifierCircuit, ids: np.ndarray):
-    q = circuit.num_qubits
-    w = circuit.num_witness
-    t = circuit.gate_count
-    y = ids & ((1 << w) - 1)
-    v = (ids >> w) & ((1 << (q - 1)) - 1)
-    z_slots = [
-        (ids >> (w + (q - 1) + j * q)) & ((1 << q) - 1) for j in range(2 * (t - 1))
-    ]
-    return y, v, z_slots
+def _phase_products(circuit: VerifierCircuit, x_val: int) -> np.ndarray:
+    """<C_a, C_b> over output-1 states and witnesses, as a 4x4 array of ints.
+
+    Witness columns never interact, so C is built one column block of
+    about _BLOCK_BYTES at a time.  Each block is contracted in 16-bit
+    limbs over its accepted rows: 2**14 of them, or 2**(Q-1) once one
+    column outgrows a block, fewer than 2**31 for any block that fits in
+    memory, so every int64 partial sum is exact.  The limb products are
+    added up as Python ints.
+    """
+    q, w = circuit.num_qubits, circuit.num_witness
+    rows = 1 << q
+    width = max(1, _BLOCK_BYTES // (32 * rows))
+    products = np.zeros((4, 4), dtype=object)
+    for start in range(0, 1 << w, width):
+        ys = np.arange(start, min(start + width, 1 << w))
+        counts = np.zeros((rows, ys.size, 4), dtype=np.int64)
+        counts[(x_val << w) + ys, np.arange(ys.size), 0] = 1
+        view = counts.reshape((2,) * q + counts.shape[1:])
+        for gate in circuit.gates:
+            _apply_gate(view, gate, _z4_sub, _z4_times_i)
+        accepted = counts[rows // 2 :].reshape(-1, 4)  # output qubit 0 reads 1
+        shifts = range(0, max(1, int(accepted.max()).bit_length()), _LIMB)
+        limbs = np.concatenate([(accepted >> s) & ((1 << _LIMB) - 1) for s in shifts], axis=1)
+        gram = np.einsum("ri,rj->ij", limbs, limbs).reshape(len(shifts), 4, len(shifts), 4)
+        scale = np.array([1 << s for s in shifts], dtype=object)
+        products += np.einsum("i,iajb,j->ab", scale, gram.astype(object), scale)
+    return products
 
 
 def path_sum_exact(circuit: VerifierCircuit, x: str = "") -> PathSumResult:
-    """Enumerate every path and tally the product signs exactly.
+    """Tally every path's phase exactly from walk counts.
 
-    The trace is also compared against the dense spectral oracle whenever
-    the circuit fits under the dense cap; a mismatch is an invariant
-    violation, not a report.
+    The trace is also compared against the dense spectral oracle; a
+    mismatch is an invariant violation, not a report.
     """
     x_val = _parse_bits(x, circuit.num_input, "input bits")
     n_star = free_path_bits(circuit)
-    if n_star > PATH_BIT_CAP:
-        raise CapExceeded(
-            f"{n_star} free path bits exceed the {PATH_BIT_CAP}-bit enumeration cap"
-        )
-    total = 1 << n_star
-    g = f = i_plus = i_minus = 0
-    for start in range(0, total, _CHUNK):
-        ids = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        y, v, z_slots = _decode_paths(circuit, ids)
-        nonzero, phase = _term_phases(circuit, x_val, y, v, z_slots)
-        g += int(np.count_nonzero(nonzero & (phase == 0)))
-        f += int(np.count_nonzero(nonzero & (phase == 2)))
-        i_plus += int(np.count_nonzero(nonzero & (phase == 1)))
-        i_minus += int(np.count_nonzero(nonzero & (phase == 3)))
-    if i_plus != i_minus:
-        raise InvariantViolation(
-            f"imaginary path contributions fail to cancel: {i_plus} vs {i_minus}"
-        )
-    trace = (g - f) / float(1 << circuit.h_count)
-    if circuit.num_qubits <= dense_qubit_cap():
-        exact = build_acceptance_operator(circuit, x).trace
-        if abs(trace - exact) > AUDIT_SLACK:
-            raise InvariantViolation(
-                f"path sum {trace} disagrees with spectral trace {exact}"
-            )
-    return PathSumResult(
-        g=g,
-        f=f,
-        h=circuit.h_count,
-        n_star=n_star,
-        trace=trace,
-        i_plus=i_plus,
-        i_minus=i_minus,
-    )
+    check_dense(circuit.num_qubits)
+    h = circuit.h_count
+    if h > _MAX_H:
+        raise CapExceeded(f"{h} H gates exceed the {_MAX_H} at which walk counts fit int64")
+    products = _phase_products(circuit, x_val)
+    g, i_plus, f, i_minus = (sum(products[a, (a + k) % 4] for a in range(4)) for k in range(4))
+    trace = (g - f) / float(1 << h)
+    exact = build_acceptance_operator(circuit, x).trace
+    if abs(trace - exact) > AUDIT_SLACK:
+        raise InvariantViolation(f"path sum {trace} disagrees with spectral trace {exact}")
+    return PathSumResult(g, f, h, n_star, trace, i_plus, i_minus)
 
 
-def _sampled_real_parts(
+def _walk_pair_scores(
     circuit: VerifierCircuit, x_val: int, rng: np.random.Generator, samples: int
 ) -> np.ndarray:
-    """Real part (in {-1, 0, +1}) of the path product for uniform paths.
+    """Score (in {-1, 0, +1}) of `samples` walk pairs.
 
-    Slot j of a sample is drawn from the generator's uniform at position
-    j * samples + i, one word per slot, so the layout is fixed by
-    (seed, samples) alone.
+    The witness of sample i is the generator's uniform i; the k-th H
+    then draws the next 2 * samples uniforms, the first walk's branches
+    before the second's, so the layout is fixed by (seed, samples) alone.
     """
-    q = circuit.num_qubits
-    w = circuit.num_witness
-    t = circuit.gate_count
+    q, w = circuit.num_qubits, circuit.num_witness
     y = uniform_indices(rng, 1 << w, samples)
-    v = uniform_indices(rng, 1 << (q - 1), samples)
-    z_slots = [uniform_indices(rng, 1 << q, samples) for _ in range(2 * (t - 1))]
-    nonzero, phase = _term_phases(circuit, x_val, y, v, z_slots)
-    return np.where(nonzero, (phase == 0).astype(np.int64) - (phase == 2), 0)
+    state = np.tile((x_val << w) | y, (2, 1))  # basis index of each walk
+    phase = np.zeros((2, samples), dtype=np.int64)  # powers of i
+    for gate in circuit.gates:
+        *controls, target = (q - 1 - k for k in gate.qubits)  # bit positions
+        bit = (state >> target) & 1
+        if gate.kind == "H":
+            branch = uniform_indices(rng, 2, 2 * samples).reshape(2, samples)
+            phase += 2 * (bit & branch)
+            state ^= (bit ^ branch) << target
+        elif gate.kind == "S":
+            phase += bit
+        else:
+            state ^= ((state >> controls[0]) & (state >> controls[1]) & 1) << target
+    same = (state[0] == state[1]) & ((state[0] >> (q - 1)) == 1)
+    diff = (phase[1] - phase[0]) % 4
+    return np.where(same, (diff == 0).astype(np.int64) - (diff == 2), 0)
 
 
 def path_sum_estimator(
@@ -195,13 +174,16 @@ def path_sum_estimator(
     *,
     epsilon: float | None = None,
 ) -> AdditiveEstimate:
-    """Trace estimate from uniformly sampled paths, normalization 2**(N*-h)."""
+    """Trace estimate from sampled walk pairs, normalization 2**(w+h)."""
     if samples < 1:
         raise PreconditionError(f"sample count must be >= 1, got {samples}")
-    check_draws(samples * 2 * circuit.gate_count, f"{samples}-sample path estimate")  # y, v, 2(T-1)
+    h = circuit.h_count
+    # one witness, then one branch per H on each of the two walks
+    check_draws(samples * (1 + 2 * h), f"{samples}-sample path estimate")
     x_val = _parse_bits(x, circuit.num_input, "input bits")
-    n_star = free_path_bits(circuit)
-    scale_bits = n_star - circuit.h_count
+    if circuit.num_qubits > 63:
+        raise CapExceeded(f"{circuit.num_qubits} qubits exceed the 63 of an int64 walk state")
+    scale_bits = circuit.num_witness + h
     if scale_bits > 1000:
         raise CapExceeded(
             f"normalization 2**{scale_bits} overflows doubles; circuit too deep"
@@ -217,9 +199,9 @@ def path_sum_estimator(
             f"Hoeffding bound 2 exp(-S eps^2 / 2) would reach 1"
         )
     delta = float(2.0 * np.exp(-samples * epsilon * epsilon / 2.0))
-    reals = _sampled_real_parts(circuit, x_val, stream(seed), samples)
+    scores = _walk_pair_scores(circuit, x_val, stream(seed), samples)
     normalization = float(2.0 ** scale_bits)
-    value = normalization * (int(reals.sum()) / samples)
+    value = normalization * (int(scores.sum()) / samples)
     return AdditiveEstimate(
         value=value,
         normalization=normalization,

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import VerifierCircuit, _parse_bits, pad_witness
+from .circuit import VerifierCircuit, _parse_bits
 from .errors import CapExceeded, InvariantViolation, PreconditionError
 from .estimators import make_trace_estimator, median_amplify, median_repetitions
 from .limits import PARTITION_CAP, check_draws
@@ -298,6 +298,10 @@ def decide_by_interval_recovery(
     """YES/NO for the promise (trace/2**w >= c or <= s) via the reduction."""
     check_promise(c, s)
     M = math.ceil(5.0 / (c - s)) + 1
+    if M > PARTITION_CAP:
+        raise CapExceeded(
+            f"gap c - s = {c - s} needs M={M} bands, over the {PARTITION_CAP}-band cap"
+        )
     result = interval_partition_trace(oracle, M)
     dim = float(1 << oracle.w_total)
     answer = "YES" if result.estimate / dim >= (c + s) / 2.0 else "NO"
@@ -337,6 +341,7 @@ def padding_reduction(
     satisfies l > w/(1-c) + 1; setup is still rejected when the
     worst-case post-division error eps * 2**(w - (1-c) l) reaches 1/2.
     """
+    check_promise(c_threshold, s_threshold)
     if not 0.0 < c < 1.0:
         raise PreconditionError(f"normalization exponent must lie in (0, 1), got {c}")
     if 1.0 - c < MIN_HEADROOM:
@@ -353,7 +358,6 @@ def padding_reduction(
         raise PreconditionError(
             f"infeasible: eps * 2**(w - (1-c) l) = {margin} >= 1/2 at l={pad}"
         )
-    padded = pad_witness(circuit, pad)  # the object the oracle is queried on
     oracle = MiscountingOracle(
         circuit,
         x,
@@ -364,8 +368,6 @@ def padding_reduction(
         pad_qubits=pad,
         u_exponent=c,
     )
-    if oracle.w_total != padded.num_witness:
-        raise InvariantViolation("padded witness accounting out of sync")
     raw = oracle.query(c_threshold, s_threshold)
     count = round(raw / float(1 << pad))
     record = oracle.query_log[-1]

@@ -65,13 +65,19 @@ def mid_trace_ensemble(seed, count):
 def test_criterion_01_path_sum_identity():
     t0 = time.time()
     rng = np.random.default_rng(1101)
-    shapes = [(1, 0), (1, 1), (2, 0)]  # a + w <= 2 keeps free bits <= 14
+    shapes = [(1, 0), (1, 1), (2, 0)]
     worst = 0.0
+    circuits = []
     for _ in range(100):
         a, w = shapes[int(rng.integers(0, 3))]
-        circ = random_circuit(
-            rng, num_ancilla=a, num_witness=w, gate_count=int(rng.integers(1, 5))
+        circuits.append(
+            random_circuit(rng, num_ancilla=a, num_witness=w, gate_count=int(rng.integers(1, 5)))
         )
+    for _ in range(50):  # a=2, w=4 with up to 30 gates: N* up to 358 free bits
+        circuits.append(
+            random_circuit(rng, num_ancilla=2, num_witness=4, gate_count=int(rng.integers(1, 31)))
+        )
+    for circ in circuits:
         r = path_sum_exact(circ)
         exact = float(np.real(np.trace(build_acceptance_operator(circ).matrix)))
         worst = max(worst, abs(r.trace - exact))
@@ -80,7 +86,7 @@ def test_criterion_01_path_sum_identity():
         1,
         "path-sum identity",
         worst <= 1e-9 and elapsed < 60.0,
-        f"worst |(g-f)/2^h - Tr| = {worst:.2e} over 100 circuits in {elapsed:.2f}s",
+        f"worst |(g-f)/2^h - Tr| = {worst:.2e} over {len(circuits)} circuits in {elapsed:.2f}s",
     )
 
 

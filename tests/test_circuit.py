@@ -18,7 +18,6 @@ from qcount.circuit import (
     circuit_unitary,
     embedded_witness_matrix,
     load_circuit,
-    pad_witness,
     parse_circuit,
     simulate,
 )
@@ -287,15 +286,6 @@ def test_circuit_validation():
         VerifierCircuit(0, 0, 1, (Gate("H", (0,)),))
     with pytest.raises(PreconditionError):
         VerifierCircuit(1, 0, 1, (Gate("H", (2,)),))
-
-
-def test_pad_witness_extends_register_only():
-    circ = parse_circuit(HEADER + "H 0\n")
-    padded = pad_witness(circ, 3)
-    assert padded.num_witness == 4
-    assert padded.gates == circ.gates
-    with pytest.raises(PreconditionError):
-        pad_witness(circ, -1)
 
 
 def test_simulation_cap():

@@ -1,8 +1,10 @@
-"""Sign-path enumeration: integer identity against the spectral oracle."""
+"""Sign-path sums: integer identity against a brute-force path enumerator
+and the spectral oracle, and the walk-pair sampler's Hoeffding law."""
 
 import numpy as np
 import pytest
 
+import qcount.cli
 from circgen import ensemble, random_circuit
 from qcount import (
     CapExceeded,
@@ -12,8 +14,50 @@ from qcount import (
     path_sum_estimator,
     path_sum_exact,
 )
-from qcount.circuit import VerifierCircuit, parse_circuit
+from qcount.circuit import Gate, VerifierCircuit, parse_circuit
 from qcount.limits import SAMPLE_CAP
+
+README_QCV = "registers: ancilla=1 input=0 witness=2\nH 1\nTOF 1 2 0\nX 0\n"
+
+
+def element(gate, q, row, col):
+    """Phase (mod 4) of <row| q_i |col> for the rescaled gate, None when it is 0."""
+    pos = [q - 1 - k for k in gate.qubits]  # qubit 0 is the most significant bit
+    bits = [(col >> p) & 1 for p in pos]
+    if gate.kind == "H":
+        if (row ^ col) & ~(1 << pos[0]):
+            return None
+        return 2 * ((row >> pos[0]) & 1 & bits[0])
+    if gate.kind == "S":
+        return bits[0] if row == col else None
+    return 0 if row == col ^ ((bits[0] & bits[1]) << pos[2]) else None
+
+
+def reference_tallies(circuit, x=""):
+    """(g, i+, f, i-) by listing every path with a nonzero product, one by one.
+
+    Each chain is extended one intermediate state at a time over all 2**Q
+    basis states, keeping the nonzero elements; a path pairs a backward
+    and a forward chain with the same endpoints.  Pure Python ints, no
+    array code.
+    """
+    q, w = circuit.num_qubits, circuit.num_witness
+    x_val = int(x, 2) if x else 0
+    tallies = [0, 0, 0, 0]
+    for y in range(1 << w):
+        chains = [((x_val << w) | y, 0)]  # (end state, phase) of each chain
+        for gate in circuit.gates:
+            chains = [
+                (row, (phase + ph) % 4)
+                for state, phase in chains
+                for row in range(1 << q)
+                if (ph := element(gate, q, row, state)) is not None
+            ]
+        for v, a in chains:
+            for u, b in chains:
+                if u == v and v >> (q - 1):
+                    tallies[(b - a) % 4] += 1
+    return tuple(tallies)
 
 
 def test_worked_single_h():
@@ -52,13 +96,59 @@ def test_gateless_circuit_rejected():
         path_sum_exact(VerifierCircuit(1, 0, 1, ()))
 
 
-def test_enumeration_cap():
-    # 2*4*4 - 2 = 30 free bits, beyond the 24-bit enumeration cap
+def test_dense_cap():
+    # 15 qubits, one past the 14-qubit dense cap; rejected before any walk count
     rng = np.random.default_rng(402)
-    circ = random_circuit(rng, num_witness=3, gate_count=4)
-    assert free_path_bits(circ) == 30
-    with pytest.raises(CapExceeded):
+    circ = random_circuit(rng, num_witness=14, gate_count=4)
+    with pytest.raises(CapExceeded, match="15 qubits exceeds the 14-qubit dense cap"):
         path_sum_exact(circ)
+
+
+def test_tallies_match_brute_force_enumerator():
+    checked = 0
+    for circ, x in ensemble(406, 400, max_ancilla=2, max_input=1, max_witness=2, max_gates=5):
+        if free_path_bits(circ) > 16:
+            continue
+        r = path_sum_exact(circ, x)
+        assert (r.g, r.i_plus, r.f, r.i_minus) == reference_tallies(circ, x)
+        checked += 1
+    assert checked >= 200
+
+
+def test_exact_on_large_path_spaces_matches_oracle():
+    # the README example has N* = 34, the h = 30 circuit N* = 957
+    readme = parse_circuit(README_QCV)
+    rng = np.random.default_rng(407)
+    kinds = ["H"] * 30 + ["S"] * 15 + ["TOF"] * 15
+    rng.shuffle(kinds)
+    gates = tuple(
+        Gate(k, tuple(int(b) for b in rng.choice(8, size=3 if k == "TOF" else 1, replace=False)))
+        for k in kinds
+    )
+    deep = VerifierCircuit(2, 0, 6, gates)
+    assert (free_path_bits(readme), deep.h_count, free_path_bits(deep)) == (34, 30, 957)
+    for circ in (readme, deep):
+        r = path_sum_exact(circ)
+        assert r.trace == pytest.approx(build_acceptance_operator(circ).trace, abs=1e-9)
+        assert r.i_plus == r.i_minus
+    assert path_sum_exact(readme).trace == 3.0
+
+
+def test_caps_exit_2(tmp_path, capsys):
+    wide = tmp_path / "wide.qcv"
+    wide.write_text("registers: ancilla=1 input=0 witness=14\nH 0\n")
+    deep = tmp_path / "deep.qcv"
+    deep.write_text("registers: ancilla=1 input=0 witness=0\n" + "H 0\n" * 63)
+    assert qcount.cli.run(["path-sum", str(wide), "--mode", "exact"]) == 2
+    assert "dense cap" in capsys.readouterr().err
+    assert qcount.cli.run(["path-sum", str(deep), "--mode", "exact"]) == 2
+    assert "63 H gates exceed the 62" in capsys.readouterr().err
+    # a sampled walk state is one int64 basis index
+    tall = tmp_path / "tall.qcv"
+    tall.write_text("registers: ancilla=64 input=0 witness=0\nH 0\n")
+    argv = ["path-sum", str(tall), "--mode", "sampled", "--samples", "8", "--seed", "1"]
+    assert qcount.cli.run(argv) == 2
+    assert "64 qubits exceed the 63" in capsys.readouterr().err
 
 
 def test_matches_spectral_oracle():
@@ -92,7 +182,7 @@ def test_estimator_on_sure_acceptor():
     trials = 200
     for seed in range(trials):
         est = path_sum_estimator(circ, samples=32, seed=seed, epsilon=0.5)
-        assert est.normalization == 2.0 ** 12
+        assert est.normalization == 2.0 ** 3  # 2**(w + h)
         if abs(est.value - 2.0) <= 0.5 * est.normalization:
             hits += 1
     assert hits / trials >= 0.95
@@ -103,7 +193,7 @@ def test_estimator_mean_converges():
     values = [
         path_sum_estimator(circ, samples=64, seed=seed).value for seed in range(300)
     ]
-    # normalization 2^(0-1) = 1/2; exact trace 0.5, sd of the mean ~ 0.0036
+    # normalization 2^(0+1) = 2; exact trace 0.5, sd of the mean ~ 0.0063
     assert np.mean(values) == pytest.approx(0.5, abs=0.02)
 
 
@@ -119,9 +209,10 @@ def test_estimator_metadata_and_validation():
     for bad in (np.nan, np.inf):
         with pytest.raises(PreconditionError, match="epsilon must be finite"):
             path_sum_estimator(circ, samples=128, seed=0, epsilon=bad)
-    # X is 4 core gates, so each sample draws 2T = 8 uniforms
+    # X has h = 2, so each sample draws 1 + 2h = 5 uniforms
+    path_sum_estimator(circ, samples=SAMPLE_CAP // 5, seed=0)
     with pytest.raises(CapExceeded, match="cap"):
-        path_sum_estimator(circ, samples=SAMPLE_CAP // 8 + 1, seed=0)
+        path_sum_estimator(circ, samples=SAMPLE_CAP // 5 + 1, seed=0)
 
 
 def test_estimator_seed_determinism():
@@ -129,3 +220,20 @@ def test_estimator_seed_determinism():
     a = path_sum_estimator(circ, samples=256, seed=17)
     b = path_sum_estimator(circ, samples=256, seed=17)
     assert a.value == b.value
+
+
+def test_estimator_mean_and_hoeffding_law():
+    # over seeds: the mean of the runs sits within 5 sd of the oracle trace,
+    # and no more than a delta share of runs misses by eps * 2**(w + h)
+    rng = np.random.default_rng(408)
+    runs, samples = 200, 512
+    for _ in range(4):
+        circ = random_circuit(rng, num_ancilla=2, num_witness=3, gate_count=12)
+        trace = build_acceptance_operator(circ).trace
+        ests = [path_sum_estimator(circ, samples=samples, seed=s) for s in range(runs)]
+        u = ests[0].normalization
+        assert u == 2.0 ** (3 + circ.h_count)
+        values = np.array([e.value for e in ests])
+        assert abs(values.mean() - trace) <= 5 * u / np.sqrt(samples * runs)
+        misses = np.mean(np.abs(values - trace) >= ests[0].epsilon * u)
+        assert misses <= ests[0].delta

@@ -21,7 +21,7 @@ from qcount import (
     interval_partition_trace,
     padding_reduction,
 )
-from qcount.circuit import pad_witness, parse_circuit
+from qcount.circuit import VerifierCircuit, parse_circuit
 from qcount.limits import PARTITION_CAP
 from qcount.reductions import DELTA_STRATEGIES, EPS_STRATEGIES
 
@@ -149,6 +149,12 @@ def test_decide_trivial_instances():
     assert (yes, no) == ("YES", "NO")
 
 
+def test_decide_names_the_gap_over_the_partition_cap():
+    oracle = MiscountingOracle(H_CIRC, eps_bound=1e-6)
+    with pytest.raises(CapExceeded, match=r"gap c - s = 1\.0000\d*e-05 needs M=500001 bands"):
+        decide_by_interval_recovery(oracle, 0.5, 0.49999)
+
+
 def test_padding_worked_example():
     r = padding_reduction(H_CIRC, c=0.5, eps=0.9, seed=0)
     assert r.pad_qubits == 4  # floor(1 / 0.5) + 2
@@ -176,9 +182,20 @@ def test_padding_multiplicity_matches_direct_eigensolve():
     for circ, x in ensemble(603, 5, max_ancilla=1, max_input=1, max_witness=2):
         base = build_acceptance_operator(circ, x)
         for extra in (1, 3):
-            padded = build_acceptance_operator(pad_witness(circ, extra), x)
+            wider = VerifierCircuit(
+                circ.num_ancilla, circ.num_input, circ.num_witness + extra, circ.gates
+            )
+            padded = build_acceptance_operator(wider, x)
             tiled = np.sort(np.tile(base.eigenvalues, 1 << extra))
             assert np.allclose(np.sort(padded.eigenvalues), tiled, atol=1e-9)
+
+
+def test_padding_rejects_bad_thresholds_before_embedding(monkeypatch):
+    embeds = []
+    monkeypatch.setattr(qcount.spectral, "embedded_witness_matrix", lambda *a: embeds.append(a))
+    with pytest.raises(PreconditionError, match="got c=0.3, s=0.6"):
+        padding_reduction(H_CIRC, c=0.5, c_threshold=0.3, s_threshold=0.6)
+    assert embeds == []
 
 
 def test_padding_rejects_infeasible_setups():
