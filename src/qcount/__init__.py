@@ -10,9 +10,7 @@ against it.
 from .circuit import (
     Gate,
     VerifierCircuit,
-    apply_gate,
     circuit_hash,
-    circuit_unitary,
     load_circuit,
     parse_circuit,
     simulate,

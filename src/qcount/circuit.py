@@ -24,9 +24,11 @@ so derived gate counts always refer to the expanded circuit.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -103,6 +105,29 @@ class VerifierCircuit:
         """Hadamard count after sugar expansion (the parameter h)."""
         return sum(1 for g in self.gates if g.kind == "H")
 
+    def output_cone(self) -> VerifierCircuit:
+        """The same registers with only the gates in qubit 0's backward light cone.
+
+        Walking back from the output, a gate stays when it touches a qubit
+        the kept gates after it (or the output) touch.  Every other gate
+        commutes with what follows it and cancels in V' P V, so the cone
+        accepts every input with the same probability.  Computed once per
+        circuit and then reused.
+        """
+        return self._output_cone
+
+    @cached_property
+    def _output_cone(self) -> VerifierCircuit:
+        linked = {0}
+        kept = []
+        for gate in reversed(self.gates):
+            if not linked.isdisjoint(gate.qubits):
+                linked.update(gate.qubits)
+                kept.append(gate)
+        return VerifierCircuit(
+            self.num_ancilla, self.num_input, self.num_witness, tuple(reversed(kept))
+        )
+
     def to_qcv(self) -> str:
         """Canonical qcv text: header plus one core gate per line."""
         lines = [
@@ -171,40 +196,48 @@ def _times_i(one: np.ndarray) -> None:
     one *= 1j
 
 
-def _apply_gate(view: np.ndarray, gate: Gate, sub=np.subtract, times_i=_times_i) -> None:
-    # One gate on the (2,)*Q + (m, ...) row view, in place; a function of
-    # its own so that H's half-size temporary is freed before the next gate.
+def _apply_gate(view: np.ndarray, kind: str, axes, sub=np.subtract, times_i=_times_i) -> None:
+    # One gate on the (2,)*k + (m, ...) view, in place, with `axes` the
+    # axes of its qubits (controls first, target last); a function of its
+    # own so that H's half-size temporary is freed before the next gate.
     # `sub(a, b, out=b)` and `times_i(b)` are the two ring operations the
     # gates need beyond addition: complex by default, and the phase-tally
     # ring of the path sum (pathsum) when it passes its own.
-    *controls, target = gate.qubits
+    *controls, target = axes
     index = [slice(1, 2) if ax in controls else slice(None) for ax in range(view.ndim)]
     index[target] = 0
     zero = view[tuple(index)]
     index[target] = 1
     one = view[tuple(index)]
-    if gate.kind == "S":
+    if kind == "S":
         times_i(one)
-    elif gate.kind == "H":  # unnormalized: [[1, 1], [1, -1]]
+    elif kind == "H":  # unnormalized: [[1, 1], [1, -1]]
         total = zero + one
         sub(zero, one, out=one)
         zero[...] = total
-    else:  # TOF: swap the target halves where both controls are set
+    else:  # TOF: swap the target halves where every control is set
         swap = zero.copy()
         zero[...] = one
         one[...] = swap
 
 
-def _run_gates(view: np.ndarray, gates: tuple[Gate, ...]) -> None:
+def _apply_dense(view: np.ndarray, gate: Gate) -> np.ndarray:
+    _apply_gate(view, gate.kind, gate.qubits)
+    return view
+
+
+def _run_gates(view: np.ndarray, gates: tuple[Gate, ...], apply=_apply_dense) -> np.ndarray:
+    # `apply(view, gate)` runs one gate and returns the array to go on with
     r = 0  # unnormalized H gates since the last rescale
     for gate in gates:
-        _apply_gate(view, gate)
+        view = apply(view, gate)
         r += gate.kind == "H"
         if r == 64:
             view *= 2.0**-32
             r = 0
     if r:
         view *= 2.0 ** -(r // 2) * (_INV_SQRT2 if r % 2 else 1.0)
+    return view
 
 
 def _apply_gates(mat: np.ndarray, gates: tuple[Gate, ...], num_qubits: int) -> None:
@@ -221,7 +254,8 @@ def _apply_gates(mat: np.ndarray, gates: tuple[Gate, ...], num_qubits: int) -> N
     rows = 1 << num_qubits
     width = max(1, _BLOCK_BYTES // (16 * rows))
     if mat.size <= rows * width:
-        return _run_gates(mat.reshape((2,) * num_qubits + (-1,)), gates)
+        _run_gates(mat.reshape((2,) * num_qubits + (-1,)), gates)
+        return
     flat = np.empty(rows * width, dtype=np.complex128)
     for start in range(0, mat.shape[1], width):
         block = mat[:, start : start + width]
@@ -229,20 +263,6 @@ def _apply_gates(mat: np.ndarray, gates: tuple[Gate, ...], num_qubits: int) -> N
         buf[...] = block
         _run_gates(buf.reshape((2,) * num_qubits + (-1,)), gates)
         block[...] = buf
-
-
-def apply_gate(state: np.ndarray, gate: Gate) -> np.ndarray:
-    """Apply one gate to a statevector, returning a new statevector."""
-    dim = state.shape[0]
-    num_qubits = dim.bit_length() - 1
-    if 1 << num_qubits != dim:
-        raise PreconditionError(f"state length {dim} is not a power of two")
-    for q in gate.qubits:
-        if not 0 <= q < num_qubits:
-            raise PreconditionError(f"gate qubit {q} out of range for {num_qubits} qubits")
-    out = np.array(state, dtype=np.complex128, order="C")
-    _apply_gates(out, (gate,), num_qubits)
-    return out
 
 
 def _parse_bits(bits: str, length: int, what: str) -> int:
@@ -266,27 +286,53 @@ def simulate(circuit: VerifierCircuit, basis: str) -> np.ndarray:
     """Run the circuit on a computational basis state, returning the state.
 
     `basis` assigns one bit per qubit in qubit order (qubit 0 first).
+    Only the qubits in superposition are tensor axes; every other qubit
+    is a classical bit.  An H puts its qubit into superposition, and so
+    does a TOF with a control in superposition for its target.  S on a
+    classical 1 multiplies the tensor by i, a TOF with a classical
+    control at 0 does nothing, and one whose classical controls are all
+    at 1 flips a classical target.  A qubit enters the tensor as a new
+    axis holding zeros opposite its bit, and the gate that put it there
+    then runs on the shared kernel, as do the gates on superposed
+    qubits.  So every amplitude meets the same float operations as in a
+    full statevector run, and the tensor scattered into the 2**Q state
+    at the end gives the same bits.
     """
     q = circuit.num_qubits
     if q > SIM_QUBIT_CAP:
         raise CapExceeded(f"{q} qubits exceeds the {SIM_QUBIT_CAP}-qubit simulation cap")
-    index = _parse_bits(basis, q, "basis assignment")
-    state = np.zeros(1 << q, dtype=np.complex128)
-    state[index] = 1.0
-    _apply_gates(state, circuit.gates, q)
-    norm = float(np.linalg.norm(state))
+    _parse_bits(basis, q, "basis assignment")
+    bits = [int(b) for b in basis]
+    axes: list[int] = []  # the qubits in superposition, ascending: the leading tensor axes
+
+    def apply(tensor: np.ndarray, gate: Gate) -> np.ndarray:
+        *controls, target = gate.qubits
+        if any(c not in axes and not bits[c] for c in controls):
+            return tensor  # a classical control at 0
+        live = [c for c in controls if c in axes]
+        if target not in axes:
+            if gate.kind == "S":
+                if bits[target]:
+                    _times_i(tensor)
+                return tensor
+            if gate.kind == "TOF" and not live:
+                bits[target] ^= 1
+                return tensor
+            pos = bisect.bisect(axes, target)
+            axes.insert(pos, target)
+            grown = np.zeros(tensor.shape[:pos] + (2,) + tensor.shape[pos:], np.complex128)
+            grown[(slice(None),) * pos + (bits[target],)] = tensor
+            tensor = grown
+        _apply_gate(tensor, gate.kind, [axes.index(c) for c in (*live, target)])
+        return tensor
+
+    tensor = _run_gates(np.ones(1, np.complex128), circuit.gates, apply)
+    norm = float(np.linalg.norm(tensor))
     if abs(norm - 1.0) > NORM_TOL:
         raise InvariantViolation(f"statevector norm drifted to {norm}")
-    return state
-
-
-def circuit_unitary(circuit: VerifierCircuit) -> np.ndarray:
-    """Dense unitary of the whole circuit (gate order: first gate rightmost)."""
-    q = circuit.num_qubits
-    check_dense(q)
-    mat = np.eye(1 << q, dtype=np.complex128)
-    _apply_gates(mat, circuit.gates, q)
-    return mat
+    state = np.zeros((2,) * q, dtype=np.complex128)
+    state[tuple(slice(None) if k in axes else bits[k] for k in range(q))] = tensor[..., 0]
+    return state.reshape(-1)
 
 
 def embedded_witness_matrix(circuit: VerifierCircuit, x: str) -> np.ndarray:

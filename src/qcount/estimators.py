@@ -14,7 +14,12 @@ k = ceil(8 * ln(1/delta)) repetitions suffice for confidence delta.
 
 Sampling is simulated classically but never peeks beyond what one run
 of the verifier would reveal: a witness index and one biased coin flip
-per sample, drawn from counter-based streams (see rngstreams).
+per sample, drawn from counter-based streams (see rngstreams).  Within
+the dense cap the coin's bias comes from the operator's diagonal; past
+it, from one accept_probability per distinct sampled witness, which
+simulates only the circuit's output cone (computed once per circuit)
+and keeps as tensor axes only the qubits the cone puts into
+superposition.
 """
 
 from __future__ import annotations

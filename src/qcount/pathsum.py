@@ -106,7 +106,7 @@ def _phase_products(circuit: VerifierCircuit, x_val: int) -> np.ndarray:
         counts[(x_val << w) + ys, np.arange(ys.size), 0] = 1
         view = counts.reshape((2,) * q + counts.shape[1:])
         for gate in circuit.gates:
-            _apply_gate(view, gate, _z4_sub, _z4_times_i)
+            _apply_gate(view, gate.kind, gate.qubits, _z4_sub, _z4_times_i)
         accepted = counts[rows // 2 :].reshape(-1, 4)  # output qubit 0 reads 1
         shifts = range(0, max(1, int(accepted.max()).bit_length()), _LIMB)
         limbs = np.concatenate([(accepted >> s) & ((1 << _LIMB) - 1) for s in shifts], axis=1)

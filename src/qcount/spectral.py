@@ -130,10 +130,13 @@ def trace_normalized(op: AcceptanceOperator) -> float:
 def accept_probability(circuit: VerifierCircuit, x: str, y: str) -> float:
     """Probability the output qubit reads 1 on witness y (a diagonal entry).
 
-    Runs a single statevector simulation, so it stays available for
-    circuits too wide for the dense operator build.
+    Simulates the circuit's output cone, the gates in qubit 0's backward
+    light cone, once on the basis state; the gates outside it cancel in
+    V' P V.  So it stays available for circuits too wide for the dense
+    operator build, and it costs a statevector over the qubits the cone
+    puts into superposition, not over all of them.
     """
-    state = simulate(circuit, basis_string(circuit, x, y))
+    state = simulate(circuit.output_cone(), basis_string(circuit, x, y))
     half = state.shape[0] // 2
     p = float(np.real(np.vdot(state[half:], state[half:])))
     return min(1.0, max(0.0, p))

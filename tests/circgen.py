@@ -11,6 +11,51 @@ from qcount.circuit import Gate
 
 FLIP_OUTPUT = (Gate("H", (0,)), Gate("S", (0,)), Gate("S", (0,)), Gate("H", (0,)))
 
+H2 = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / np.sqrt(2.0)
+S2 = np.array([[1.0, 0.0], [0.0, 1.0j]], dtype=np.complex128)
+
+
+def one_qubit_matrix(u, qubit, num_qubits):
+    # qubit 0 is the most significant kron factor
+    mat = np.eye(1, dtype=np.complex128)
+    for pos in range(num_qubits):
+        mat = np.kron(mat, u if pos == qubit else np.eye(2, dtype=np.complex128))
+    return mat
+
+
+def toffoli_matrix(qubits, num_qubits):
+    c1, c2, t = qubits
+    dim = 1 << num_qubits
+    mat = np.zeros((dim, dim), dtype=np.complex128)
+    for col in range(dim):
+        bits = [(col >> (num_qubits - 1 - pos)) & 1 for pos in range(num_qubits)]
+        if bits[c1] and bits[c2]:
+            bits[t] ^= 1
+        row = 0
+        for b in bits:
+            row = (row << 1) | b
+        mat[row, col] = 1.0
+    return mat
+
+
+def gate_matrix(gate, num_qubits):
+    if gate.kind == "TOF":
+        return toffoli_matrix(gate.qubits, num_qubits)
+    return one_qubit_matrix(H2 if gate.kind == "H" else S2, gate.qubits[0], num_qubits)
+
+
+def kron_unitary(circuit):
+    """Reference unitary built gate by gate from explicit kron products.
+
+    It shares no code with the package's gate kernel, so it is the
+    independent check of `simulate` and the embedded witness matrix.
+    """
+    q = circuit.num_qubits
+    mat = np.eye(1 << q, dtype=np.complex128)
+    for gate in circuit.gates:
+        mat = gate_matrix(gate, q) @ mat
+    return mat
+
 
 def random_circuit(rng, num_ancilla=1, num_input=0, num_witness=2, gate_count=12):
     """One random circuit over the core gate set, H-heavy so spectra spread."""

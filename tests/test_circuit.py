@@ -8,63 +8,33 @@ import qcount.circuit
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circgen import ensemble, random_circuit
+from circgen import S2, ensemble, gate_matrix, kron_unitary, random_circuit
 from qcount.circuit import (
     Gate,
     VerifierCircuit,
-    apply_gate,
+    _apply_gates,
     basis_string,
     circuit_hash,
-    circuit_unitary,
     embedded_witness_matrix,
     load_circuit,
     parse_circuit,
     simulate,
 )
 from qcount.errors import CapExceeded, CircuitFormatError, PreconditionError
+from qcount.spectral import accept_probability
 
-H2 = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / np.sqrt(2.0)
-S2 = np.array([[1.0, 0.0], [0.0, 1.0j]], dtype=np.complex128)
 X2 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 Z2 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
+R2 = 1.0 / np.sqrt(2.0)
 
 
-def one_qubit_matrix(u, qubit, num_qubits):
-    # qubit 0 is the most significant kron factor
-    mat = np.eye(1, dtype=np.complex128)
-    for pos in range(num_qubits):
-        mat = np.kron(mat, u if pos == qubit else np.eye(2, dtype=np.complex128))
-    return mat
-
-
-def toffoli_matrix(qubits, num_qubits):
-    c1, c2, t = qubits
-    dim = 1 << num_qubits
-    mat = np.zeros((dim, dim), dtype=np.complex128)
-    for col in range(dim):
-        bits = [(col >> (num_qubits - 1 - pos)) & 1 for pos in range(num_qubits)]
-        if bits[c1] and bits[c2]:
-            bits[t] ^= 1
-        row = 0
-        for b in bits:
-            row = (row << 1) | b
-        mat[row, col] = 1.0
-    return mat
-
-
-def kron_unitary(circuit):
-    """Reference unitary built gate by gate from explicit kron products."""
+def dense_run(circuit, basis):
+    """The gate kernel on the full 2**Q basis vector, every gate on every amplitude."""
     q = circuit.num_qubits
-    mat = np.eye(1 << q, dtype=np.complex128)
-    for gate in circuit.gates:
-        if gate.kind == "H":
-            g = one_qubit_matrix(H2, gate.qubits[0], q)
-        elif gate.kind == "S":
-            g = one_qubit_matrix(S2, gate.qubits[0], q)
-        else:
-            g = toffoli_matrix(gate.qubits, q)
-        mat = g @ mat
-    return mat
+    state = np.zeros(1 << q, dtype=np.complex128)
+    state[int(basis, 2)] = 1.0
+    _apply_gates(state, circuit.gates, q)
+    return state
 
 
 HEADER = "registers: ancilla=1 input=0 witness=1\n"
@@ -85,18 +55,22 @@ def test_x_sugar_expands_to_hssh():
 def test_sugar_matrices(mnemonic, target):
     circ = parse_circuit(f"registers: ancilla=1 input=0 witness=0\n{mnemonic} 0\n")
     assert np.allclose(kron_unitary(circ), target, atol=1e-12)
-    assert np.allclose(circuit_unitary(circ), target, atol=1e-12)
+    for col in range(2):
+        assert np.allclose(simulate(circ, str(col)), target[:, col], atol=1e-12)
 
 
 def test_unitary_matches_kron_oracle():
-    for circ, _ in ensemble(101, 30, max_ancilla=2, max_input=1, max_witness=2):
-        assert np.allclose(circuit_unitary(circ), kron_unitary(circ), atol=1e-12)
+    for circ, x in ensemble(101, 30, max_ancilla=2, max_input=1, max_witness=2):
+        cols = (int(x or "0", 2) << circ.num_witness) + np.arange(1 << circ.num_witness)
+        embed = embedded_witness_matrix(circ, x)
+        assert np.allclose(embed, kron_unitary(circ)[:, cols], atol=1e-12)
 
 
 def test_unitarity():
-    for circ, _ in ensemble(102, 15, max_ancilla=2, max_input=1, max_witness=2):
-        u = circuit_unitary(circ)
-        assert np.allclose(u.conj().T @ u, np.eye(u.shape[0]), atol=1e-12)
+    # the embedded columns of a unitary are orthonormal
+    for circ, x in ensemble(102, 15, max_ancilla=2, max_input=1, max_witness=2):
+        embed = embedded_witness_matrix(circ, x)
+        assert np.allclose(embed.conj().T @ embed, np.eye(embed.shape[1]), atol=1e-12)
 
 
 def test_simulate_is_unitary_column():
@@ -107,6 +81,112 @@ def test_simulate_is_unitary_column():
         q = circ.num_qubits
         basis = format(int(rng.integers(0, 1 << q)), f"0{q}b")
         assert np.allclose(simulate(circ, basis), u[:, int(basis, 2)], atol=1e-12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    ancilla=st.integers(1, 2),
+    inputs=st.integers(0, 1),
+    witness=st.integers(0, 3),
+    gate_count=st.integers(0, 40),
+    data=st.data(),
+)
+def test_simulate_matches_kron_and_dense_kernel(seed, ancilla, inputs, witness, gate_count, data):
+    circ = random_circuit(
+        np.random.default_rng(seed),
+        num_ancilla=ancilla,
+        num_input=inputs,
+        num_witness=witness,
+        gate_count=gate_count,
+    )
+    q = circ.num_qubits
+    b = data.draw(st.integers(0, (1 << q) - 1))
+    basis = format(b, f"0{q}b")
+    state = simulate(circ, basis)
+    assert np.allclose(state, kron_unitary(circ)[:, b], rtol=0.0, atol=1e-12)
+    assert np.array_equal(state, dense_run(circ, basis))
+
+
+# (gates on 3 qubits, basis, expected amplitudes by basis label)
+_CLASSICAL_RULES = {
+    "H on a classical 1": ([Gate("H", (1,))], "010", {"000": R2, "010": -R2}),
+    "S on a classical 1 is a phase i": (
+        [Gate("H", (0,)), Gate("S", (1,))], "010", {"010": 1j * R2, "110": 1j * R2}
+    ),
+    "S on a classical 0 does nothing": (
+        [Gate("H", (0,)), Gate("S", (1,))], "000", {"000": R2, "100": R2}
+    ),
+    "TOF with a classical control at 0": (
+        [Gate("H", (2,)), Gate("S", (2,)), Gate("TOF", (0, 1, 2))],
+        "010",
+        {"010": R2, "011": 1j * R2},
+    ),
+    "TOF with classical controls at 1 flips a classical target": (
+        [Gate("TOF", (0, 1, 2))], "110", {"111": 1.0}
+    ),
+    "TOF with classical controls at 1 swaps a superposed target": (
+        [Gate("H", (2,)), Gate("S", (2,)), Gate("TOF", (0, 1, 2))],
+        "110",
+        {"110": 1j * R2, "111": R2},
+    ),
+    "TOF with a superposed and a classical control": (
+        [Gate("H", (0,)), Gate("TOF", (0, 1, 2))], "010", {"010": R2, "111": R2}
+    ),
+    "TOF with a superposed control and a classical target at 1": (
+        [Gate("H", (0,)), Gate("TOF", (1, 0, 2))], "011", {"011": R2, "110": R2}
+    ),
+    "TOF with a superposed control and a classical control at 0": (
+        [Gate("H", (0,)), Gate("TOF", (0, 1, 2))], "000", {"000": R2, "100": R2}
+    ),
+}
+
+
+@pytest.mark.parametrize("rule", list(_CLASSICAL_RULES))
+def test_simulate_classical_rules(rule):
+    gates, basis, amplitudes = _CLASSICAL_RULES[rule]
+    circ = VerifierCircuit(1, 0, 2, tuple(gates))
+    expected = np.zeros(8, dtype=np.complex128)
+    for label, amp in amplitudes.items():
+        expected[int(label, 2)] = amp
+    state = simulate(circ, basis)
+    assert np.allclose(state, expected, rtol=0.0, atol=1e-15)
+    assert np.allclose(state, kron_unitary(circ)[:, int(basis, 2)], rtol=0.0, atol=1e-15)
+    assert np.array_equal(state, dense_run(circ, basis))
+
+
+def test_output_cone_drops_unlinked_gates():
+    # backward from qubit 0: S 3 and H 1 come after their qubits' last link
+    gates = (Gate("H", (3,)), Gate("TOF", (1, 2, 0)), Gate("H", (1,)), Gate("S", (3,)))
+    circ = VerifierCircuit(2, 1, 1, gates)
+    cone = circ.output_cone()
+    assert cone.gates == (Gate("TOF", (1, 2, 0)),)
+    assert (cone.num_ancilla, cone.num_input, cone.num_witness) == (2, 1, 1)
+    assert circ.output_cone() is cone  # computed once per circuit
+
+
+def test_output_cone_keeps_linking_toffoli():
+    # TOF 1 2 3 has no qubit 0, but it feeds qubit 3, a control of TOF 3 0 1
+    gates = (
+        Gate("H", (1,)), Gate("H", (2,)), Gate("TOF", (1, 2, 3)),
+        Gate("H", (0,)), Gate("TOF", (3, 0, 1)), Gate("H", (0,)), Gate("H", (2,)),
+    )
+    circ = VerifierCircuit(1, 0, 3, gates)
+    assert circ.output_cone().gates == gates[:-1]
+    for y in range(8):
+        basis = basis_string(circ, "", format(y, "03b"))
+        full = simulate(circ, basis)
+        p_full = float(np.vdot(full[8:], full[8:]).real)
+        assert accept_probability(circ, "", format(y, "03b")) == pytest.approx(
+            p_full, abs=1e-15
+        )
+
+
+def test_output_cone_empty_without_a_gate_on_the_output():
+    circ = VerifierCircuit(1, 0, 3, (Gate("H", (1,)), Gate("TOF", (1, 2, 3)), Gate("S", (3,))))
+    assert circ.output_cone().gates == ()
+    for y in range(8):
+        assert accept_probability(circ, "", format(y, "03b")) == 0.0
 
 
 def test_simulate_norm_is_one():
@@ -182,11 +262,11 @@ def test_unnormalized_h_rescales_exactly(h):
     rng.shuffle(gates)
     circ = VerifierCircuit(1, 0, 2, tuple(gates))
     assert circ.h_count == h
-    u = circuit_unitary(circ)
-    assert np.allclose(u, kron_unitary(circ), atol=1e-12)
-    assert np.allclose(np.linalg.norm(u, axis=0), 1.0, atol=1e-12)
+    u = kron_unitary(circ)
     for col in range(8):
-        assert np.allclose(simulate(circ, format(col, "03b")), u[:, col], atol=1e-12)
+        state = simulate(circ, format(col, "03b"))
+        assert np.allclose(state, u[:, col], atol=1e-12)
+        assert np.linalg.norm(state) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_even_h_embedding_is_exactly_dyadic():
@@ -203,19 +283,14 @@ def test_even_h_embedding_is_exactly_dyadic():
 
 
 def test_apply_gate_matches_kron():
+    # one gate of the kernel on a state that is not a basis state
     rng = np.random.default_rng(106)
     state = rng.normal(size=8) + 1j * rng.normal(size=8)
     state /= np.linalg.norm(state)
     for gate in (Gate("H", (1,)), Gate("S", (2,)), Gate("TOF", (0, 2, 1))):
-        if gate.kind == "H":
-            ref = one_qubit_matrix(H2, gate.qubits[0], 3)
-        elif gate.kind == "S":
-            ref = one_qubit_matrix(S2, gate.qubits[0], 3)
-        else:
-            ref = toffoli_matrix(gate.qubits, 3)
-        before = state.copy()
-        assert np.allclose(apply_gate(state, gate), ref @ state, atol=1e-12)
-        assert np.array_equal(state, before)
+        out = state.copy()
+        _apply_gates(out, (gate,), 3)
+        assert np.allclose(out, gate_matrix(gate, 3) @ state, atol=1e-12)
 
 
 def test_round_trip_through_qcv():
@@ -294,16 +369,16 @@ def test_simulation_cap():
         simulate(big, "0" * 21)
     dense = VerifierCircuit(1, 0, 14, ())
     with pytest.raises(CapExceeded):
-        circuit_unitary(dense)
+        embedded_witness_matrix(dense, "")
 
 
 def test_dense_cap_env_override(monkeypatch):
     monkeypatch.setenv("QCOUNT_DENSE_CAP", "4")
     small = VerifierCircuit(1, 0, 4, ())
     with pytest.raises(CapExceeded):
-        circuit_unitary(small)
+        embedded_witness_matrix(small, "")
     monkeypatch.setenv("QCOUNT_DENSE_CAP", "5")
-    assert circuit_unitary(small).shape == (32, 32)
+    assert embedded_witness_matrix(small, "").shape == (32, 16)
 
 
 @settings(max_examples=60, deadline=None)
@@ -321,4 +396,5 @@ def test_random_sequences_match_kron(data):
             kind = data.draw(st.sampled_from(["H", "S"]))
             gates.append(Gate(kind, (data.draw(st.integers(0, num_qubits - 1)),)))
     circ = VerifierCircuit(1, 0, num_qubits - 1, tuple(gates))
-    assert np.allclose(circuit_unitary(circ), kron_unitary(circ), atol=1e-12)
+    embed = embedded_witness_matrix(circ, "")
+    assert np.allclose(embed, kron_unitary(circ)[:, : embed.shape[1]], atol=1e-12)

@@ -1,11 +1,19 @@
 """Command line front end: JSON records, exit codes, byte determinism."""
 
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from circgen import random_circuit
 
 X_QCV = "registers: ancilla=1 input=0 witness=1\nX 0\n"
 H_QCV = "registers: ancilla=1 input=0 witness=1\nH 0\n"
@@ -115,6 +123,28 @@ def test_decide_avg_accept(circuits):
     rec = run_json("decide-avg-accept", circuits["x"], "--seed", "3")
     assert rec["answer"] == "YES"
     assert rec["promise_violated"] is False
+
+
+def test_records_past_the_dense_cap_match_the_dense_route(tmp_path, monkeypatch, capsys):
+    import qcount.cli
+
+    rng = np.random.default_rng(314)
+    for k in range(6):
+        circ = random_circuit(rng, num_ancilla=2, num_witness=3, gate_count=30)
+        path = tmp_path / f"c{k}.qcv"
+        path.write_text(circ.to_qcv())
+        calls = {
+            "value": ["estimate-trace", str(path), "--M", "64", "--seed", str(k)],
+            "mean": ["decide-avg-accept", str(path), "--seed", str(k)],
+        }
+        for field, argv in calls.items():
+            monkeypatch.delenv("QCOUNT_DENSE_CAP", raising=False)
+            assert qcount.cli.run(argv) == 0
+            dense = json.loads(capsys.readouterr().out)
+            monkeypatch.setenv("QCOUNT_DENSE_CAP", str(circ.num_qubits - 1))
+            assert qcount.cli.run(argv) == 0
+            past = json.loads(capsys.readouterr().out)
+            assert past[field] == dense[field]
 
 
 def test_unknown_subcommand_exits_1():
@@ -487,3 +517,50 @@ def test_config_echo_round_trips(circuits):
     assert rec["config"]["M"] == 32
     assert rec["config"]["seed"] == 4
     assert rec["config"]["circuit"] == circuits["x"]
+
+
+_FUZZ_FLAGS = ("--c", "--s", "--eps", "--M", "--seed", "--mode", "--x", "--help")
+_FUZZ_NUMBERS = (
+    "-1", "0", "1", "2", "3", "7", "0.1", "0.25", "0.5", "0.9", "1e-3", "1e9",
+    "nan", "inf", "-inf", "", "01", "abc",
+)
+_FUZZ_CAPS = (None, "0", "1", "2", "3", "14", "-1", "abc")
+
+
+@pytest.fixture(scope="module")
+def fuzz_circuits(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    paths = []
+    for name, text in [("x", X_QCV), ("h0", H_NO_WITNESS_QCV), ("i2", TWO_INPUT_QCV)]:
+        p = root / f"{name}.qcv"
+        p.write_text(text)
+        paths.append(str(p))
+    return paths + [str(root / "missing.qcv")]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_fuzzed_argv_exits_with_a_contract_code(fuzz_circuits, data):
+    # in-process cli.run on argv built from subcommand names, their flags and
+    # a few shared ones, small numeric strings and circuit paths, under varied
+    # QCOUNT_DENSE_CAP values
+    import qcount.cli
+
+    name = data.draw(st.sampled_from(SUBCOMMANDS + ("bogus", "-h")))
+    _, own, _ = qcount.cli._COMMANDS.get(name, (None, (), True))
+    values = {names[0]: kwargs.get("choices", ()) for names, kwargs in own}
+    argv = [name] + data.draw(st.lists(st.sampled_from(fuzz_circuits), min_size=1, max_size=1))
+    flags = st.sampled_from(sorted(values) or ["--x"]) | st.sampled_from(_FUZZ_FLAGS)
+    for flag in data.draw(st.lists(flags, max_size=7, unique=True)):
+        argv += [flag, data.draw(st.sampled_from(values.get(flag, ()) + _FUZZ_NUMBERS))]
+    cap = data.draw(st.sampled_from(_FUZZ_CAPS))
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ), redirect_stdout(out), redirect_stderr(err):
+        os.environ.pop("QCOUNT_DENSE_CAP", None)
+        if cap is not None:
+            os.environ["QCOUNT_DENSE_CAP"] = cap
+        code = qcount.cli.run(argv)
+    assert code in (0, 1, 2, 3), (argv, cap, err.getvalue())
+    if code == 0 and not {"-h", "--help"} & set(argv):  # a run: one JSON record
+        (line,) = out.getvalue().splitlines()
+        json.loads(line)

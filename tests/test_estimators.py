@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 import qcount.estimators
-from circgen import ensemble, random_circuit
+from circgen import ensemble, random_circuit, random_input
 from qcount import (
     AdditiveEstimate,
     PreconditionError,
+    accept_probability,
     avg_accept_decider,
     build_acceptance_operator,
     median_amplify,
@@ -174,3 +175,24 @@ def test_estimator_handles_input_register():
         decided = avg_accept_decider(circ, x, seed=1)
         run = make_trace_estimator(circ, x, decided.samples)
         assert decided.mean == run(stream(1)).value / 2**circ.num_witness
+
+
+def test_route_past_the_dense_cap_agrees_with_the_dense_route(monkeypatch):
+    # past the cap every sampled witness is one simulation of the output cone
+    rng = np.random.default_rng(313)
+    for _ in range(12):
+        circ = random_circuit(
+            rng, num_ancilla=2, num_input=1, num_witness=3, gate_count=int(rng.integers(1, 40))
+        )
+        x = random_input(rng, circ)
+        probs = build_acceptance_operator(circ, x).probabilities
+        dense = [quantum_trace_estimator(circ, x, 64, seed).value for seed in range(4)]
+        decided = avg_accept_decider(circ, x, seed=5)
+        monkeypatch.setenv("QCOUNT_DENSE_CAP", str(circ.num_qubits - 1))
+        past = [accept_probability(circ, x, format(y, "03b")) for y in range(8)]
+        assert np.allclose(past, probs, rtol=0.0, atol=1e-12)
+        assert [quantum_trace_estimator(circ, x, 64, seed).value for seed in range(4)] == dense
+        past_decided = avg_accept_decider(circ, x, seed=5)
+        assert (past_decided.mean, past_decided.answer) == (decided.mean, decided.answer)
+        assert past_decided.exact_normalized_trace is None
+        monkeypatch.delenv("QCOUNT_DENSE_CAP")

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import chebyshev as cheb
 
-from circgen import ensemble, thresholds_from_sigma_gap
+from circgen import ensemble, kron_unitary, thresholds_from_sigma_gap
 from qcount import (
     PreconditionError,
     apply_svt,
@@ -19,7 +19,7 @@ from qcount import (
     sandwich_bounds,
 )
 from qcount import svt
-from qcount.circuit import circuit_unitary, embedded_witness_matrix, parse_circuit
+from qcount.circuit import embedded_witness_matrix, parse_circuit
 from qcount.errors import CapExceeded
 from qcount.reductions import IntervalPartition
 from qcount.svt import RectanglePolynomial, _chebinterpolate, _even_chebval
@@ -37,9 +37,9 @@ def test_block_encoding_of_sure_acceptor():
 
 
 def test_gram_matrix_is_acceptance_operator():
-    # U from the embedded columns of the full unitary, not from the embed
+    # U from the embedded columns of the kron reference unitary, not from the embed
     for circ, x in ensemble(501, 30, max_ancilla=2, max_input=1, max_witness=3):
-        u = circuit_unitary(circ)
+        u = kron_unitary(circ)
         cols = (int(x or "0", 2) << circ.num_witness) + np.arange(1 << circ.num_witness)
         block = u[u.shape[0] // 2 :, cols]
         op = build_acceptance_operator(circ, x)
