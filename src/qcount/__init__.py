@@ -56,7 +56,6 @@ from .svt import (
     apply_svt,
     build_block_encoding,
     degree_budget,
-    eig_to_sv_threshold,
     rect_poly,
     sandwich_bounds,
 )

@@ -20,12 +20,17 @@ Gate lines are `H q`, `S q`, `SDG q`, `Z q`, `X q`, `TOF c1 c2 t`;
 `#` starts a comment anywhere.  SDG, Z and X are sugar, expanded at
 parse time into the core set (S**3, S**2, and H S S H respectively),
 so derived gate counts always refer to the expanded circuit.
+
+`_apply_gate` is the one gate kernel.  `simulate` runs it on one basis
+state; `_witness_blocks` runs it on every |0^a x y>, a column block at a
+time, for both the complex embed and the path sum's walk counts.
 """
 
 from __future__ import annotations
 
 import bisect
 import hashlib
+import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -45,7 +50,7 @@ _MNEMONICS = {
 }
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
-_BLOCK_BYTES = 1 << 20  # rows x columns x 16 B of one gate-kernel block, to stay in cache
+_BLOCK_BYTES = 1 << 20  # bytes of one gate-kernel column block, to stay in cache
 
 NORM_TOL = 1e-9
 
@@ -227,7 +232,10 @@ def _apply_dense(view: np.ndarray, gate: Gate) -> np.ndarray:
 
 
 def _run_gates(view: np.ndarray, gates: tuple[Gate, ...], apply=_apply_dense) -> np.ndarray:
-    # `apply(view, gate)` runs one gate and returns the array to go on with
+    # `apply(view, gate)` runs one gate and returns the array to go on with.
+    # H is [[1, 1], [1, -1]]: every 64 H scale by exactly 2**-32, the r left
+    # by 2**-(r // 2) at the end, times 1/sqrt(2) for odd r, so an even-h
+    # embedding is exactly Gaussian integers over 2**(h/2).
     r = 0  # unnormalized H gates since the last rescale
     for gate in gates:
         view = apply(view, gate)
@@ -238,31 +246,6 @@ def _run_gates(view: np.ndarray, gates: tuple[Gate, ...], apply=_apply_dense) ->
     if r:
         view *= 2.0 ** -(r // 2) * (_INV_SQRT2 if r % 2 else 1.0)
     return view
-
-
-def _apply_gates(mat: np.ndarray, gates: tuple[Gate, ...], num_qubits: int) -> None:
-    """Multiply `gates`, first gate first, into the rows of `mat` in place.
-
-    `mat` is a C-contiguous complex128 (2**Q,) or (2**Q, m) array.  H
-    applies [[1, 1], [1, -1]]; every 64 H gates scale by exactly 2**-32,
-    and the r since then by 2**-(r // 2) at the end, times 1/sqrt(2) for
-    odd r, so an even-h embedding is exactly Gaussian integers over 2**(h/2).
-    An array wider than one _BLOCK_BYTES column block runs all gates on
-    one block at a time in a reused contiguous buffer that stays in
-    cache; columns never interact, so this is bit-identical to in place.
-    """
-    rows = 1 << num_qubits
-    width = max(1, _BLOCK_BYTES // (16 * rows))
-    if mat.size <= rows * width:
-        _run_gates(mat.reshape((2,) * num_qubits + (-1,)), gates)
-        return
-    flat = np.empty(rows * width, dtype=np.complex128)
-    for start in range(0, mat.shape[1], width):
-        block = mat[:, start : start + width]
-        buf = flat[: block.size].reshape(block.shape)
-        buf[...] = block
-        _run_gates(buf.reshape((2,) * num_qubits + (-1,)), gates)
-        block[...] = buf
 
 
 def _parse_bits(bits: str, length: int, what: str) -> int:
@@ -335,19 +318,46 @@ def simulate(circuit: VerifierCircuit, basis: str) -> np.ndarray:
     return state.reshape(-1)
 
 
+def _witness_blocks(
+    circuit: VerifierCircuit, x: str, tail=(), dtype=np.complex128, run=_run_gates
+):
+    """Check the dense cap and x now; return a generator of (start, block).
+
+    Column j of the (2**Q, m) + tail block starts as |0^a x y>, y = start
+    + j, with its 1 in the first tail cell; `run(view, gates)` runs the
+    circuit on the (2,)*Q + (m,) + tail view.  Blocks of about _BLOCK_BYTES
+    stay in cache and share one buffer, so each is valid until the next.
+    Columns never interact, so blocking changes no bit.
+    """
+    q, w = circuit.num_qubits, circuit.num_witness
+    check_dense(q)
+    x_val = _parse_bits(x, circuit.num_input, "input bits")
+    rows, dim_w = 1 << q, 1 << w
+    column_bytes = rows * np.dtype(dtype).itemsize * math.prod(tail)
+    width = min(dim_w, max(1, _BLOCK_BYTES // column_bytes))
+
+    def blocks():
+        buf = np.empty((rows * width,) + tail, dtype)
+        for start in range(0, dim_w, width):
+            m = min(width, dim_w - start)
+            block = buf[: rows * m].reshape((rows, m) + tail)
+            block.fill(0)
+            cols = np.arange(m)
+            block.reshape(rows, m, -1)[(x_val << w) + start + cols, cols, 0] = 1
+            run(block.reshape((2,) * q + block.shape[1:]), circuit.gates)
+            yield start, block
+
+    return blocks()
+
+
 def embedded_witness_matrix(circuit: VerifierCircuit, x: str) -> np.ndarray:
     """Circuit output on every embedded witness state, as a (2**Q, 2**w) array.
 
     Column y is the statevector the circuit produces from ancillas at
     |0...0>, input register at |x>, witness register at basis state |y>.
     """
-    q = circuit.num_qubits
-    check_dense(q)
-    x_val = _parse_bits(x, circuit.num_input, "input bits")
-    w = circuit.num_witness
-    dim_w = 1 << w
-    mat = np.zeros((1 << q, dim_w), dtype=np.complex128)
-    diag = np.arange(dim_w)
-    mat[(x_val << w) + diag, diag] = 1.0  # no dense identity temporary
-    _apply_gates(mat, circuit.gates, q)
+    blocks = _witness_blocks(circuit, x)  # checks the cap before the output is allocated
+    mat = np.empty((1 << circuit.num_qubits, 1 << circuit.num_witness), np.complex128)
+    for start, block in blocks:
+        mat[:, start : start + block.shape[1]] = block
     return mat

@@ -88,7 +88,8 @@ def _witness_probabilities(
     for i, y_val in enumerate(witnesses):
         y_int = int(y_val)
         if y_int not in cache:
-            cache[y_int] = accept_probability(circuit, x, format(y_int, f"0{w}b"))
+            y = format(y_int, f"0{w}b") if w else ""  # format(0, "00b") is "0"
+            cache[y_int] = accept_probability(circuit, x, y)
         out[i] = cache[y_int]
     return out
 

@@ -29,9 +29,11 @@ and the phase-1 and phase-3 counts i+ and i- are equal (swap the walks).
 Exact mode counts walks, not paths.  C[v, y, a], the number of walks from
 |0^a x y> to v that end with phase i**a, is the gate kernel run over the
 group ring Z[Z_4]: int64 tallies with a trailing phase axis, where
-negation rolls that axis by 2 and multiplication by i rolls it by 1.
-Then N_k = sum over b - a = k (mod 4) of <C_a, C_b> gives g = N_0,
-i+ = N_1, f = N_2 and i- = N_3, exactly.
+negation shifts that axis cyclically by 2 and multiplication by i by 1.
+circuit's witness-block run, which also builds the dense embed, yields C
+one column block at a time, and each block is contracted as it comes:
+N_k = sum over b - a = k (mod 4) of <C_a, C_b> gives g = N_0, i+ = N_1,
+f = N_2 and i- = N_3, exactly.
 
 Sampled mode draws walk pairs: one uniform witness and one uniform branch
 per H on each walk.  A pair scores +1 or -1 when both walks end on the
@@ -46,9 +48,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import _BLOCK_BYTES, VerifierCircuit, _apply_gate, _parse_bits
+from .circuit import VerifierCircuit, _apply_gate, _parse_bits, _witness_blocks
 from .errors import CapExceeded, InvariantViolation, PreconditionError
-from .limits import check_dense, check_draws
+from .limits import check_draws
 from .rngstreams import stream, uniform_indices
 from .estimators import AdditiveEstimate
 from .spectral import AUDIT_SLACK, build_acceptance_operator
@@ -79,35 +81,30 @@ def free_path_bits(circuit: VerifierCircuit) -> int:
 
 
 def _z4_sub(zero: np.ndarray, one: np.ndarray, out: np.ndarray) -> None:
-    np.add(zero, np.roll(one, 2, axis=-1), out=out)  # -b is b with its phase rolled by 2
+    np.add(zero, one[..., [2, 3, 0, 1]], out=out)  # -b is b with its phase shifted by 2
 
 
 def _z4_times_i(one: np.ndarray) -> None:
-    one[...] = np.roll(one, 1, axis=-1)
+    one[...] = one[..., [3, 0, 1, 2]]  # i b is b with its phase shifted by 1
 
 
-def _phase_products(circuit: VerifierCircuit, x_val: int) -> np.ndarray:
+def _z4_run(view: np.ndarray, gates) -> None:
+    for gate in gates:
+        _apply_gate(view, gate.kind, gate.qubits, _z4_sub, _z4_times_i)
+
+
+def _phase_products(blocks) -> np.ndarray:
     """<C_a, C_b> over output-1 states and witnesses, as a 4x4 array of ints.
 
-    Witness columns never interact, so C is built one column block of
-    about _BLOCK_BYTES at a time.  Each block is contracted in 16-bit
-    limbs over its accepted rows: 2**14 of them, or 2**(Q-1) once one
-    column outgrows a block, fewer than 2**31 for any block that fits in
-    memory, so every int64 partial sum is exact.  The limb products are
-    added up as Python ints.
+    `blocks` are the column blocks of C from circuit's witness-block run.
+    Each is contracted in 16-bit limbs over its accepted rows: 2**14 of
+    them, or 2**(Q-1) once one column outgrows a block, fewer than 2**31
+    for any block that fits in memory, so every int64 partial sum is
+    exact.  The limb products are added up as Python ints.
     """
-    q, w = circuit.num_qubits, circuit.num_witness
-    rows = 1 << q
-    width = max(1, _BLOCK_BYTES // (32 * rows))
     products = np.zeros((4, 4), dtype=object)
-    for start in range(0, 1 << w, width):
-        ys = np.arange(start, min(start + width, 1 << w))
-        counts = np.zeros((rows, ys.size, 4), dtype=np.int64)
-        counts[(x_val << w) + ys, np.arange(ys.size), 0] = 1
-        view = counts.reshape((2,) * q + counts.shape[1:])
-        for gate in circuit.gates:
-            _apply_gate(view, gate.kind, gate.qubits, _z4_sub, _z4_times_i)
-        accepted = counts[rows // 2 :].reshape(-1, 4)  # output qubit 0 reads 1
+    for _, counts in blocks:
+        accepted = counts[counts.shape[0] // 2 :].reshape(-1, 4)  # output qubit 0 reads 1
         shifts = range(0, max(1, int(accepted.max()).bit_length()), _LIMB)
         limbs = np.concatenate([(accepted >> s) & ((1 << _LIMB) - 1) for s in shifts], axis=1)
         gram = np.einsum("ri,rj->ij", limbs, limbs).reshape(len(shifts), 4, len(shifts), 4)
@@ -122,13 +119,12 @@ def path_sum_exact(circuit: VerifierCircuit, x: str = "") -> PathSumResult:
     The trace is also compared against the dense spectral oracle; a
     mismatch is an invariant violation, not a report.
     """
-    x_val = _parse_bits(x, circuit.num_input, "input bits")
     n_star = free_path_bits(circuit)
-    check_dense(circuit.num_qubits)
+    blocks = _witness_blocks(circuit, x, (4,), np.int64, _z4_run)
     h = circuit.h_count
     if h > _MAX_H:
         raise CapExceeded(f"{h} H gates exceed the {_MAX_H} at which walk counts fit int64")
-    products = _phase_products(circuit, x_val)
+    products = _phase_products(blocks)
     g, i_plus, f, i_minus = (sum(products[a, (a + k) % 4] for a in range(4)) for k in range(4))
     trace = (g - f) / float(1 << h)
     exact = build_acceptance_operator(circuit, x).trace

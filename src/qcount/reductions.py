@@ -50,7 +50,7 @@ from .spectral import (
     check_promise,
     trace_normalized,
 )
-from .svt import BlockEncoding, band_polynomial, eig_to_sv_threshold
+from .svt import BlockEncoding, band_polynomial
 
 DELTA_STRATEGIES = ("zero", "max", "random")
 EPS_STRATEGIES = ("zero", "adversarial", "random")
@@ -225,8 +225,7 @@ class MiscountingOracle:
         actually held for this run.
         """
         samp_eps = self.eps_bound / 2.0
-        c_sv, s_sv = eig_to_sv_threshold(c), eig_to_sv_threshold(s)
-        poly = band_polynomial(c_sv, s_sv, self.eps_bound / 4.0)
+        poly = band_polynomial(math.sqrt(c), math.sqrt(s), self.eps_bound / 4.0)
         # per-witness probabilities: the amplified diagonal sum_k |V_yk|^2 P(sigma_k)^2,
         # clipped like any diagonal (P is checked on a grid, not between its points)
         sigma, vh = self.encoding.svd

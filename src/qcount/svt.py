@@ -12,8 +12,8 @@ exact counts:
     N_geq_c - (2 eps - eps^2) 2**w  <=  sum P(sigma)^2  <=  N_geq_s + eps^2 2**w
 
 with thresholds read on singular values, t = (c+s)/2, half-width
-Delta = (c-s)/2.  Callers holding eigenvalue-space thresholds convert
-them with eig_to_sv_threshold (a square root).  sandwich_bounds is the
+Delta = (c-s)/2.  Callers holding eigenvalue-space thresholds take
+their square roots first.  sandwich_bounds is the
 one amplification call: it builds P, applies it once and checks the
 bracket, counting the singular values with spectral's SpectralCount.of
 and checking within its AUDIT_SLACK.
@@ -257,13 +257,6 @@ def build_block_encoding(circuit: VerifierCircuit, x: str = "") -> BlockEncoding
     return BlockEncoding(build_acceptance_operator(circuit, x))
 
 
-def eig_to_sv_threshold(value: float) -> float:
-    """Convert an eigenvalue-space threshold to singular-value space."""
-    if not 0.0 <= value <= 1.0:
-        raise PreconditionError(f"threshold must lie in [0, 1], got {value}")
-    return math.sqrt(value)
-
-
 def apply_svt(encoding: BlockEncoding, poly: RectanglePolynomial) -> np.ndarray:
     """Amplified spectrum P(sigma)^2, elementwise in singular_values order.
 
@@ -321,7 +314,7 @@ def sandwich_bounds(encoding: BlockEncoding, c: float, s: float, eps: float) -> 
 def band_polynomial(c: float, s: float, eps: float) -> RectanglePolynomial:
     """Rectangle polynomial for the singular-value band (s, c), s >= SV_FLOOR.
 
-    Convert eigenvalue-space thresholds with eig_to_sv_threshold first.
+    Eigenvalue-space thresholds become singular-value ones by a square root.
     """
     if not SV_FLOOR <= s < c < 1.0:
         raise PreconditionError(

@@ -12,7 +12,7 @@ from circgen import S2, ensemble, gate_matrix, kron_unitary, random_circuit
 from qcount.circuit import (
     Gate,
     VerifierCircuit,
-    _apply_gates,
+    _run_gates,
     basis_string,
     circuit_hash,
     embedded_witness_matrix,
@@ -21,6 +21,7 @@ from qcount.circuit import (
     simulate,
 )
 from qcount.errors import CapExceeded, CircuitFormatError, PreconditionError
+from qcount.pathsum import path_sum_exact
 from qcount.spectral import accept_probability
 
 X2 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
@@ -33,7 +34,7 @@ def dense_run(circuit, basis):
     q = circuit.num_qubits
     state = np.zeros(1 << q, dtype=np.complex128)
     state[int(basis, 2)] = 1.0
-    _apply_gates(state, circuit.gates, q)
+    _run_gates(state.reshape((2,) * q + (1,)), circuit.gates)
     return state
 
 
@@ -243,14 +244,17 @@ def test_embed_allocates_no_identity_temporary():
 
 
 def test_blocked_kernel_is_bit_identical(monkeypatch):
-    # a 16 KiB block holds 64 of the 256 rows x 128 columns: two blocks
+    # a 256 KiB block holds 64 of the 256 rows x 128 complex columns: two
+    # blocks; the walk counts take 32 B a cell, so they run in four
     rng = np.random.default_rng(108)
     circ = random_circuit(rng, num_ancilla=1, num_witness=7, gate_count=150)
+    short = VerifierCircuit(1, 0, 7, circ.gates[:60])  # h <= 62: walk counts fit int64
     unblocked = embedded_witness_matrix(circ, "")
-    monkeypatch.setattr(qcount.circuit, "_BLOCK_BYTES", 16 * 256 * 64)
-    assert np.array_equal(embedded_witness_matrix(circ, ""), unblocked)
-    monkeypatch.setattr(qcount.circuit, "_BLOCK_BYTES", 16 * 256 * 48)  # ragged last block
-    assert np.array_equal(embedded_witness_matrix(circ, ""), unblocked)
+    tallies = path_sum_exact(short)
+    for block_bytes in (16 * 256 * 64, 16 * 256 * 48):  # the second leaves a ragged last block
+        monkeypatch.setattr(qcount.circuit, "_BLOCK_BYTES", block_bytes)
+        assert np.array_equal(embedded_witness_matrix(circ, ""), unblocked)
+        assert path_sum_exact(short) == tallies
 
 
 # without the rescale every 64 H, h = 2101 would overflow at 2**1050
@@ -289,7 +293,7 @@ def test_apply_gate_matches_kron():
     state /= np.linalg.norm(state)
     for gate in (Gate("H", (1,)), Gate("S", (2,)), Gate("TOF", (0, 2, 1))):
         out = state.copy()
-        _apply_gates(out, (gate,), 3)
+        _run_gates(out.reshape(2, 2, 2, 1), (gate,))
         assert np.allclose(out, gate_matrix(gate, 3) @ state, atol=1e-12)
 
 

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circgen import random_circuit
+from qcount.circuit import Gate, VerifierCircuit
 
 X_QCV = "registers: ancilla=1 input=0 witness=1\nX 0\n"
 H_QCV = "registers: ancilla=1 input=0 witness=1\nH 0\n"
@@ -129,8 +130,9 @@ def test_records_past_the_dense_cap_match_the_dense_route(tmp_path, monkeypatch,
     import qcount.cli
 
     rng = np.random.default_rng(314)
-    for k in range(6):
-        circ = random_circuit(rng, num_ancilla=2, num_witness=3, gate_count=30)
+    circuits = [random_circuit(rng, num_ancilla=2, num_witness=3, gate_count=30) for _ in range(6)]
+    circuits.append(VerifierCircuit(2, 0, 0, (Gate("H", (0,)),)))  # the one witness is ""
+    for k, circ in enumerate(circuits):
         path = tmp_path / f"c{k}.qcv"
         path.write_text(circ.to_qcv())
         calls = {

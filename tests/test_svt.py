@@ -1,5 +1,6 @@
 """Block encodings, rectangle polynomials, and the trace sandwich."""
 
+import math
 import subprocess
 import sys
 
@@ -14,7 +15,6 @@ from qcount import (
     build_acceptance_operator,
     build_block_encoding,
     degree_budget,
-    eig_to_sv_threshold,
     rect_poly,
     sandwich_bounds,
 )
@@ -56,11 +56,6 @@ def test_singular_values_square_to_eigenvalues():
         assert np.allclose(eigh_sigma**2, sigma**2, atol=1e-9)
         rebuilt = (vh.conj().T * eigh_sigma**2) @ vh
         assert np.max(np.abs(rebuilt - enc.operator.matrix)) <= 1e-9
-
-
-def test_eig_to_sv_threshold():
-    assert eig_to_sv_threshold(0.25) == pytest.approx(0.5)
-    assert eig_to_sv_threshold(1.0) == 1.0
 
 
 @pytest.mark.parametrize("delta,eps", [(0.2, 0.1), (0.1, 0.01)])
@@ -118,7 +113,7 @@ def test_rect_poly_degrees_are_pinned():
     assert rect_poly(0.5, 0.01, 1e-3).degree == 1528
     degrees = []
     for s, c in IntervalPartition(8).intervals():
-        c_sv, s_sv = eig_to_sv_threshold(c), eig_to_sv_threshold(s)
+        c_sv, s_sv = math.sqrt(c), math.sqrt(s)
         degrees.append(rect_poly((c_sv + s_sv) / 2.0, (c_sv - s_sv) / 2.0, 1 / 32).degree)
     assert degrees == [240, 604, 756, 806, 256, 668, 374]
 
