@@ -194,6 +194,8 @@ def load_circuit(path: str) -> VerifierCircuit:
             text = fh.read()
     except OSError as exc:
         raise PreconditionError(f"cannot read circuit file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise CircuitFormatError(f"circuit file {path} is not UTF-8 text: {exc}") from None
     return parse_circuit(text)
 
 
@@ -258,17 +260,15 @@ def _parse_bits(bits: str, length: int, what: str) -> int:
     return int(bits, 2) if bits else 0
 
 
-def basis_string(circuit: VerifierCircuit, x: str, y: str) -> str:
-    """Full-register basis label: ancillas at 0, input x, witness y."""
-    _parse_bits(x, circuit.num_input, "input bits")
-    _parse_bits(y, circuit.num_witness, "witness bits")
-    return "0" * circuit.num_ancilla + x + y
+def basis_index(circuit: VerifierCircuit, x_val: int, y: int | np.ndarray) -> int | np.ndarray:
+    """Index of |0^a x y>: ancillas at 0, input value x_val, witness y (an int or an array)."""
+    return (x_val << circuit.num_witness) | y
 
 
-def simulate(circuit: VerifierCircuit, basis: str) -> np.ndarray:
+def simulate(circuit: VerifierCircuit, basis: int) -> np.ndarray:
     """Run the circuit on a computational basis state, returning the state.
 
-    `basis` assigns one bit per qubit in qubit order (qubit 0 first).
+    `basis` is the state's index, with qubit 0 its most significant bit.
     Only the qubits in superposition are tensor axes; every other qubit
     is a classical bit.  An H puts its qubit into superposition, and so
     does a TOF with a control in superposition for its target.  S on a
@@ -284,8 +284,9 @@ def simulate(circuit: VerifierCircuit, basis: str) -> np.ndarray:
     q = circuit.num_qubits
     if q > SIM_QUBIT_CAP:
         raise CapExceeded(f"{q} qubits exceeds the {SIM_QUBIT_CAP}-qubit simulation cap")
-    _parse_bits(basis, q, "basis assignment")
-    bits = [int(b) for b in basis]
+    if not 0 <= basis < 1 << q:
+        raise PreconditionError(f"basis index {basis} outside the {q}-qubit range")
+    bits = [(basis >> (q - 1 - k)) & 1 for k in range(q)]
     axes: list[int] = []  # the qubits in superposition, ascending: the leading tensor axes
 
     def apply(tensor: np.ndarray, gate: Gate) -> np.ndarray:
@@ -329,10 +330,10 @@ def _witness_blocks(
     stay in cache and share one buffer, so each is valid until the next.
     Columns never interact, so blocking changes no bit.
     """
-    q, w = circuit.num_qubits, circuit.num_witness
+    q = circuit.num_qubits
     check_dense(q)
     x_val = _parse_bits(x, circuit.num_input, "input bits")
-    rows, dim_w = 1 << q, 1 << w
+    rows, dim_w = 1 << q, 1 << circuit.num_witness
     column_bytes = rows * np.dtype(dtype).itemsize * math.prod(tail)
     width = min(dim_w, max(1, _BLOCK_BYTES // column_bytes))
 
@@ -343,7 +344,7 @@ def _witness_blocks(
             block = buf[: rows * m].reshape((rows, m) + tail)
             block.fill(0)
             cols = np.arange(m)
-            block.reshape(rows, m, -1)[(x_val << w) + start + cols, cols, 0] = 1
+            block.reshape(rows, m, -1)[basis_index(circuit, x_val, start + cols), cols, 0] = 1
             run(block.reshape((2,) * q + block.shape[1:]), circuit.gates)
             yield start, block
 

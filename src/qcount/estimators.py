@@ -31,9 +31,9 @@ from typing import Callable
 
 import numpy as np
 
-from .circuit import VerifierCircuit, _parse_bits
+from .circuit import VerifierCircuit, _parse_bits, basis_index
 from .errors import PreconditionError
-from .limits import check_draws, dense_qubit_cap
+from .limits import ceil_quotient, check_draws, dense_qubit_cap
 from .rngstreams import stream, uniform_indices
 from .spectral import (
     accept_probability,
@@ -80,18 +80,13 @@ def _dense_probabilities(circuit: VerifierCircuit, x: str) -> np.ndarray | None:
 
 
 def _witness_probabilities(
-    circuit: VerifierCircuit, x: str, witnesses: np.ndarray, cache: dict[int, float]
+    circuit: VerifierCircuit, x_val: int, witnesses: np.ndarray, cache: dict[int, float]
 ) -> np.ndarray:
     """Acceptance probability of each witness, one simulation per new witness."""
-    w = circuit.num_witness
-    out = np.empty(witnesses.shape[0])
-    for i, y_val in enumerate(witnesses):
-        y_int = int(y_val)
-        if y_int not in cache:
-            y = format(y_int, f"0{w}b") if w else ""  # format(0, "00b") is "0"
-            cache[y_int] = accept_probability(circuit, x, y)
-        out[i] = cache[y_int]
-    return out
+    ys = witnesses.tolist()
+    for y in set(ys) - cache.keys():
+        cache[y] = accept_probability(circuit, basis_index(circuit, x_val, y))
+    return np.array([cache[y] for y in ys])
 
 
 def make_trace_estimator(
@@ -113,7 +108,7 @@ def make_trace_estimator(
     the estimator-backed miscounting oracle sample through it too.
     """
     _check_sample_count(M)
-    _parse_bits(x, circuit.num_input, "input bits")
+    x_val = _parse_bits(x, circuit.num_input, "input bits")
     dim_w = 1 << circuit.num_witness
     if epsilon is None:
         epsilon = 2.0 / math.sqrt(M)  # puts the Chebyshev failure bound at 1/4
@@ -134,7 +129,7 @@ def make_trace_estimator(
         if probabilities is not None:
             probs = probabilities[witnesses]
         else:
-            probs = _witness_probabilities(circuit, x, witnesses, prob_cache)
+            probs = _witness_probabilities(circuit, x_val, witnesses, prob_cache)
         hits = rng.random(M) < probs
         value = dim_w * (int(hits.sum()) / M)
         return AdditiveEstimate(
@@ -234,7 +229,7 @@ def avg_accept_decider(
         epsilon = min(1.0 / 6.0, gap / 3.0)
     if not 0.0 < epsilon < gap / 2.0:
         raise PreconditionError(f"epsilon={epsilon} cannot separate the promise gap {gap}")
-    M = math.ceil(3.0 / (epsilon * epsilon)) + 1
+    M = ceil_quotient(3.0, epsilon * epsilon) + 1
     _check_sample_count(M)
     if probabilities is None:
         probabilities = _dense_probabilities(circuit, x)

@@ -10,6 +10,7 @@ bands.  QCOUNT_DENSE_CAP overrides the dense cap; check_dense and
 check_draws are the one check of each.
 """
 
+import math
 import os
 
 from .errors import CapExceeded, PreconditionError
@@ -44,7 +45,17 @@ def check_dense(qubits: int) -> None:
         raise CapExceeded(f"{qubits} qubits exceeds the {cap}-qubit dense cap")
 
 
-def check_draws(draws: int, who: str) -> None:
+def check_draws(draws: float, who: str) -> None:
     """Reject one estimator run of more than SAMPLE_CAP uniform draws."""
     if draws > SAMPLE_CAP:
         raise CapExceeded(f"{who} needs {draws} draws, over the {SAMPLE_CAP} cap")
+
+
+def ceil_quotient(num: float, den: float) -> int | float:
+    """ceil(num / den) for num, den > 0, or inf where a tiny den overflows the quotient.
+
+    ceil raises on inf (and the division on a den underflowed to 0); the
+    caller's cap check rejects an inf count like any count over its cap.
+    """
+    quotient = num / den if den else math.inf
+    return math.ceil(quotient) if quotient < math.inf else quotient

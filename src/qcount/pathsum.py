@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import VerifierCircuit, _apply_gate, _parse_bits, _witness_blocks
+from .circuit import VerifierCircuit, _apply_gate, _parse_bits, _witness_blocks, basis_index
 from .errors import CapExceeded, InvariantViolation, PreconditionError
 from .limits import check_draws
 from .rngstreams import stream, uniform_indices
@@ -142,9 +142,9 @@ def _walk_pair_scores(
     then draws the next 2 * samples uniforms, the first walk's branches
     before the second's, so the layout is fixed by (seed, samples) alone.
     """
-    q, w = circuit.num_qubits, circuit.num_witness
-    y = uniform_indices(rng, 1 << w, samples)
-    state = np.tile((x_val << w) | y, (2, 1))  # basis index of each walk
+    q = circuit.num_qubits
+    y = uniform_indices(rng, 1 << circuit.num_witness, samples)
+    state = np.tile(basis_index(circuit, x_val, y), (2, 1))  # basis index of each walk
     phase = np.zeros((2, samples), dtype=np.int64)  # powers of i
     for gate in circuit.gates:
         *controls, target = (q - 1 - k for k in gate.qubits)  # bit positions

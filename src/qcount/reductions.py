@@ -41,7 +41,7 @@ import numpy as np
 from .circuit import VerifierCircuit, _parse_bits
 from .errors import CapExceeded, InvariantViolation, PreconditionError
 from .estimators import make_trace_estimator, median_amplify, median_repetitions
-from .limits import PARTITION_CAP, check_draws
+from .limits import PARTITION_CAP, ceil_quotient, check_draws
 from .rngstreams import stream
 from .spectral import (
     AUDIT_SLACK,
@@ -60,7 +60,7 @@ ESTIMATOR_DELTA = 1e-3  # failure probability of each estimator-backed answer
 
 @dataclass(frozen=True)
 class IntervalPartition:
-    """Thresholds, query intervals, and recombination weights for size M."""
+    """The M-1 query intervals of a partition of [0, 1] into M bands."""
 
     M: int
 
@@ -70,27 +70,10 @@ class IntervalPartition:
         if self.M > PARTITION_CAP:
             raise CapExceeded(f"partition M={self.M} exceeds the {PARTITION_CAP}-band cap")
 
-    def c(self, i: int) -> float:
-        self._check(i)
-        return (self.M - i) / self.M
-
-    def s(self, i: int) -> float:
-        self._check(i)
-        if i == self.M:
-            raise PreconditionError("the last band has no query interval")
-        return self.c(i) - 1.0 / (4.0 * self.M)
-
-    def weight(self, i: int) -> float:
-        self._check(i)
-        return self.c(i) + 1.0 / (2.0 * self.M)
-
     def intervals(self) -> list[tuple[float, float]]:
-        """The M-1 queried (s_i, c_i) pairs, in query order."""
-        return [(self.s(i), self.c(i)) for i in range(1, self.M)]
-
-    def _check(self, i: int) -> None:
-        if not 1 <= i <= self.M:
-            raise PreconditionError(f"band index {i} outside 1..{self.M}")
+        """The M-1 queried (s_i, c_i) pairs, i = 1 .. M-1, in query order."""
+        M = self.M
+        return [((M - i) / M - 1.0 / (4.0 * M), (M - i) / M) for i in range(1, M)]
 
 
 class MiscountingOracle:
@@ -102,15 +85,16 @@ class MiscountingOracle:
     pad_qubits idle witness qubits are accounted for by multiplicity
     (the tensor identity is verified directly elsewhere), so w_total =
     w + pad_qubits.  With backing="estimator" the answer instead comes
-    from SVT amplification plus median-amplified trace sampling, and the
-    error budget must absorb genuine noise; every query is audited
-    against the exact range either way.  Only the rectangle polynomial
-    changes between estimator-backed queries: the block encoding is a
-    view of the oracle's own operator, whose eigh its first such query
-    computes and every later query reuses, so there is one embedding and
-    one eigh per oracle.  The exact backing never decomposes beyond
-    eigvalsh; the estimator backing checks its per-query sample count
-    against SAMPLE_CAP before anything is built.
+    from SVT amplification plus median-amplified trace sampling, so it
+    takes no strategy and no padding, and the error budget must absorb
+    genuine noise; every query is audited against the exact range
+    either way.  Only the rectangle polynomial changes between
+    estimator-backed queries: the block encoding is a view of the
+    oracle's own operator, whose eigh its first such query computes and
+    every later query reuses, so there is one embedding and one eigh per
+    oracle.  The exact backing never decomposes beyond eigvalsh; the
+    estimator backing checks its per-query sample count against
+    SAMPLE_CAP before anything is built.
     """
 
     def __init__(
@@ -140,14 +124,15 @@ class MiscountingOracle:
             raise PreconditionError(f"eps_bound must be nonnegative, got {eps_bound}")
         if pad_qubits < 0:
             raise PreconditionError(f"pad_qubits must be nonnegative, got {pad_qubits}")
-        if backing == "estimator" and pad_qubits:
-            raise PreconditionError("estimator backing does not support padded queries")
+        injected = pad_qubits or delta_strategy != "zero" or eps_strategy != "zero"
+        if backing == "estimator" and injected:
+            raise PreconditionError("estimator backing samples its error: no padding or strategies")
         _parse_bits(x, circuit.num_input, "input bits")
         if backing == "estimator":
             if not eps_bound > 0:
                 raise PreconditionError("estimator backing needs a positive eps_bound")
             # per query: radius eps/2 at confidence 3/4 needs M >= 4/(eps/2)^2
-            self._samples = math.ceil(4.0 / ((eps_bound / 2.0) * (eps_bound / 2.0)))
+            self._samples = ceil_quotient(4.0, (eps_bound / 2.0) * (eps_bound / 2.0))
             check_draws(2 * self._samples, f"eps_bound={eps_bound}")
         self.circuit = circuit
         self.x = x
@@ -272,13 +257,10 @@ def interval_partition_trace(oracle: MiscountingOracle, M: int) -> IntervalTrace
             f"oracle allows errors up to {oracle.eps_bound * oracle.normalization}, "
             f"more than the 2**w / M = {dim / M} the bound needs"
         )
-    n_hat = [0.0]
-    for i in range(1, M):
-        n_hat.append(oracle.query(partition.c(i), partition.s(i)))
-    n_hat.append(dim)
+    n_hat = [0.0] + [oracle.query(c, s) for s, c in partition.intervals()] + [dim]
     estimate = 0.0
-    for i in range(1, M + 1):
-        estimate += partition.weight(i) * (n_hat[i] - n_hat[i - 1])
+    for i in range(1, M + 1):  # weight D_i = c_i + 1/(2M), c_M = 0
+        estimate += ((M - i) / M + 1.0 / (2.0 * M)) * (n_hat[i] - n_hat[i - 1])
     exact = trace_normalized(oracle.operator) * dim
     bound = 2.5 * dim / M
     return IntervalTraceResult(
@@ -296,7 +278,7 @@ def decide_by_interval_recovery(
 ) -> tuple[str, IntervalTraceResult]:
     """YES/NO for the promise (trace/2**w >= c or <= s) via the reduction."""
     check_promise(c, s)
-    M = math.ceil(5.0 / (c - s)) + 1
+    M = ceil_quotient(5.0, c - s) + 1
     if M > PARTITION_CAP:
         raise CapExceeded(
             f"gap c - s = {c - s} needs M={M} bands, over the {PARTITION_CAP}-band cap"

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import VerifierCircuit, basis_string, embedded_witness_matrix, simulate
+from .circuit import VerifierCircuit, embedded_witness_matrix, simulate
 from .errors import InvariantViolation, PreconditionError
 
 HERM_TOL = 1e-9
@@ -127,8 +127,8 @@ def trace_normalized(op: AcceptanceOperator) -> float:
     return min(1.0, max(0.0, op.trace / op.dim))
 
 
-def accept_probability(circuit: VerifierCircuit, x: str, y: str) -> float:
-    """Probability the output qubit reads 1 on witness y (a diagonal entry).
+def accept_probability(circuit: VerifierCircuit, basis: int) -> float:
+    """Probability the output qubit reads 1 on a basis state; on |0^a x y>, y's diagonal entry.
 
     Simulates the circuit's output cone, the gates in qubit 0's backward
     light cone, once on the basis state; the gates outside it cancel in
@@ -136,7 +136,7 @@ def accept_probability(circuit: VerifierCircuit, x: str, y: str) -> float:
     operator build, and it costs a statevector over the qubits the cone
     puts into superposition, not over all of them.
     """
-    state = simulate(circuit.output_cone(), basis_string(circuit, x, y))
+    state = simulate(circuit.output_cone(), basis)
     half = state.shape[0] // 2
     p = float(np.real(np.vdot(state[half:], state[half:])))
     return min(1.0, max(0.0, p))

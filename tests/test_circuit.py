@@ -13,7 +13,7 @@ from qcount.circuit import (
     Gate,
     VerifierCircuit,
     _run_gates,
-    basis_string,
+    basis_index,
     circuit_hash,
     embedded_witness_matrix,
     load_circuit,
@@ -33,7 +33,7 @@ def dense_run(circuit, basis):
     """The gate kernel on the full 2**Q basis vector, every gate on every amplitude."""
     q = circuit.num_qubits
     state = np.zeros(1 << q, dtype=np.complex128)
-    state[int(basis, 2)] = 1.0
+    state[basis] = 1.0
     _run_gates(state.reshape((2,) * q + (1,)), circuit.gates)
     return state
 
@@ -57,7 +57,7 @@ def test_sugar_matrices(mnemonic, target):
     circ = parse_circuit(f"registers: ancilla=1 input=0 witness=0\n{mnemonic} 0\n")
     assert np.allclose(kron_unitary(circ), target, atol=1e-12)
     for col in range(2):
-        assert np.allclose(simulate(circ, str(col)), target[:, col], atol=1e-12)
+        assert np.allclose(simulate(circ, col), target[:, col], atol=1e-12)
 
 
 def test_unitary_matches_kron_oracle():
@@ -80,8 +80,8 @@ def test_simulate_is_unitary_column():
         circ = random_circuit(rng, num_ancilla=1, num_witness=2, gate_count=15)
         u = kron_unitary(circ)
         q = circ.num_qubits
-        basis = format(int(rng.integers(0, 1 << q)), f"0{q}b")
-        assert np.allclose(simulate(circ, basis), u[:, int(basis, 2)], atol=1e-12)
+        basis = int(rng.integers(0, 1 << q))
+        assert np.allclose(simulate(circ, basis), u[:, basis], atol=1e-12)
 
 
 @settings(max_examples=80, deadline=None)
@@ -103,13 +103,12 @@ def test_simulate_matches_kron_and_dense_kernel(seed, ancilla, inputs, witness, 
     )
     q = circ.num_qubits
     b = data.draw(st.integers(0, (1 << q) - 1))
-    basis = format(b, f"0{q}b")
-    state = simulate(circ, basis)
+    state = simulate(circ, b)
     assert np.allclose(state, kron_unitary(circ)[:, b], rtol=0.0, atol=1e-12)
-    assert np.array_equal(state, dense_run(circ, basis))
+    assert np.array_equal(state, dense_run(circ, b))
 
 
-# (gates on 3 qubits, basis, expected amplitudes by basis label)
+# (gates on 3 qubits, basis label, expected amplitudes by basis label)
 _CLASSICAL_RULES = {
     "H on a classical 1": ([Gate("H", (1,))], "010", {"000": R2, "010": -R2}),
     "S on a classical 1 is a phase i": (
@@ -145,14 +144,15 @@ _CLASSICAL_RULES = {
 
 @pytest.mark.parametrize("rule", list(_CLASSICAL_RULES))
 def test_simulate_classical_rules(rule):
-    gates, basis, amplitudes = _CLASSICAL_RULES[rule]
+    gates, label, amplitudes = _CLASSICAL_RULES[rule]
     circ = VerifierCircuit(1, 0, 2, tuple(gates))
+    basis = int(label, 2)
     expected = np.zeros(8, dtype=np.complex128)
-    for label, amp in amplitudes.items():
-        expected[int(label, 2)] = amp
+    for out, amp in amplitudes.items():
+        expected[int(out, 2)] = amp
     state = simulate(circ, basis)
     assert np.allclose(state, expected, rtol=0.0, atol=1e-15)
-    assert np.allclose(state, kron_unitary(circ)[:, int(basis, 2)], rtol=0.0, atol=1e-15)
+    assert np.allclose(state, kron_unitary(circ)[:, basis], rtol=0.0, atol=1e-15)
     assert np.array_equal(state, dense_run(circ, basis))
 
 
@@ -175,25 +175,23 @@ def test_output_cone_keeps_linking_toffoli():
     circ = VerifierCircuit(1, 0, 3, gates)
     assert circ.output_cone().gates == gates[:-1]
     for y in range(8):
-        basis = basis_string(circ, "", format(y, "03b"))
+        basis = basis_index(circ, 0, y)
         full = simulate(circ, basis)
         p_full = float(np.vdot(full[8:], full[8:]).real)
-        assert accept_probability(circ, "", format(y, "03b")) == pytest.approx(
-            p_full, abs=1e-15
-        )
+        assert accept_probability(circ, basis) == pytest.approx(p_full, abs=1e-15)
 
 
 def test_output_cone_empty_without_a_gate_on_the_output():
     circ = VerifierCircuit(1, 0, 3, (Gate("H", (1,)), Gate("TOF", (1, 2, 3)), Gate("S", (3,))))
     assert circ.output_cone().gates == ()
     for y in range(8):
-        assert accept_probability(circ, "", format(y, "03b")) == 0.0
+        assert accept_probability(circ, basis_index(circ, 0, y)) == 0.0
 
 
 def test_simulate_norm_is_one():
     rng = np.random.default_rng(104)
     circ = random_circuit(rng, num_ancilla=2, num_witness=3, gate_count=40)
-    state = simulate(circ, "0" * circ.num_qubits)
+    state = simulate(circ, 0)
     assert abs(np.linalg.norm(state) - 1.0) < 1e-12
 
 
@@ -203,8 +201,7 @@ def test_embedded_witness_matrix_columns():
     mat = embedded_witness_matrix(circ, "1")
     assert mat.shape == (1 << circ.num_qubits, 4)
     for y in range(4):
-        basis = basis_string(circ, "1", format(y, "02b"))
-        assert np.allclose(mat[:, y], simulate(circ, basis), atol=1e-12)
+        assert np.allclose(mat[:, y], simulate(circ, basis_index(circ, 1, y)), atol=1e-12)
 
 
 def test_embedded_witness_matrix_gates_in_place():
@@ -268,7 +265,7 @@ def test_unnormalized_h_rescales_exactly(h):
     assert circ.h_count == h
     u = kron_unitary(circ)
     for col in range(8):
-        state = simulate(circ, format(col, "03b"))
+        state = simulate(circ, col)
         assert np.allclose(state, u[:, col], atol=1e-12)
         assert np.linalg.norm(state) == pytest.approx(1.0, abs=1e-12)
 
@@ -351,6 +348,20 @@ def test_load_circuit_missing_file():
         load_circuit("/nonexistent/file.qcv")
 
 
+def test_load_circuit_rejects_non_utf8(tmp_path):
+    path = tmp_path / "utf16.qcv"
+    path.write_bytes("registers: ancilla=1 input=0 witness=1\n".encode("utf-16"))  # \xff\xfe...
+    with pytest.raises(CircuitFormatError, match="not UTF-8"):
+        load_circuit(str(path))
+
+
+def test_simulate_rejects_an_index_outside_the_register():
+    circ = VerifierCircuit(1, 0, 2, (Gate("H", (0,)),))
+    for basis in (-1, 8):
+        with pytest.raises(PreconditionError, match="outside the 3-qubit range"):
+            simulate(circ, basis)
+
+
 def test_gate_validation():
     with pytest.raises(PreconditionError):
         Gate("CNOT", (0, 1))
@@ -370,7 +381,7 @@ def test_circuit_validation():
 def test_simulation_cap():
     big = VerifierCircuit(1, 0, 20, ())
     with pytest.raises(CapExceeded):
-        simulate(big, "0" * 21)
+        simulate(big, 0)
     dense = VerifierCircuit(1, 0, 14, ())
     with pytest.raises(CapExceeded):
         embedded_witness_matrix(dense, "")

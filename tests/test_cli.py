@@ -62,6 +62,8 @@ def circuits(tmp_path):
         p = tmp_path / f"{name}.qcv"
         p.write_text(text)
         paths[name] = str(p)
+    (tmp_path / "utf16.qcv").write_bytes(X_QCV.encode("utf-16"))  # starts \xff\xfe
+    paths["utf16"] = str(tmp_path / "utf16.qcv")
     return paths
 
 
@@ -308,6 +310,14 @@ def test_bad_flag_exits_2(circuits):
         (("decide-avg-accept", "{x}", "--seed", "1", "--eps", "1e-7"), None),
         (("svt-amplify", "{x}", "--c", "0.6", "--s", "1e-9", "--eps", "0.1"), None),
         (("rect-poly", "--t", "0.5", "--width", "5e-324", "--eps", "0.1"), None),
+        (("decide-avg-accept", "{x}", "--seed", "1", "--eps", "1e-160"), None),
+        (("decide-avg-accept", "{x}", "--seed", "1", "--eps", "1e-200"), None),
+        (("exact-count", "{utf16}", "--c", "0.6", "--s", "0.3"), None),
+        (
+            ("reduce-interval", "{h}", "--M", "4", "--mode", "estimator", "--seed", "1",
+             "--delta-strategy", "max"),
+            None,
+        ),
     ],
     ids=[
         "c-below-s",
@@ -330,6 +340,10 @@ def test_bad_flag_exits_2(circuits):
         "decide-eps-over-sample-cap",
         "svt-amplify-s-below-floor",
         "rect-poly-width-without-finite-budget",
+        "decide-eps-square-overflows",
+        "decide-eps-square-underflows",
+        "circuit-not-utf8",
+        "reduce-interval-estimator-with-strategy",
     ],
 )
 def test_precondition_violation_exits_2(circuits, args, env):
@@ -524,7 +538,7 @@ def test_config_echo_round_trips(circuits):
 _FUZZ_FLAGS = ("--c", "--s", "--eps", "--M", "--seed", "--mode", "--x", "--help")
 _FUZZ_NUMBERS = (
     "-1", "0", "1", "2", "3", "7", "0.1", "0.25", "0.5", "0.9", "1e-3", "1e9",
-    "nan", "inf", "-inf", "", "01", "abc",
+    "nan", "inf", "-inf", "", "01", "abc", "1e-160", "1e-300",
 )
 _FUZZ_CAPS = (None, "0", "1", "2", "3", "14", "-1", "abc")
 
@@ -537,7 +551,8 @@ def fuzz_circuits(tmp_path_factory):
         p = root / f"{name}.qcv"
         p.write_text(text)
         paths.append(str(p))
-    return paths + [str(root / "missing.qcv")]
+    (root / "utf16.qcv").write_bytes(X_QCV.encode("utf-16"))  # not UTF-8
+    return paths + [str(root / "utf16.qcv"), str(root / "missing.qcv")]
 
 
 @settings(max_examples=300, deadline=None)

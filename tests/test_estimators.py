@@ -18,7 +18,7 @@ from qcount import (
     quantum_trace_estimator,
     trace_normalized,
 )
-from qcount.circuit import parse_circuit
+from qcount.circuit import basis_index, parse_circuit
 from qcount.errors import CapExceeded
 from qcount.estimators import make_trace_estimator
 from qcount.limits import SAMPLE_CAP
@@ -189,7 +189,7 @@ def test_route_past_the_dense_cap_agrees_with_the_dense_route(monkeypatch):
         dense = [quantum_trace_estimator(circ, x, 64, seed).value for seed in range(4)]
         decided = avg_accept_decider(circ, x, seed=5)
         monkeypatch.setenv("QCOUNT_DENSE_CAP", str(circ.num_qubits - 1))
-        past = [accept_probability(circ, x, format(y, "03b")) for y in range(8)]
+        past = [accept_probability(circ, basis_index(circ, int(x, 2), y)) for y in range(8)]
         assert np.allclose(past, probs, rtol=0.0, atol=1e-12)
         assert [quantum_trace_estimator(circ, x, 64, seed).value for seed in range(4)] == dense
         past_decided = avg_accept_decider(circ, x, seed=5)

@@ -32,13 +32,12 @@ ID_CIRC = parse_circuit("registers: ancilla=1 input=0 witness=1\n")
 
 @pytest.mark.parametrize("M", [2, 8, 64, 256])
 def test_partition_formulas(M):
-    part = IntervalPartition(M)
-    for i in range(1, M + 1):
-        assert part.c(i) == (M - i) / M
-        assert part.weight(i) == part.c(i) + 1.0 / (2.0 * M)
-        if i < M:
-            assert part.s(i) == part.c(i) - 1.0 / (4.0 * M)
-    assert part.c(M) == 0.0
+    # bit for bit: c_i = (M-i)/M and s_i = c_i - 1/(4M), i = 1 .. M-1
+    pairs = IntervalPartition(M).intervals()
+    expected = [((M - i) / M - 1.0 / (4.0 * M), (M - i) / M) for i in range(1, M)]
+    assert np.array_equal(np.array(pairs).view(np.uint64), np.array(expected).view(np.uint64))
+    assert pairs[0] == (1.0 - 1.25 / M, 1.0 - 1.0 / M)
+    assert pairs[-1] == (0.75 / M, 1.0 / M)
 
 
 @pytest.mark.parametrize("M", [2, 8, 64, 256])
@@ -55,11 +54,6 @@ def test_partition_validation():
     IntervalPartition(PARTITION_CAP)
     with pytest.raises(CapExceeded, match=f"M={PARTITION_CAP + 1} exceeds"):
         IntervalPartition(PARTITION_CAP + 1)
-    part = IntervalPartition(4)
-    with pytest.raises(PreconditionError):
-        part.c(0)
-    with pytest.raises(PreconditionError):
-        part.s(4)
 
 
 def test_worked_recovery_half_identity():
@@ -120,6 +114,14 @@ def test_oracle_validation():
         MiscountingOracle(H_CIRC, eps_bound=0.1, backing="quantum")
     with pytest.raises(PreconditionError):
         MiscountingOracle(H_CIRC, eps_bound=0.1, backing="estimator", pad_qubits=1)
+    # the estimator backing's error is sampled: it has no strategy to apply
+    for strategies in ({"delta_strategy": "max"}, {"eps_strategy": "adversarial"}):
+        with pytest.raises(PreconditionError, match="no padding or strategies"):
+            MiscountingOracle(H_CIRC, eps_bound=0.1, backing="estimator", **strategies)
+    # (eps/2)**2 is subnormal at 1e-160 (4 / it overflows) and 0 at 1e-200
+    for eps in (1e-160, 1e-200):
+        with pytest.raises(CapExceeded, match=f"eps_bound={eps} needs inf draws"):
+            MiscountingOracle(H_CIRC, eps_bound=eps, backing="estimator")
     oracle = MiscountingOracle(H_CIRC, eps_bound=0.1)
     with pytest.raises(PreconditionError):
         oracle.query(0.4, 0.6)
@@ -153,6 +155,8 @@ def test_decide_names_the_gap_over_the_partition_cap():
     oracle = MiscountingOracle(H_CIRC, eps_bound=1e-6)
     with pytest.raises(CapExceeded, match=r"gap c - s = 1\.0000\d*e-05 needs M=500001 bands"):
         decide_by_interval_recovery(oracle, 0.5, 0.49999)
+    with pytest.raises(CapExceeded, match="gap c - s = 5e-324 needs M=inf bands"):
+        decide_by_interval_recovery(oracle, 5e-324, 0.0)  # 5 / 5e-324 overflows
 
 
 def test_padding_worked_example():

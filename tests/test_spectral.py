@@ -21,7 +21,13 @@ from qcount import (
     trace_normalized,
     validate_dqc1,
 )
-from qcount.circuit import _BLOCK_BYTES, VerifierCircuit, embedded_witness_matrix, parse_circuit
+from qcount.circuit import (
+    _BLOCK_BYTES,
+    VerifierCircuit,
+    basis_index,
+    embedded_witness_matrix,
+    parse_circuit,
+)
 from qcount.spectral import TIE_TOL
 
 X_CIRC = parse_circuit("registers: ancilla=1 input=0 witness=1\nX 0\n")
@@ -56,8 +62,10 @@ def test_worked_exact_count_interval():
 
 
 def test_accept_probability_h_any_witness():
-    for y in ("0", "1"):
-        assert accept_probability(H_CIRC, "", y) == pytest.approx(0.5, abs=1e-12)
+    for y in (0, 1):
+        assert accept_probability(H_CIRC, basis_index(H_CIRC, 0, y)) == pytest.approx(
+            0.5, abs=1e-12
+        )
 
 
 def test_spectrum_in_unit_interval():
@@ -72,10 +80,10 @@ def test_trace_equals_acceptance_probability_sum():
     # Tr V_x is the sum over basis witnesses of the acceptance probability
     for circ, x in ensemble(202, 25, max_ancilla=2, max_input=1, max_witness=3):
         op = build_acceptance_operator(circ, x)
-        w = circ.num_witness
+        x_val = int(x or "0", 2)
         by_simulation = sum(
-            accept_probability(circ, x, format(y, f"0{w}b") if w else "")
-            for y in range(1 << w)
+            accept_probability(circ, basis_index(circ, x_val, y))
+            for y in range(1 << circ.num_witness)
         )
         assert float(np.real(np.trace(op.matrix))) == pytest.approx(
             by_simulation, abs=1e-7
