@@ -33,7 +33,7 @@ import hashlib
 import math
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -233,11 +233,13 @@ def _apply_dense(view: np.ndarray, gate: Gate) -> np.ndarray:
     return view
 
 
-def _run_gates(view: np.ndarray, gates: tuple[Gate, ...], apply=_apply_dense) -> np.ndarray:
+def _run_gates(
+    view: np.ndarray, gates: tuple[Gate, ...], apply=_apply_dense, odd_root=_INV_SQRT2
+) -> np.ndarray:
     # `apply(view, gate)` runs one gate and returns the array to go on with.
     # H is [[1, 1], [1, -1]]: every 64 H scale by exactly 2**-32, the r left
-    # by 2**-(r // 2) at the end, times 1/sqrt(2) for odd r, so an even-h
-    # embedding is exactly Gaussian integers over 2**(h/2).
+    # by 2**-(r // 2) at the end, times `odd_root` (1/sqrt(2)) for odd r, so
+    # an even-h embedding is exactly Gaussian integers over 2**(h/2).
     r = 0  # unnormalized H gates since the last rescale
     for gate in gates:
         view = apply(view, gate)
@@ -245,8 +247,9 @@ def _run_gates(view: np.ndarray, gates: tuple[Gate, ...], apply=_apply_dense) ->
         if r == 64:
             view *= 2.0**-32
             r = 0
-    if r:
-        view *= 2.0 ** -(r // 2) * (_INV_SQRT2 if r % 2 else 1.0)
+    scale = 2.0 ** -(r // 2) * (odd_root if r % 2 else 1.0)
+    if scale != 1.0:
+        view *= scale
     return view
 
 
@@ -351,13 +354,19 @@ def _witness_blocks(
     return blocks()
 
 
-def embedded_witness_matrix(circuit: VerifierCircuit, x: str) -> np.ndarray:
+def embedded_witness_matrix(
+    circuit: VerifierCircuit, x: str, *, odd_h_root: bool = True
+) -> np.ndarray:
     """Circuit output on every embedded witness state, as a (2**Q, 2**w) array.
 
     Column y is the statevector the circuit produces from ancillas at
     |0...0>, input register at |x>, witness register at basis state |y>.
+    With odd_h_root=False the 1/sqrt(2) that an odd H count ends on is
+    left out, so every entry is a Gaussian integer over a power of two and
+    the matrix is sqrt(2) times the normalized one.
     """
-    blocks = _witness_blocks(circuit, x)  # checks the cap before the output is allocated
+    run = _run_gates if odd_h_root else partial(_run_gates, odd_root=1.0)
+    blocks = _witness_blocks(circuit, x, run=run)  # checks the cap before the output is allocated
     mat = np.empty((1 << circuit.num_qubits, 1 << circuit.num_witness), np.complex128)
     for start, block in blocks:
         mat[:, start : start + block.shape[1]] = block

@@ -11,8 +11,18 @@ this package tries to approximate.
 
 Everything here is dense and exact (up to machine precision): an
 operator is the Gram product of the output-qubit-1 half of the embedded
-witness matrix, eigendecomposed once and cached.  It is the one spectral
-object per (circuit, x): the SVT block encoding reads its spectrum too.
+witness matrix, eigendecomposed once and cached.  Only the output cone
+is embedded, as the other gates cancel in V' P V.  A witness qubit that
+the cone never targets with an H or a TOF keeps its basis value, so A
+commutes with Z on it and has no entry between witness states that
+differ there: over the k such qubits A is 2**k diagonal blocks of size
+2**(w-k), one per assignment of their bits.  The operator holds that
+stack, formed by one batched Gram product and decomposed by one stacked
+eigvalsh; the entries it leaves out are exactly zero.  An odd H count's
+final 1/sqrt(2) stays out of the embed and the Gram is halved instead,
+so an embed of exact Gaussian integers over a power of two gives an
+exact Gram.  It is the one spectral object per (circuit, x): the SVT
+block encoding reads its spectrum too.
 The rules of the whole package live here: every threshold comparison goes
 through at_least and at_most (within TIE_TOL of a threshold counts as on
 it), every threshold pair passes check_promise, every count of a spectrum
@@ -23,12 +33,13 @@ its allowed range, holds within AUDIT_SLACK.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .circuit import VerifierCircuit, embedded_witness_matrix, simulate
+from .circuit import Gate, VerifierCircuit, embedded_witness_matrix, simulate
 from .errors import InvariantViolation, PreconditionError
+from .limits import check_dense
 
 HERM_TOL = 1e-9
 EIG_CLAMP_TOL = 1e-9
@@ -39,25 +50,41 @@ AUDIT_SLACK = 1e-9
 class AcceptanceOperator:
     """Hermitian PSD matrix on the witness register with spectrum in [0, 1].
 
+    Held as a stack of diagonal blocks: `blocks` is (2**k, m, m) with
+    2**k * m = 2**w, and stacked column j (block j // m, row j % m) is
+    witness basis state `order[j]`.  The build splits A over the k witness
+    qubits that the output cone never flips: such a qubit keeps its basis
+    value, so A commutes with Z on it and has no entry between witness
+    states that differ there.  Every other entry is a block entry, so the
+    stack holds A exactly, and its eigenvalues are those of the blocks.
+    A dense 2**w x 2**w matrix is one block in the identity order.
+
     Eigenvalues are computed lazily, once, clamped by clamp_to_unit and
     stored sorted descending.  Instances are treated as immutable after
     construction.
     """
 
-    def __init__(self, matrix: np.ndarray, num_witness: int):
-        matrix = np.asarray(matrix, dtype=np.complex128)
+    def __init__(self, blocks: np.ndarray, num_witness: int, order: np.ndarray | None = None):
+        blocks = np.asarray(blocks, dtype=np.complex128)
+        if blocks.ndim == 2:
+            blocks = blocks[np.newaxis]
         dim = 1 << num_witness
-        if matrix.shape != (dim, dim):
+        shape = blocks.shape
+        if len(shape) != 3 or shape[1] != shape[2] or shape[0] * shape[2] != dim:
             raise PreconditionError(
-                f"operator for {num_witness} witness qubits must be "
-                f"{dim}x{dim}, got {matrix.shape}"
+                f"operator for {num_witness} witness qubits must be {dim}x{dim} "
+                f"or a stack of square blocks of {dim} columns in all, got {shape}"
             )
-        herm_gap = float(np.max(np.abs(matrix - matrix.conj().T))) if dim else 0.0
+        order = np.arange(dim) if order is None else np.asarray(order)
+        if not np.array_equal(np.sort(order), np.arange(dim)):
+            raise PreconditionError(f"order must be a permutation of the {dim} witness states")
+        herm_gap = float(np.max(np.abs(blocks - blocks.conj().transpose(0, 2, 1))))
         if herm_gap > HERM_TOL:
             raise PreconditionError(
                 f"matrix is not Hermitian within {HERM_TOL} (gap {herm_gap:.3e})"
             )
-        self.matrix = matrix
+        self.blocks = blocks
+        self.order = order
         self.num_witness = num_witness
         self._eigenvalues: np.ndarray | None = None
 
@@ -66,22 +93,36 @@ class AcceptanceOperator:
         return 1 << self.num_witness
 
     @property
+    def matrix(self) -> np.ndarray:
+        """The dense matrix in witness order, assembled from the blocks on each access."""
+        count, m, _ = self.blocks.shape
+        cols = self.order.reshape(count, m)
+        mat = np.zeros((self.dim, self.dim), np.complex128)
+        mat[cols[:, :, np.newaxis], cols[:, np.newaxis, :]] = self.blocks
+        return mat
+
+    @property
     def eigenvalues(self) -> np.ndarray:
         """All 2**w eigenvalues, clamped into [0, 1], sorted descending."""
         if self._eigenvalues is None:
-            vals = np.linalg.eigvalsh(self.matrix)  # ascending
-            self._eigenvalues = clamp_to_unit(vals)[::-1].copy()
+            vals = np.linalg.eigvalsh(self.blocks)  # ascending within each block
+            self._eigenvalues = clamp_to_unit(np.sort(vals, axis=None))[::-1].copy()
         return self._eigenvalues
+
+    def _diagonal(self) -> np.ndarray:
+        diagonal = np.empty(self.dim, np.complex128)
+        diagonal[self.order] = np.diagonal(self.blocks, axis1=1, axis2=2).ravel()
+        return diagonal
 
     @property
     def trace(self) -> float:
         """Real part of the trace, unclamped: the total acceptance weight."""
-        return float(np.real(np.trace(self.matrix)))
+        return float(np.real(self._diagonal().sum()))
 
     @property
     def probabilities(self) -> np.ndarray:
-        """Acceptance probability of each witness basis state: the diagonal."""
-        return np.clip(np.real(np.diagonal(self.matrix)), 0.0, 1.0)
+        """Acceptance probability of each witness basis state: the diagonal, in witness order."""
+        return np.clip(np.real(self._diagonal()), 0.0, 1.0)
 
 
 def clamp_to_unit(values: np.ndarray) -> np.ndarray:
@@ -95,15 +136,50 @@ def clamp_to_unit(values: np.ndarray) -> np.ndarray:
     return np.clip(values, 0.0, 1.0)
 
 
+def _classical_first(circuit: VerifierCircuit) -> tuple[VerifierCircuit, int, np.ndarray]:
+    """The circuit with its classical witness qubits relabelled as the leading witness bits.
+
+    A witness qubit is classical when no H or TOF of the circuit targets
+    it; S gates and TOF controls may touch it.  Returns the relabelled
+    circuit, the number k of classical qubits and the original witness
+    index of each relabelled one.  Each group keeps its qubits' order.
+    """
+    w = circuit.num_witness
+    first = circuit.num_qubits - w
+    flipped = {g.qubits[-1] - first for g in circuit.gates if g.kind != "S"}
+    bits = [b for b in range(w) if b not in flipped]  # witness positions, classical first
+    k = len(bits)
+    bits += [b for b in range(w) if b in flipped]
+    label = {first + b: first + pos for pos, b in enumerate(bits)}
+    gates = tuple(Gate(g.kind, tuple(label.get(q, q) for q in g.qubits)) for g in circuit.gates)
+    cols = np.arange(1 << w)
+    order = np.zeros_like(cols)
+    for pos, b in enumerate(bits):
+        order |= ((cols >> (w - 1 - pos)) & 1) << (w - 1 - b)
+    return replace(circuit, gates=gates), k, order
+
+
 def build_acceptance_operator(circuit: VerifierCircuit, x: str = "") -> AcceptanceOperator:
-    """Dense acceptance operator of the circuit on input x."""
-    ve = embedded_witness_matrix(circuit, x)
+    """Dense acceptance operator of the circuit on input x, one block per classical assignment.
+
+    Only the output cone is embedded (the other gates cancel in V' P V),
+    with its k classical witness qubits leading, so that the 2**k column
+    groups of m = 2**(w - k) are the blocks.  The embed leaves out an odd
+    H count's final 1/sqrt(2), and the Gram is halved instead: a power of
+    two, so the Gram of an embed of exact Gaussian integers stays exact.
+    """
+    check_dense(circuit.num_qubits)
+    cone, k, order = _classical_first(circuit.output_cone())
+    ve = embedded_witness_matrix(cone, x, odd_h_root=False)
     half = ve.shape[0] // 2
     top, block = ve[:half], ve[half:]  # U: the rows with the output qubit at |1>
     np.conjugate(block, out=top)  # conj(U) into the unused rows: U is never copied
-    mat = top.T @ block
+    groups = (half, 1 << k, ve.shape[1] >> k)  # column (c, j) is row j of block c
+    stack = top.reshape(groups).transpose(1, 2, 0) @ block.reshape(groups).transpose(1, 0, 2)
     del ve, top, block  # the embed is freed before the Hermitian check allocates
-    return AcceptanceOperator(mat, circuit.num_witness)
+    if cone.h_count % 2:
+        stack *= 0.5  # the 1/sqrt(2) left out of both factors
+    return AcceptanceOperator(stack, circuit.num_witness, order)
 
 
 def at_least(values, a: float):

@@ -76,6 +76,15 @@ def test_exact_count_worked_example(circuits):
     assert rec["config"]["c"] == 0.666
 
 
+def test_exact_count_of_the_readme_example_prints_an_exact_trace(tmp_path):
+    # h = 3 is odd: the Gram is halved rather than the embed scaled by 1/sqrt(2)
+    path = tmp_path / "readme.qcv"
+    path.write_text("registers: ancilla=1 input=0 witness=2\nH 1\nTOF 1 2 0\nX 0\n")
+    proc = run_cli("exact-count", str(path), "--c", "0.666", "--s", "0.333")
+    assert proc.returncode == 0, proc.stderr
+    assert '"trace": 3.0, "trace_normalized": 0.75' in proc.stdout
+
+
 def test_path_sum_worked_example(circuits):
     rec = run_json("path-sum", circuits["h0"], "--mode", "exact")
     assert (rec["g"], rec["f"]) == (1, 0)

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from circgen import ensemble, random_circuit
+from circgen import ensemble, kron_unitary, random_circuit
 from qcount import (
     AcceptanceOperator,
     BlockEncoding,
@@ -23,6 +23,7 @@ from qcount import (
 )
 from qcount.circuit import (
     _BLOCK_BYTES,
+    Gate,
     VerifierCircuit,
     basis_index,
     embedded_witness_matrix,
@@ -120,20 +121,104 @@ def test_interval_counts_are_consistent():
 
 def test_operator_build_copies_no_output_block():
     # conj(U) is written into the embed's unused top half, and the embed is
-    # freed before the Hermitian check: the peak is the embed plus the Gram
-    circ = random_circuit(
-        np.random.default_rng(207), num_ancilla=2, num_witness=10, gate_count=12
-    )
-    embed_bytes = 16 << (circ.num_qubits + circ.num_witness)
-    tracemalloc.start()
-    try:
-        op = build_acceptance_operator(circ)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= embed_bytes + op.matrix.nbytes + 2 * _BLOCK_BYTES
-    block = embedded_witness_matrix(circ, "")[1 << (circ.num_qubits - 1) :]
-    assert np.array_equal(op.matrix, block.conj().T @ block)  # the same bits
+    # freed before the Hermitian check: the peak is the embed plus the Gram.
+    # The Gram is one (m, m) block per assignment of the k witness qubits the
+    # cone never flips: 2**w * m entries, not 2**w * 2**w
+    for gate_count, k in [(12, 10), (40, 2)]:
+        circ = random_circuit(
+            np.random.default_rng(207), num_ancilla=2, num_witness=10, gate_count=gate_count
+        )
+        embed_bytes = 16 << (circ.num_qubits + circ.num_witness)
+        stack_bytes = 16 << (circ.num_witness + circ.num_witness - k)
+        tracemalloc.start()
+        try:
+            op = build_acceptance_operator(circ)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= embed_bytes + op.matrix.nbytes + 2 * _BLOCK_BYTES
+        assert peak <= embed_bytes + stack_bytes + 2 * _BLOCK_BYTES
+        block = embedded_witness_matrix(circ.output_cone(), "")[1 << (circ.num_qubits - 1) :]
+        assert np.array_equal(op.matrix, block.conj().T @ block)  # the same bits
+
+
+def _reference_operator(circ, x):
+    # E' V' P V E from the kron-product unitary, in witness order
+    cols = basis_index(circ, int(x or "0", 2), np.arange(1 << circ.num_witness))
+    u = kron_unitary(circ)[1 << (circ.num_qubits - 1) :, cols]
+    return u.conj().T @ u
+
+
+def _circuit_with_classical(rng, num_ancilla, num_input, num_witness, classical):
+    # random gates, no H or TOF targeting a qubit in `classical`, then an H
+    # on every other witness qubit and a TOF from it onto the output, so the
+    # cone flips every witness qubit but those
+    total = num_ancilla + num_input + num_witness
+    targets = [q for q in range(total) if q not in classical]
+    gates = []
+    for _ in range(int(rng.integers(4, 16))):
+        kind = ("H", "S", "TOF")[int(rng.integers(0, 3))]
+        if kind == "S":
+            gates.append(Gate("S", (int(rng.integers(0, total)),)))
+        elif kind == "H":
+            gates.append(Gate("H", (int(rng.choice(targets)),)))
+        elif total >= 3:
+            t = int(rng.choice(targets))
+            c1, c2 = rng.choice([q for q in range(total) if q != t], size=2, replace=False)
+            gates.append(Gate("TOF", (int(c1), int(c2), t)))
+    for q in range(total - num_witness, total):
+        if q not in classical:
+            other = int(rng.choice([p for p in range(1, total) if p != q]))
+            gates += [Gate("H", (q,)), Gate("TOF", (q, other, 0))]
+    return VerifierCircuit(num_ancilla, num_input, num_witness, tuple(gates))
+
+
+# the cone never targets the output, so A = 0; it flips witness qubits 3 and 4
+NEVER_FLIPS_OUTPUT = parse_circuit("registers: ancilla=1 input=1 witness=3\nH 3\nS 0\nTOF 0 3 4\n")
+
+
+def _split_cases():
+    rng = np.random.default_rng(208)
+    cases = []
+    for num_witness in range(1, 5):
+        for k in range(num_witness + 1):
+            for _ in range(2):
+                a, n = int(rng.integers(1, 3)), int(rng.integers(0, 3))
+                witness = range(a + n, a + n + num_witness)
+                classical = {int(q) for q in rng.choice(witness, size=k, replace=False)}
+                circ = _circuit_with_classical(rng, a, n, num_witness, classical)
+                x = "".join(str(int(b)) for b in rng.integers(0, 2, size=n))
+                cases.append((circ, x, k))
+    # witness qubit 2 is touched only by S, 3 only as a TOF control, 4 never
+    touched = "H 5\nS 2\nH 1\nTOF 3 5 0\nS 2\nTOF 1 6 0\nH 0\nS 0\nTOF 0 5 6\n"
+    cases.append((parse_circuit(f"registers: ancilla=2 input=0 witness=5\n{touched}"), "", 3))
+    cases.append((NEVER_FLIPS_OUTPUT, "1", 1))
+    return cases
+
+
+def test_block_split_matches_the_kron_reference():
+    for circ, x, k in _split_cases():
+        ref = _reference_operator(circ, x)
+        op = build_acceptance_operator(circ, x)
+        assert op.blocks.shape[0] == 1 << k
+        assert np.max(np.abs(op.matrix - ref)) <= 1e-12
+        ref_eigs = np.sort(np.linalg.eigvalsh(ref))[::-1]
+        assert np.max(np.abs(op.eigenvalues - ref_eigs)) <= 1e-12
+        assert abs(op.trace - float(np.real(np.trace(ref)))) <= 1e-12
+        assert np.max(np.abs(op.probabilities - np.real(np.diagonal(ref)))) <= 1e-12
+    assert not np.any(build_acceptance_operator(NEVER_FLIPS_OUTPUT, "1").matrix)
+
+
+def test_odd_h_gram_is_exact():
+    # the embed leaves out an odd h's final 1/sqrt(2) and the Gram is halved,
+    # so 2**h A is exactly Gaussian integers; the README example's trace is
+    # 3, not 2.999999999999999
+    readme = parse_circuit("registers: ancilla=1 input=0 witness=2\nH 1\nTOF 1 2 0\nX 0\n")
+    op = build_acceptance_operator(readme)
+    assert (op.trace, trace_normalized(op)) == (3.0, 0.75)
+    for circ, x in ensemble(209, 40, max_witness=4):
+        scaled = build_acceptance_operator(circ, x).matrix * 2.0**circ.h_count
+        assert np.array_equal(scaled, np.round(scaled))
 
 
 @pytest.mark.parametrize(
