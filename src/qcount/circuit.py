@@ -21,9 +21,15 @@ Gate lines are `H q`, `S q`, `SDG q`, `Z q`, `X q`, `TOF c1 c2 t`;
 parse time into the core set (S**3, S**2, and H S S H respectively),
 so derived gate counts always refer to the expanded circuit.
 
-`_apply_gate` is the one gate kernel.  `simulate` runs it on one basis
-state; `_witness_blocks` runs it on every |0^a x y>, a column block at a
-time, for both the complex embed and the path sum's walk counts.
+`_apply_gate` is the one gate kernel, and `_track` the one bookkeeping
+of which qubits it runs on.  A qubit is a constant bit until an H, or a
+TOF with a superposed control, puts it into superposition; only then
+does it become a tensor axis.  `simulate` runs this on one basis state.
+`_witness_blocks` runs it on every |0^a x y> at once, a column block at
+a time, for both the compact embed (`embedded_witness_matrix`) and the
+path sum's walk counts: there a witness qubit starts as a diagonal
+column axis, whose bit is each column's own, so a column stores only the
+rows its superposed qubits span.
 """
 
 from __future__ import annotations
@@ -32,8 +38,8 @@ import bisect
 import hashlib
 import math
 import re
-from dataclasses import dataclass
-from functools import cached_property, partial
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -228,29 +234,121 @@ def _apply_gate(view: np.ndarray, kind: str, axes, sub=np.subtract, times_i=_tim
         one[...] = swap
 
 
-def _apply_dense(view: np.ndarray, gate: Gate) -> np.ndarray:
-    _apply_gate(view, gate.kind, gate.qubits)
-    return view
+_COLUMN = "column"  # a grow whose bit is each column's own: a diagonal witness qubit
 
 
-def _run_gates(
-    view: np.ndarray, gates: tuple[Gate, ...], apply=_apply_dense, odd_root=_INV_SQRT2
-) -> np.ndarray:
-    # `apply(view, gate)` runs one gate and returns the array to go on with.
-    # H is [[1, 1], [1, -1]]: every 64 H scale by exactly 2**-32, the r left
-    # by 2**-(r // 2) at the end, times `odd_root` (1/sqrt(2)) for odd r, so
-    # an even-h embedding is exactly Gaussian integers over 2**(h/2).
-    r = 0  # unnormalized H gates since the last rescale
+def _track(gates, bits: dict[int, int], columns=()) -> tuple[list, list[int], list]:
+    """The compact layout: each gate as a step on the qubits that are not constant bits.
+
+    `bits` maps each constant qubit to its bit and is updated in place;
+    `columns` are the diagonal qubits, witness qubits whose bit is their
+    column's own.  An H puts its target into superposition, and so does a
+    TOF with a superposed control; a TOF with a diagonal control puts a
+    constant target there too.  A constant control at 0 skips the gate, one
+    at 1 drops out, and S on a constant 1 is a phase i on everything.  A
+    TOF whose live operands are all diagonal permutes the columns; so does
+    one with no live control, on a diagonal target.  Returns the steps
+    (kind, live qubits (controls, then target), grow), where grow is None
+    or the bit (or _COLUMN) of a target entering superposition; the
+    superposed qubits at the end, ascending; and the qubits of each
+    column permutation.
+    """
+    rows: list[int] = []
+    diagonal = set(columns)
+    steps, permutations = [], []
     for gate in gates:
-        view = apply(view, gate)
-        r += gate.kind == "H"
-        if r == 64:
-            view *= 2.0**-32
-            r = 0
-    scale = 2.0 ** -(r // 2) * (odd_root if r % 2 else 1.0)
-    if scale != 1.0:
-        view *= scale
-    return view
+        *controls, target = gate.qubits
+        if any(bits.get(c) == 0 for c in controls):
+            continue
+        live = tuple(c for c in controls if c not in bits)
+        grow = None
+        if target in bits:
+            if gate.kind == "S":
+                if bits[target]:
+                    steps.append(("S", (), None))
+                continue
+            if gate.kind == "TOF" and not live:
+                bits[target] ^= 1
+                continue
+            grow = bits.pop(target)
+        elif target in diagonal and gate.kind != "S":
+            if gate.kind == "TOF" and diagonal.issuperset(live):
+                permutations.append((*live, target))
+            else:
+                diagonal.remove(target)
+                grow = _COLUMN
+        if grow is not None:
+            bisect.insort(rows, target)
+        steps.append((gate.kind, (*live, target), grow))
+    return steps, rows, permutations
+
+
+def _grow(tensor: np.ndarray, pos: int, bit, column: int) -> np.ndarray:
+    # `tensor` with a new axis at `pos` holding zeros opposite the bit; for
+    # _COLUMN the bit is the one of the column axis `column`, a diagonal init
+    grown = np.zeros(tensor.shape[:pos] + (2,) + tensor.shape[pos:], tensor.dtype)
+    if bit != _COLUMN:
+        grown[(slice(None),) * pos + (bit,)] = tensor
+        return grown
+    for b in (0, 1):
+        grown[(slice(None),) * pos + (b,) + (slice(None),) * (column - pos) + (b,)] = tensor[
+            (slice(None),) * column + (b,)
+        ]
+    return grown
+
+
+def _run_steps(
+    tensor: np.ndarray,
+    steps,
+    columns=None,
+    fixed=None,
+    sub=np.subtract,
+    times_i=_times_i,
+    odd_root=_INV_SQRT2,
+) -> np.ndarray:
+    """Run `_track`'s steps on the tensor of the superposed qubits; return it.
+
+    Its leading axes are the superposed qubits, ascending, and its next
+    ones the column axes of the diagonal qubits in `columns` (qubit to
+    index); `fixed` maps the other diagonal qubits to this block's bit,
+    which acts as a constant.  A target enters as a new axis holding zeros
+    opposite its bit, and the gate that put it there then runs on the
+    kernel, so every amplitude meets the same float operations as in a
+    run over all 2**Q rows.  H is [[1, 1], [1, -1]]: every 64 H scale by
+    exactly 2**-32, the r left by 2**-(r // 2) at the end, times `odd_root`
+    (1/sqrt(2)) for odd r, so an even-h run is exactly Gaussian integers
+    over 2**(h/2).  `odd_root=None` runs exact counts, never rescaled.
+    """
+    columns, fixed = columns or {}, dict(fixed or {})
+    rows: list[int] = []
+    r = 0  # unnormalized H gates since the last rescale
+    for kind, qubits, grow in steps:
+        if not qubits:
+            times_i(tensor)
+            continue
+        *controls, target = qubits
+        if grow is not None:
+            pos = bisect.bisect(rows, target)
+            column = len(rows) + columns.get(target, 0)
+            tensor = _grow(tensor, pos, fixed.pop(target, grow), column)
+            rows.insert(pos, target)
+        if target in fixed:  # an S on a diagonal qubit this block holds constant
+            if fixed[target]:
+                times_i(tensor)
+        elif all(fixed.get(c, 1) for c in controls):  # else a control is 0 in this block
+            live = [c for c in qubits if c not in fixed]
+            axes = [rows.index(c) if c in rows else len(rows) + columns[c] for c in live]
+            _apply_gate(tensor, kind, axes, sub, times_i)
+        if kind == "H" and odd_root is not None:
+            r += 1
+            if r == 64:
+                tensor *= 2.0**-32
+                r = 0
+    if odd_root is not None:
+        scale = 2.0 ** -(r // 2) * (odd_root if r % 2 else 1.0)
+        if scale != 1.0:
+            tensor *= scale
+    return tensor
 
 
 def _parse_bits(bits: str, length: int, what: str) -> int:
@@ -268,106 +366,140 @@ def basis_index(circuit: VerifierCircuit, x_val: int, y: int | np.ndarray) -> in
     return (x_val << circuit.num_witness) | y
 
 
+def _bits_of(index: int, qubits, num_qubits: int) -> dict[int, int]:
+    return {k: (index >> (num_qubits - 1 - k)) & 1 for k in qubits}
+
+
 def simulate(circuit: VerifierCircuit, basis: int) -> np.ndarray:
     """Run the circuit on a computational basis state, returning the state.
 
     `basis` is the state's index, with qubit 0 its most significant bit.
-    Only the qubits in superposition are tensor axes; every other qubit
-    is a classical bit.  An H puts its qubit into superposition, and so
-    does a TOF with a control in superposition for its target.  S on a
-    classical 1 multiplies the tensor by i, a TOF with a classical
-    control at 0 does nothing, and one whose classical controls are all
-    at 1 flips a classical target.  A qubit enters the tensor as a new
-    axis holding zeros opposite its bit, and the gate that put it there
-    then runs on the shared kernel, as do the gates on superposed
-    qubits.  So every amplitude meets the same float operations as in a
-    full statevector run, and the tensor scattered into the 2**Q state
-    at the end gives the same bits.
+    Every qubit starts as a constant bit, and only the qubits that `_track`
+    puts into superposition become tensor axes, so the tensor scattered
+    into the 2**Q state at the end gives the same bits as a full
+    statevector run.
     """
     q = circuit.num_qubits
     if q > SIM_QUBIT_CAP:
         raise CapExceeded(f"{q} qubits exceeds the {SIM_QUBIT_CAP}-qubit simulation cap")
     if not 0 <= basis < 1 << q:
         raise PreconditionError(f"basis index {basis} outside the {q}-qubit range")
-    bits = [(basis >> (q - 1 - k)) & 1 for k in range(q)]
-    axes: list[int] = []  # the qubits in superposition, ascending: the leading tensor axes
-
-    def apply(tensor: np.ndarray, gate: Gate) -> np.ndarray:
-        *controls, target = gate.qubits
-        if any(c not in axes and not bits[c] for c in controls):
-            return tensor  # a classical control at 0
-        live = [c for c in controls if c in axes]
-        if target not in axes:
-            if gate.kind == "S":
-                if bits[target]:
-                    _times_i(tensor)
-                return tensor
-            if gate.kind == "TOF" and not live:
-                bits[target] ^= 1
-                return tensor
-            pos = bisect.bisect(axes, target)
-            axes.insert(pos, target)
-            grown = np.zeros(tensor.shape[:pos] + (2,) + tensor.shape[pos:], np.complex128)
-            grown[(slice(None),) * pos + (bits[target],)] = tensor
-            tensor = grown
-        _apply_gate(tensor, gate.kind, [axes.index(c) for c in (*live, target)])
-        return tensor
-
-    tensor = _run_gates(np.ones(1, np.complex128), circuit.gates, apply)
+    bits = _bits_of(basis, range(q), q)
+    steps, rows, _ = _track(circuit.gates, bits)
+    tensor = _run_steps(np.ones(1, np.complex128), steps)
     norm = float(np.linalg.norm(tensor))
     if abs(norm - 1.0) > NORM_TOL:
         raise InvariantViolation(f"statevector norm drifted to {norm}")
     state = np.zeros((2,) * q, dtype=np.complex128)
-    state[tuple(slice(None) if k in axes else bits[k] for k in range(q))] = tensor[..., 0]
+    state[tuple(slice(None) if k in rows else bits[k] for k in range(q))] = tensor[..., 0]
     return state.reshape(-1)
 
 
-def _witness_blocks(
-    circuit: VerifierCircuit, x: str, tail=(), dtype=np.complex128, run=_run_gates
-):
-    """Check the dense cap and x now; return a generator of (start, block).
+@dataclass(frozen=True)
+class WitnessEmbed:
+    """The circuit's output on every |0^a x y>, over only the rows it can reach.
 
-    Column j of the (2**Q, m) + tail block starts as |0^a x y>, y = start
-    + j, with its 1 in the first tail cell; `run(view, gates)` runs the
-    circuit on the (2,)*Q + (m,) + tail view.  Blocks of about _BLOCK_BYTES
-    stay in cache and share one buffer, so each is valid until the next.
-    Columns never interact, so blocking changes no bit.
+    `matrix` is (2**s, 2**w): row r gives the s superposed qubits `rows`
+    (ascending, qubit 0 always first) the bits of r, and column j holds
+    the output from witness y = order[j].  Every other qubit is classical
+    in every column: an ancilla or input qubit has its bit in `constant`
+    (a basis index with the other qubits at 0), and a witness qubit of
+    `diagonal` has the bit j gives it, the k = len(diagonal) leading bits
+    of j in that order.  So every amplitude left out is an exact zero, and
+    columns whose leading k bits differ are orthogonal.
     """
-    q = circuit.num_qubits
+
+    rows: tuple[int, ...]
+    diagonal: tuple[int, ...]
+    constant: int
+    order: np.ndarray
+    matrix: np.ndarray | None = None
+
+
+def _witness_blocks(
+    circuit: VerifierCircuit,
+    x: str,
+    tail=(),
+    dtype=np.complex128,
+    sub=np.subtract,
+    times_i=_times_i,
+    odd_root=_INV_SQRT2,
+) -> tuple[WitnessEmbed, object]:
+    """Check the dense cap and x now; return the layout and a generator of (index, block).
+
+    Each block is (2**s,) + (2,)*b + tail: the circuit run by `_run_steps`
+    on 2**b columns of the compact layout, each starting with its 1 in the
+    first tail cell.  `index` places it in the layout's matrix viewed as
+    (2**s,) + (2,)*w: the block's column axes are b of the w, in layout
+    order, and the other w - b diagonal qubits are bits it shares, never
+    targets of a column permutation, so the permutations stay inside a
+    block.  Blocks are about _BLOCK_BYTES, to stay in cache, and more where
+    permutations need more column axes.  Columns never interact, so
+    blocking changes no bit.
+    """
+    q, w = circuit.num_qubits, circuit.num_witness
     check_dense(q)
     x_val = _parse_bits(x, circuit.num_input, "input bits")
-    rows, dim_w = 1 << q, 1 << circuit.num_witness
-    column_bytes = rows * np.dtype(dtype).itemsize * math.prod(tail)
-    width = min(dim_w, max(1, _BLOCK_BYTES // column_bytes))
+    bits = _bits_of(basis_index(circuit, x_val, 0), range(q - w), q)
+    steps, rows, permutations = _track(circuit.gates, bits, range(q - w, q))
+    grow_output = bits.pop(0, None)  # qubit 0 leads every block: its rows at 1 are the bottom half
+    diagonal = tuple(t for t in range(q - w, q) if t not in rows)
+    stack = diagonal + tuple(t for t in rows if t >= q - w)  # the column axes in layout order
+    moved = {qubits[-1] for qubits in permutations}
+    compute = [t for t in stack if t not in moved] + [t for t in stack if t in moved]
+    s = len(rows) + (grow_output is not None)
+    column_bytes = np.dtype(dtype).itemsize * math.prod(tail) << s
+    b = min(w, max(len(moved), (_BLOCK_BYTES // column_bytes).bit_length() - 1))
+    fixed, inner = compute[: w - b], compute[w - b :]
+
+    labels = np.arange(1 << w).reshape((2,) * w).transpose([t - (q - w) for t in stack])
+    labels = labels.reshape((2,) * w + (1,))  # its own array; the 1 keeps every index a view
+    for qubits in permutations:
+        _apply_gate(labels, "TOF", [stack.index(t) for t in qubits])
+    layout = WitnessEmbed(
+        rows=(0,) * (grow_output is not None) + tuple(rows),
+        diagonal=diagonal,
+        constant=sum(bit << (q - 1 - k) for k, bit in bits.items()),
+        order=labels.reshape(-1),
+    )
+    columns = {t: i for i, t in enumerate(inner)}
+    in_layout = [0] + [1 + columns[t] for t in stack if t in columns]  # block axes, layout order
+    in_layout += range(1 + b, 1 + b + len(tail))
 
     def blocks():
-        buf = np.empty((rows * width,) + tail, dtype)
-        for start in range(0, dim_w, width):
-            m = min(width, dim_w - start)
-            block = buf[: rows * m].reshape((rows, m) + tail)
-            block.fill(0)
-            cols = np.arange(m)
-            block.reshape(rows, m, -1)[basis_index(circuit, x_val, start + cols), cols, 0] = 1
-            run(block.reshape((2,) * q + block.shape[1:]), circuit.gates)
-            yield start, block
+        for v in range(1 << (w - b)):
+            shared = {t: (v >> (w - b - 1 - i)) & 1 for i, t in enumerate(fixed)}
+            tensor = np.zeros((1 << b, 1) + tail, dtype)  # the 1 keeps every index a view
+            tensor.reshape(1 << b, -1)[:, 0] = 1
+            tensor = _run_steps(
+                tensor.reshape((2,) * b + (1,) + tail),
+                steps,
+                columns,
+                shared,
+                sub,
+                times_i,
+                odd_root,
+            )
+            if grow_output is not None:
+                tensor = _grow(tensor, 0, grow_output, 0)
+            index = (slice(None),) + tuple(shared.get(t, slice(None)) for t in stack)
+            yield index, tensor.reshape((1 << s,) + (2,) * b + tail).transpose(in_layout)
 
-    return blocks()
+    return layout, blocks()
 
 
 def embedded_witness_matrix(
     circuit: VerifierCircuit, x: str, *, odd_h_root: bool = True
-) -> np.ndarray:
-    """Circuit output on every embedded witness state, as a (2**Q, 2**w) array.
+) -> WitnessEmbed:
+    """The compact embed: the circuit's output on every |0^a x y>, as a WitnessEmbed.
 
-    Column y is the statevector the circuit produces from ancillas at
-    |0...0>, input register at |x>, witness register at basis state |y>.
     With odd_h_root=False the 1/sqrt(2) that an odd H count ends on is
     left out, so every entry is a Gaussian integer over a power of two and
     the matrix is sqrt(2) times the normalized one.
     """
-    run = _run_gates if odd_h_root else partial(_run_gates, odd_root=1.0)
-    blocks = _witness_blocks(circuit, x, run=run)  # checks the cap before the output is allocated
-    mat = np.empty((1 << circuit.num_qubits, 1 << circuit.num_witness), np.complex128)
-    for start, block in blocks:
-        mat[:, start : start + block.shape[1]] = block
-    return mat
+    layout, blocks = _witness_blocks(circuit, x, odd_root=_INV_SQRT2 if odd_h_root else 1.0)
+    mat = np.empty((1 << len(layout.rows),) + (2,) * circuit.num_witness, np.complex128)
+    for index, block in blocks:
+        mat[index] = block
+        del block  # freed before the next block grows
+    return replace(layout, matrix=mat.reshape(mat.shape[0], -1))

@@ -13,6 +13,7 @@ frame, _run_subcommand, does everything else.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import sys
 
@@ -288,6 +289,24 @@ def _validate_dqc1(p, args, circ) -> dict:
     }
 
 
+def _pin_blas_threads() -> bool:
+    """Run numpy's bundled OpenBLAS on one thread; False where it has no such call.
+
+    A threaded BLAS sums in an order that follows the thread count, so the
+    last bits of a record would too.  numpy's wheels bundle OpenBLAS with
+    the setter below; the handle of numpy's linalg extension finds it
+    among that extension's libraries.
+    """
+    try:
+        library = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+        set_threads = library.scipy_openblas_set_num_threads64_
+    except (AttributeError, OSError):
+        return False
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    set_threads(1)
+    return True
+
+
 def run(argv: list[str]) -> int:
     """Dispatch one subcommand; returns the process exit code."""
     if not argv or argv[0] in ("-h", "--help"):
@@ -300,6 +319,7 @@ def run(argv: list[str]) -> int:
     if name not in _COMMANDS:
         sys.stderr.write(f"qcount: unknown subcommand {name!r}\n")
         return 1
+    _pin_blas_threads()
     try:
         return _run_subcommand(name, rest)
     except SystemExit as exc:  # argparse --help or usage error

@@ -30,8 +30,10 @@ Exact mode counts walks, not paths.  C[v, y, a], the number of walks from
 |0^a x y> to v that end with phase i**a, is the gate kernel run over the
 group ring Z[Z_4]: int64 tallies with a trailing phase axis, where
 negation shifts that axis cyclically by 2 and multiplication by i by 1.
-circuit's witness-block run, which also builds the dense embed, yields C
-one column block at a time, and each block is contracted as it comes:
+circuit's witness-block run, which also builds the compact embed, yields
+C one column block at a time, over only the rows its superposed qubits
+span (no walk reaches the others), and each block is contracted as it
+comes:
 N_k = sum over b - a = k (mod 4) of <C_a, C_b> gives g = N_0, i+ = N_1,
 f = N_2 and i- = N_3, exactly.
 
@@ -48,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import VerifierCircuit, _apply_gate, _parse_bits, _witness_blocks, basis_index
+from .circuit import VerifierCircuit, _parse_bits, _witness_blocks, basis_index
 from .errors import CapExceeded, InvariantViolation, PreconditionError
 from .limits import check_draws
 from .rngstreams import stream, uniform_indices
@@ -88,19 +90,16 @@ def _z4_times_i(one: np.ndarray) -> None:
     one[...] = one[..., [3, 0, 1, 2]]  # i b is b with its phase shifted by 1
 
 
-def _z4_run(view: np.ndarray, gates) -> None:
-    for gate in gates:
-        _apply_gate(view, gate.kind, gate.qubits, _z4_sub, _z4_times_i)
-
-
 def _phase_products(blocks) -> np.ndarray:
     """<C_a, C_b> over output-1 states and witnesses, as a 4x4 array of ints.
 
     `blocks` are the column blocks of C from circuit's witness-block run.
-    Each is contracted in 16-bit limbs over its accepted rows: 2**14 of
-    them, or 2**(Q-1) once one column outgrows a block, fewer than 2**31
-    for any block that fits in memory, so every int64 partial sum is
-    exact.  The limb products are added up as Python ints.
+    Each is contracted in 16-bit limbs over its accepted rows and columns:
+    2**14 cells in a block of _BLOCK_BYTES, the accepted rows of one
+    column once a column outgrows that, and more where column
+    permutations widen a block, but fewer than 2**31 in any block that
+    fits in memory, so every int64 partial sum is exact.  The limb
+    products are added up as Python ints.
     """
     products = np.zeros((4, 4), dtype=object)
     for _, counts in blocks:
@@ -120,7 +119,7 @@ def path_sum_exact(circuit: VerifierCircuit, x: str = "") -> PathSumResult:
     mismatch is an invariant violation, not a report.
     """
     n_star = free_path_bits(circuit)
-    blocks = _witness_blocks(circuit, x, (4,), np.int64, _z4_run)
+    _, blocks = _witness_blocks(circuit, x, (4,), np.int64, _z4_sub, _z4_times_i, None)
     h = circuit.h_count
     if h > _MAX_H:
         raise CapExceeded(f"{h} H gates exceed the {_MAX_H} at which walk counts fit int64")

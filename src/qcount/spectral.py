@@ -12,13 +12,16 @@ this package tries to approximate.
 Everything here is dense and exact (up to machine precision): an
 operator is the Gram product of the output-qubit-1 half of the embedded
 witness matrix, eigendecomposed once and cached.  Only the output cone
-is embedded, as the other gates cancel in V' P V.  A witness qubit that
-the cone never targets with an H or a TOF keeps its basis value, so A
-commutes with Z on it and has no entry between witness states that
-differ there: over the k such qubits A is 2**k diagonal blocks of size
-2**(w-k), one per assignment of their bits.  The operator holds that
-stack, formed by one batched Gram product and decomposed by one stacked
-eigvalsh; the entries it leaves out are exactly zero.  An odd H count's
+is embedded, as the other gates cancel in V' P V, and only over the rows
+it can reach: the compact embed of `circuit` stores the qubits the cone
+puts into superposition, and holds every other qubit as a bit of its
+column.  A witness qubit that stays diagonal, never put into
+superposition, ends in a basis state that is a function of the column,
+so A has no entry between columns that differ there: over the k such
+qubits A is 2**k diagonal blocks of size 2**(w-k), one per assignment of
+their bits.  The operator holds that stack, formed by one batched Gram
+product over the compact rows and decomposed by one stacked eigvalsh;
+the entries it leaves out are exactly zero.  An odd H count's
 final 1/sqrt(2) stays out of the embed and the Gram is halved instead,
 so an embed of exact Gaussian integers over a power of two gives an
 exact Gram.  It is the one spectral object per (circuit, x): the SVT
@@ -33,11 +36,11 @@ its allowed range, holds within AUDIT_SLACK.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Gate, VerifierCircuit, embedded_witness_matrix, simulate
+from .circuit import VerifierCircuit, embedded_witness_matrix, simulate
 from .errors import InvariantViolation, PreconditionError
 from .limits import check_dense
 
@@ -53,10 +56,10 @@ class AcceptanceOperator:
     Held as a stack of diagonal blocks: `blocks` is (2**k, m, m) with
     2**k * m = 2**w, and stacked column j (block j // m, row j % m) is
     witness basis state `order[j]`.  The build splits A over the k witness
-    qubits that the output cone never flips: such a qubit keeps its basis
-    value, so A commutes with Z on it and has no entry between witness
-    states that differ there.  Every other entry is a block entry, so the
-    stack holds A exactly, and its eigenvalues are those of the blocks.
+    qubits that the output cone leaves diagonal: each ends in a basis
+    state given by the column, so A has no entry between columns that
+    differ there.  Every other entry is a block entry, so the stack holds
+    A exactly, and its eigenvalues are those of the blocks.
     A dense 2**w x 2**w matrix is one block in the identity order.
 
     Eigenvalues are computed lazily, once, clamped by clamp_to_unit and
@@ -136,47 +139,27 @@ def clamp_to_unit(values: np.ndarray) -> np.ndarray:
     return np.clip(values, 0.0, 1.0)
 
 
-def _classical_first(circuit: VerifierCircuit) -> tuple[VerifierCircuit, int, np.ndarray]:
-    """The circuit with its classical witness qubits relabelled as the leading witness bits.
-
-    A witness qubit is classical when no H or TOF of the circuit targets
-    it; S gates and TOF controls may touch it.  Returns the relabelled
-    circuit, the number k of classical qubits and the original witness
-    index of each relabelled one.  Each group keeps its qubits' order.
-    """
-    w = circuit.num_witness
-    first = circuit.num_qubits - w
-    flipped = {g.qubits[-1] - first for g in circuit.gates if g.kind != "S"}
-    bits = [b for b in range(w) if b not in flipped]  # witness positions, classical first
-    k = len(bits)
-    bits += [b for b in range(w) if b in flipped]
-    label = {first + b: first + pos for pos, b in enumerate(bits)}
-    gates = tuple(Gate(g.kind, tuple(label.get(q, q) for q in g.qubits)) for g in circuit.gates)
-    cols = np.arange(1 << w)
-    order = np.zeros_like(cols)
-    for pos, b in enumerate(bits):
-        order |= ((cols >> (w - 1 - pos)) & 1) << (w - 1 - b)
-    return replace(circuit, gates=gates), k, order
-
-
 def build_acceptance_operator(circuit: VerifierCircuit, x: str = "") -> AcceptanceOperator:
-    """Dense acceptance operator of the circuit on input x, one block per classical assignment.
+    """Dense acceptance operator of the circuit on input x, one block per diagonal assignment.
 
     Only the output cone is embedded (the other gates cancel in V' P V),
-    with its k classical witness qubits leading, so that the 2**k column
-    groups of m = 2**(w - k) are the blocks.  The embed leaves out an odd
-    H count's final 1/sqrt(2), and the Gram is halved instead: a power of
-    two, so the Gram of an embed of exact Gaussian integers stays exact.
+    over only the rows it can reach: the superposed qubits, with qubit 0
+    leading.  The k witness qubits it leaves diagonal lead each column
+    index, so the 2**k column groups of m = 2**(w - k) are the blocks.  The
+    embed leaves out an odd H count's final 1/sqrt(2), and the Gram is
+    halved instead: a power of two, so the Gram of an embed of exact
+    Gaussian integers stays exact.
     """
     check_dense(circuit.num_qubits)
-    cone, k, order = _classical_first(circuit.output_cone())
-    ve = embedded_witness_matrix(cone, x, odd_h_root=False)
+    cone = circuit.output_cone()
+    embed = embedded_witness_matrix(cone, x, odd_h_root=False)
+    ve, order, k = embed.matrix, embed.order, len(embed.diagonal)
     half = ve.shape[0] // 2
     top, block = ve[:half], ve[half:]  # U: the rows with the output qubit at |1>
     np.conjugate(block, out=top)  # conj(U) into the unused rows: U is never copied
     groups = (half, 1 << k, ve.shape[1] >> k)  # column (c, j) is row j of block c
     stack = top.reshape(groups).transpose(1, 2, 0) @ block.reshape(groups).transpose(1, 0, 2)
-    del ve, top, block  # the embed is freed before the Hermitian check allocates
+    del embed, ve, top, block  # the embed is freed before the Hermitian check allocates
     if cone.h_count % 2:
         stack *= 0.5  # the 1/sqrt(2) left out of both factors
     return AcceptanceOperator(stack, circuit.num_witness, order)

@@ -7,7 +7,7 @@ frozen by the seeds in the test files, never by import order.
 import numpy as np
 
 from qcount import VerifierCircuit, build_acceptance_operator, trace_normalized
-from qcount.circuit import Gate
+from qcount.circuit import Gate, _apply_gate, _parse_bits, _times_i, basis_index
 
 FLIP_OUTPUT = (Gate("H", (0,)), Gate("S", (0,)), Gate("S", (0,)), Gate("H", (0,)))
 
@@ -55,6 +55,58 @@ def kron_unitary(circuit):
     for gate in circuit.gates:
         mat = gate_matrix(gate, q) @ mat
     return mat
+
+
+def full_run(view, gates, *, odd_h_root=True, sub=np.subtract, times_i=_times_i):
+    """Every gate of the package's kernel on all of a (2,)*Q + (m, ...) view, zeros included.
+
+    A complex view is rescaled as the package documents: 2**-32 every 64
+    H, the rest at the end, times 1/sqrt(2) for an odd count unless
+    odd_h_root is False.  Other rings run exact counts.
+    """
+    rescale = view.dtype == np.complex128
+    r = 0
+    for gate in gates:
+        _apply_gate(view, gate.kind, gate.qubits, sub, times_i)
+        r += gate.kind == "H"
+        if rescale and r == 64:
+            view *= 2.0**-32
+            r = 0
+    if rescale:
+        scale = 2.0 ** -(r // 2) * (1.0 / np.sqrt(2.0) if r % 2 and odd_h_root else 1.0)
+        if scale != 1.0:
+            view *= scale
+
+
+def full_witness_matrix(circuit, x, *, tail=(), dtype=np.complex128, **run):
+    """The full-row oracle: the circuit on every |0^a x y>, as a (2**Q, 2**w) + tail array.
+
+    Column y starts with its 1 in the first tail cell of row |0^a x y>;
+    `run` goes to full_run.
+    """
+    q, w = circuit.num_qubits, circuit.num_witness
+    mat = np.zeros((1 << q, 1 << w) + tail, dtype)
+    cols = np.arange(1 << w)
+    rows = basis_index(circuit, _parse_bits(x, circuit.num_input, "x"), cols)
+    mat.reshape(1 << q, 1 << w, -1)[rows, cols, 0] = 1
+    full_run(mat.reshape((2,) * q + mat.shape[1:]), circuit.gates, **run)
+    return mat
+
+
+def full_rows(embed, circuit):
+    """A compact WitnessEmbed scattered into the (2**Q, 2**w) full-row layout, zeros elsewhere."""
+    q, w = circuit.num_qubits, circuit.num_witness
+    j = np.arange(1 << w)
+    base = np.full(1 << w, embed.constant)
+    for i, t in enumerate(embed.diagonal):
+        base |= ((j >> (w - 1 - i)) & 1) << (q - 1 - t)
+    r = np.arange(embed.matrix.shape[0])
+    offset = np.zeros_like(r)
+    for i, t in enumerate(embed.rows):
+        offset |= ((r >> (len(embed.rows) - 1 - i)) & 1) << (q - 1 - t)
+    full = np.zeros((1 << q, 1 << w), embed.matrix.dtype)
+    full[offset[:, None] | base[None, :], embed.order[None, :]] = embed.matrix
+    return full
 
 
 def random_circuit(rng, num_ancilla=1, num_input=0, num_witness=2, gate_count=12):

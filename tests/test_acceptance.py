@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from circgen import (
+    full_rows,
     gapped_circuit,
     promise_instances,
     random_circuit,
@@ -280,7 +281,7 @@ def test_criterion_09_block_encoding_consistency():
         n = circ.num_input
         x = "".join(str(int(b)) for b in rng.integers(0, 2, size=n)) if n else ""
         # the output block U from the embed, decomposed here, not by the core
-        ve = embedded_witness_matrix(circ, x)
+        ve = full_rows(embedded_witness_matrix(circ, x), circ)
         sigma = np.linalg.svd(ve[ve.shape[0] // 2 :], compute_uv=False)
         eigs = build_acceptance_operator(circ, x).eigenvalues
         worst = max(worst, float(np.max(np.abs(np.sort(sigma**2) - np.sort(eigs)))))

@@ -1,6 +1,7 @@
 """Parser and simulator checks against an independent kron-product oracle."""
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,11 +9,19 @@ import qcount.circuit
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circgen import S2, ensemble, gate_matrix, kron_unitary, random_circuit
+from circgen import (
+    S2,
+    ensemble,
+    full_rows,
+    full_run,
+    full_witness_matrix,
+    gate_matrix,
+    kron_unitary,
+    random_circuit,
+)
 from qcount.circuit import (
     Gate,
     VerifierCircuit,
-    _run_gates,
     basis_index,
     circuit_hash,
     embedded_witness_matrix,
@@ -21,7 +30,7 @@ from qcount.circuit import (
     simulate,
 )
 from qcount.errors import CapExceeded, CircuitFormatError, PreconditionError
-from qcount.pathsum import path_sum_exact
+from qcount.pathsum import _z4_sub, _z4_times_i, path_sum_exact
 from qcount.spectral import accept_probability
 
 X2 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
@@ -34,7 +43,7 @@ def dense_run(circuit, basis):
     q = circuit.num_qubits
     state = np.zeros(1 << q, dtype=np.complex128)
     state[basis] = 1.0
-    _run_gates(state.reshape((2,) * q + (1,)), circuit.gates)
+    full_run(state.reshape((2,) * q + (1,)), circuit.gates)
     return state
 
 
@@ -63,14 +72,14 @@ def test_sugar_matrices(mnemonic, target):
 def test_unitary_matches_kron_oracle():
     for circ, x in ensemble(101, 30, max_ancilla=2, max_input=1, max_witness=2):
         cols = (int(x or "0", 2) << circ.num_witness) + np.arange(1 << circ.num_witness)
-        embed = embedded_witness_matrix(circ, x)
+        embed = full_rows(embedded_witness_matrix(circ, x), circ)
         assert np.allclose(embed, kron_unitary(circ)[:, cols], atol=1e-12)
 
 
 def test_unitarity():
     # the embedded columns of a unitary are orthonormal
     for circ, x in ensemble(102, 15, max_ancilla=2, max_input=1, max_witness=2):
-        embed = embedded_witness_matrix(circ, x)
+        embed = full_rows(embedded_witness_matrix(circ, x), circ)
         assert np.allclose(embed.conj().T @ embed, np.eye(embed.shape[1]), atol=1e-12)
 
 
@@ -198,7 +207,7 @@ def test_simulate_norm_is_one():
 def test_embedded_witness_matrix_columns():
     rng = np.random.default_rng(105)
     circ = random_circuit(rng, num_ancilla=1, num_input=1, num_witness=2, gate_count=12)
-    mat = embedded_witness_matrix(circ, "1")
+    mat = full_rows(embedded_witness_matrix(circ, "1"), circ)
     assert mat.shape == (1 << circ.num_qubits, 4)
     for y in range(4):
         assert np.allclose(mat[:, y], simulate(circ, basis_index(circ, 1, y)), atol=1e-12)
@@ -215,10 +224,11 @@ def test_embedded_witness_matrix_gates_in_place():
     circ = VerifierCircuit(2, 0, 8, tuple(gates))
     tracemalloc.start()
     try:
-        mat = embedded_witness_matrix(circ, "")
+        mat = embedded_witness_matrix(circ, "").matrix
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert mat.shape == (1 << q, 1 << 8)  # every qubit is superposed: no row is left out
     assert peak < 1.75 * mat.nbytes
 
 
@@ -233,25 +243,102 @@ def test_embed_allocates_no_identity_temporary():
     circ = VerifierCircuit(2, 0, 10, tuple(gates))
     tracemalloc.start()
     try:
-        mat = embedded_witness_matrix(circ, "")
+        mat = embedded_witness_matrix(circ, "").matrix
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert mat.shape == (1 << q, 1 << 10)
     assert peak - mat.nbytes <= 2 * qcount.circuit._BLOCK_BYTES
 
 
 def test_blocked_kernel_is_bit_identical(monkeypatch):
-    # a 256 KiB block holds 64 of the 256 rows x 128 complex columns: two
-    # blocks; the walk counts take 32 B a cell, so they run in four
+    # every qubit ends superposed, so a column is 256 complex rows, 4 KiB: a
+    # 256 KiB block is 64 of the 128 columns, two blocks, and 192 KiB rounds
+    # down to 32 columns, four; the walk counts take 32 B a cell, so they
+    # run in four and eight
     rng = np.random.default_rng(108)
     circ = random_circuit(rng, num_ancilla=1, num_witness=7, gate_count=150)
     short = VerifierCircuit(1, 0, 7, circ.gates[:60])  # h <= 62: walk counts fit int64
     unblocked = embedded_witness_matrix(circ, "")
+    assert unblocked.matrix.shape == (256, 128)
     tallies = path_sum_exact(short)
-    for block_bytes in (16 * 256 * 64, 16 * 256 * 48):  # the second leaves a ragged last block
+    for block_bytes in (16 * 256 * 64, 16 * 256 * 48):
         monkeypatch.setattr(qcount.circuit, "_BLOCK_BYTES", block_bytes)
-        assert np.array_equal(embedded_witness_matrix(circ, ""), unblocked)
+        blocked = embedded_witness_matrix(circ, "")
+        assert np.array_equal(blocked.matrix.view(np.uint64), unblocked.matrix.view(np.uint64))
+        assert np.array_equal(blocked.order, unblocked.order)
         assert path_sum_exact(short) == tallies
+
+
+def _assert_compact_is_full_row(circ, x):
+    """The compact embed and walk counts against the full-row oracle, bit for bit."""
+    for odd_h_root in (True, False):
+        compact = full_rows(embedded_witness_matrix(circ, x, odd_h_root=odd_h_root), circ)
+        full = full_witness_matrix(circ, x, odd_h_root=odd_h_root)
+        assert np.array_equal(compact.view(np.uint64), full.view(np.uint64))  # signed zeros too
+    if circ.gate_count and circ.h_count <= 62:
+        counts = full_witness_matrix(
+            circ, x, tail=(4,), dtype=np.int64, sub=_z4_sub, times_i=_z4_times_i
+        )
+        accepted = counts[counts.shape[0] // 2 :].reshape(-1, 4).astype(object)
+        products = accepted.T @ accepted  # <C_a, C_b> in Python ints
+        g, i_plus, f, i_minus = (sum(products[a, (a + k) % 4] for a in range(4)) for k in range(4))
+        tallies = path_sum_exact(circ, x)
+        assert (tallies.g, tallies.f, tallies.i_plus, tallies.i_minus) == (g, f, i_plus, i_minus)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    ancilla=st.integers(1, 2),
+    inputs=st.integers(0, 2),
+    witness=st.integers(0, 4),
+    gate_count=st.integers(0, 50),
+    block_bytes=st.sampled_from([16, 256, qcount.circuit._BLOCK_BYTES]),
+    data=st.data(),
+)
+def test_compact_embed_is_the_full_row_embed(
+    seed, ancilla, inputs, witness, gate_count, block_bytes, data
+):
+    # small blocks hold a block's diagonal qubits as its constant bits
+    circ = random_circuit(
+        np.random.default_rng(seed),
+        num_ancilla=ancilla,
+        num_input=inputs,
+        num_witness=witness,
+        gate_count=gate_count,
+    )
+    x = "".join(data.draw(st.sampled_from("01")) for _ in range(inputs))
+    with mock.patch.object(qcount.circuit, "_BLOCK_BYTES", block_bytes):
+        _assert_compact_is_full_row(circ, x)
+
+
+# (registers a n w, gates, x, superposed qubits, diagonal qubits) per rule
+_COMPACT_RULES = {
+    "S on a diagonal witness qubit": ((1, 0, 2), "H 0\nS 1\nTOF 1 2 0\n", "", (0,), (1, 2)),
+    "TOF with classical controls on a witness target": (
+        (1, 1, 3), "TOF 1 2 3\nTOF 2 3 4\nH 0\nTOF 3 4 0\n", "1", (0,), (2, 3, 4)
+    ),
+    "TOF with witness controls on an ancilla target": (
+        (2, 0, 2), "TOF 2 3 1\nH 0\nH 2\nTOF 1 2 0\n", "", (0, 1, 2), (3,)
+    ),
+    "H on a diagonal qubit": ((1, 0, 2), "TOF 1 2 0\nH 1\nTOF 1 2 0\n", "", (0, 1), (2,)),
+    "odd h": ((1, 0, 2), "H 1\nTOF 1 2 0\nH 0\nS 0\nH 0\n", "", (0, 1), (2,)),
+    "input bits x != 0": ((1, 2, 1), "TOF 1 3 0\nH 2\nTOF 2 3 0\nS 1\n", "10", (0, 2), (3,)),
+    "w = 0": ((2, 1, 0), "TOF 2 1 0\nH 1\nTOF 1 2 0\n", "1", (0, 1), ()),
+    "empty cone": ((1, 0, 3), "", "", (0,), (1, 2, 3)),
+    "qubit 0 constant at the end": ((1, 2, 1), "TOF 1 2 0\nH 3\nS 0\n", "11", (0, 3), ()),
+}
+
+
+@pytest.mark.parametrize("rule", list(_COMPACT_RULES))
+def test_compact_embed_classical_rules(rule):
+    (a, n, w), gates, x, rows, diagonal = _COMPACT_RULES[rule]
+    circ = parse_circuit(f"registers: ancilla={a} input={n} witness={w}\n{gates}")
+    embed = embedded_witness_matrix(circ, x)
+    assert (embed.rows, embed.diagonal) == (rows, diagonal)
+    assert embed.matrix.shape == (1 << len(rows), 1 << w)
+    _assert_compact_is_full_row(circ, x)
 
 
 # without the rescale every 64 H, h = 2101 would overflow at 2**1050
@@ -277,7 +364,7 @@ def test_even_h_embedding_is_exactly_dyadic():
         circ = random_circuit(rng, num_ancilla=2, num_witness=4, gate_count=160)
         if circ.h_count % 2:
             continue
-        scaled = embedded_witness_matrix(circ, "") * 2.0 ** (circ.h_count // 2)
+        scaled = embedded_witness_matrix(circ, "").matrix * 2.0 ** (circ.h_count // 2)
         assert np.array_equal(scaled, np.round(scaled.real) + 1j * np.round(scaled.imag))
         checked += 1
     assert checked
@@ -290,7 +377,7 @@ def test_apply_gate_matches_kron():
     state /= np.linalg.norm(state)
     for gate in (Gate("H", (1,)), Gate("S", (2,)), Gate("TOF", (0, 2, 1))):
         out = state.copy()
-        _run_gates(out.reshape(2, 2, 2, 1), (gate,))
+        full_run(out.reshape(2, 2, 2, 1), (gate,))
         assert np.allclose(out, gate_matrix(gate, 3) @ state, atol=1e-12)
 
 
@@ -393,7 +480,8 @@ def test_dense_cap_env_override(monkeypatch):
     with pytest.raises(CapExceeded):
         embedded_witness_matrix(small, "")
     monkeypatch.setenv("QCOUNT_DENSE_CAP", "5")
-    assert embedded_witness_matrix(small, "").shape == (32, 16)
+    # no gate: qubit 0 is the one row axis
+    assert embedded_witness_matrix(small, "").matrix.shape == (2, 16)
 
 
 @settings(max_examples=60, deadline=None)
@@ -411,5 +499,5 @@ def test_random_sequences_match_kron(data):
             kind = data.draw(st.sampled_from(["H", "S"]))
             gates.append(Gate(kind, (data.draw(st.integers(0, num_qubits - 1)),)))
     circ = VerifierCircuit(1, 0, num_qubits - 1, tuple(gates))
-    embed = embedded_witness_matrix(circ, "")
+    embed = full_rows(embedded_witness_matrix(circ, ""), circ)
     assert np.allclose(embed, kron_unitary(circ)[:, : embed.shape[1]], atol=1e-12)

@@ -457,6 +457,22 @@ def test_benchmark_tracer_wraps_every_target():
     assert proc.stdout.strip() == "[]"
 
 
+def test_records_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # a 512 x 512 Gram and eigvalsh are large enough for OpenBLAS to split
+    # their sums over threads; the CLI pins it to one thread
+    from qcount.cli import _pin_blas_threads
+
+    if not _pin_blas_threads():
+        pytest.skip("numpy's BLAS exports no scipy_openblas_set_num_threads64_ to pin")
+    circ = random_circuit(np.random.default_rng(1), num_ancilla=2, num_witness=9, gate_count=160)
+    path = tmp_path / "w9.qcv"
+    path.write_text(circ.to_qcv())
+    argv = ("svt-amplify", str(path), "--c", "0.8", "--s", "0.4", "--eps", "0.05")
+    runs = [run_cli(*argv, env={"OPENBLAS_NUM_THREADS": n}) for n in ("1", "2")]
+    assert [p.returncode for p in runs] == [0, 0], runs[1].stderr
+    assert runs[0].stdout == runs[1].stdout
+
+
 def test_import_loads_no_scipy():
     # nor logging (nothing configures it) nor numpy.polynomial (one node formula)
     proc = subprocess.run(

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from circgen import ensemble, kron_unitary, random_circuit
+from circgen import ensemble, full_witness_matrix, kron_unitary, random_circuit
 from qcount import (
     AcceptanceOperator,
     BlockEncoding,
@@ -26,7 +26,6 @@ from qcount.circuit import (
     Gate,
     VerifierCircuit,
     basis_index,
-    embedded_witness_matrix,
     parse_circuit,
 )
 from qcount.spectral import TIE_TOL
@@ -138,8 +137,33 @@ def test_operator_build_copies_no_output_block():
             tracemalloc.stop()
         assert peak <= embed_bytes + op.matrix.nbytes + 2 * _BLOCK_BYTES
         assert peak <= embed_bytes + stack_bytes + 2 * _BLOCK_BYTES
-        block = embedded_witness_matrix(circ.output_cone(), "")[1 << (circ.num_qubits - 1) :]
+        block = full_witness_matrix(circ.output_cone(), "")[1 << (circ.num_qubits - 1) :]
         assert np.array_equal(op.matrix, block.conj().T @ block)  # the same bits
+
+
+def test_operator_build_stores_only_the_superposed_rows():
+    # H on witness qubits 2..7 and the output, TOFs from them onto it: s = 7
+    # of the 12 qubits are superposed, and 8..11 stay diagonal as TOF
+    # controls (k = 4).  The embed is 2**(s + w) entries, 2 MiB where every
+    # row of every column would be 64 MiB
+    gates = [Gate("H", (0,))]
+    for q in range(2, 8):
+        gates += [Gate("H", (q,)), Gate("TOF", (q, q + 4 if q < 6 else q - 4, 0))]
+    gates += [Gate("S", (9,)), Gate("TOF", (10, 11, 0)), Gate("H", (0,))]
+    circ = VerifierCircuit(2, 0, 10, tuple(gates))
+    s, w, k = 7, circ.num_witness, 4
+    compact_bytes = 16 << (s + w)
+    stack_bytes = 16 << (w + w - k)
+    tracemalloc.start()
+    try:
+        op = build_acceptance_operator(circ)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert op.blocks.shape == (1 << k, 1 << (w - k), 1 << (w - k))
+    assert peak <= compact_bytes + stack_bytes + 2 * _BLOCK_BYTES
+    u = full_witness_matrix(circ, "")[1 << (circ.num_qubits - 1) :]
+    assert np.max(np.abs(op.matrix - u.conj().T @ u)) <= 1e-12
 
 
 def _reference_operator(circ, x):
@@ -173,7 +197,8 @@ def _circuit_with_classical(rng, num_ancilla, num_input, num_witness, classical)
     return VerifierCircuit(num_ancilla, num_input, num_witness, tuple(gates))
 
 
-# the cone never targets the output, so A = 0; it flips witness qubits 3 and 4
+# the cone never targets the output, so A = 0; it puts witness qubit 3 into
+# superposition, and its TOF onto 4 has the output, a constant 0, for a control
 NEVER_FLIPS_OUTPUT = parse_circuit("registers: ancilla=1 input=1 witness=3\nH 3\nS 0\nTOF 0 3 4\n")
 
 
@@ -192,7 +217,7 @@ def _split_cases():
     # witness qubit 2 is touched only by S, 3 only as a TOF control, 4 never
     touched = "H 5\nS 2\nH 1\nTOF 3 5 0\nS 2\nTOF 1 6 0\nH 0\nS 0\nTOF 0 5 6\n"
     cases.append((parse_circuit(f"registers: ancilla=2 input=0 witness=5\n{touched}"), "", 3))
-    cases.append((NEVER_FLIPS_OUTPUT, "1", 1))
+    cases.append((NEVER_FLIPS_OUTPUT, "1", 2))  # qubits 2 and 4 stay diagonal
     return cases
 
 

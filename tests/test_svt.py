@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import chebyshev as cheb
 
-from circgen import ensemble, kron_unitary, thresholds_from_sigma_gap
+from circgen import ensemble, full_rows, kron_unitary, thresholds_from_sigma_gap
 from qcount import (
     PreconditionError,
     apply_svt,
@@ -48,7 +48,7 @@ def test_gram_matrix_is_acceptance_operator():
 
 def test_singular_values_square_to_eigenvalues():
     for circ, x in ensemble(502, 15, max_witness=3):
-        ve = embedded_witness_matrix(circ, x)
+        ve = full_rows(embedded_witness_matrix(circ, x), circ)
         sigma = np.linalg.svd(ve[ve.shape[0] // 2 :], compute_uv=False)  # descending
         enc = build_block_encoding(circ, x)
         assert np.allclose(enc.singular_values**2, sigma**2, atol=1e-9)
