@@ -48,6 +48,7 @@ from .spectral import (
     dqc1_ancilla_bound,
     trace_normalized,
     validate_dqc1,
+    witness_probabilities,
 )
 from .svt import (
     BlockEncoding,

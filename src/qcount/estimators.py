@@ -14,12 +14,11 @@ k = ceil(8 * ln(1/delta)) repetitions suffice for confidence delta.
 
 Sampling is simulated classically but never peeks beyond what one run
 of the verifier would reveal: a witness index and one biased coin flip
-per sample, drawn from counter-based streams (see rngstreams).  Within
-the dense cap the coin's bias comes from the operator's diagonal; past
-it, from one accept_probability per distinct sampled witness, which
-simulates only the circuit's output cone (computed once per circuit)
-and keeps as tensor axes only the qubits the cone puts into
-superposition.
+per sample, drawn from counter-based streams (see rngstreams).  The
+coin's bias is one accept_probability per distinct sampled witness,
+simulating only the output cone, or, within the dense cap from 2**w / 16
+draws on, every witness's at once from one embed (witness_probabilities).
+No operator is built.
 """
 
 from __future__ import annotations
@@ -39,8 +38,8 @@ from .spectral import (
     accept_probability,
     at_least,
     at_most,
-    build_acceptance_operator,
     check_promise,
+    witness_probabilities,
 )
 
 
@@ -72,23 +71,6 @@ def _check_sample_count(M: int) -> None:
     check_draws(2 * M, f"M={M}")
 
 
-def _dense_probabilities(circuit: VerifierCircuit, x: str) -> np.ndarray | None:
-    """Every witness's acceptance probability when the dense build is affordable."""
-    if circuit.num_qubits <= dense_qubit_cap():
-        return build_acceptance_operator(circuit, x).probabilities
-    return None
-
-
-def _witness_probabilities(
-    circuit: VerifierCircuit, x_val: int, witnesses: np.ndarray, cache: dict[int, float]
-) -> np.ndarray:
-    """Acceptance probability of each witness, one simulation per new witness."""
-    ys = witnesses.tolist()
-    for y in set(ys) - cache.keys():
-        cache[y] = accept_probability(circuit, basis_index(circuit, x_val, y))
-    return np.array([cache[y] for y in ys])
-
-
 def make_trace_estimator(
     circuit: VerifierCircuit,
     x: str = "",
@@ -99,13 +81,13 @@ def make_trace_estimator(
 ) -> Callable[[np.random.Generator], AdditiveEstimate]:
     """Closure running one M-sample estimate per generator handed in.
 
-    The per-witness acceptance probabilities are resolved once up front
-    (`probabilities`, one per witness, if given, else a dense build, else
-    lazily per sampled witness beyond the dense cap), so repeated runs
-    pay only for their own draws.  Sample i consumes the generator's
-    uniforms at positions i (witness pick) and M + i (acceptance coin).
-    This is the package's one Monte Carlo draw: avg_accept_decider and
-    the estimator-backed miscounting oracle sample through it too.
+    The per-witness acceptance probabilities are `probabilities` if given;
+    else, within the dense cap once M >= 2**w / 16, one embed's read-out,
+    cheaper there than a simulation per drawn witness; else each new
+    sampled witness is simulated once and cached.  Sample i consumes the
+    generator's uniforms at positions i (witness pick) and M + i
+    (acceptance coin): the package's one Monte Carlo draw, which
+    avg_accept_decider and the estimator-backed oracle sample through too.
     """
     _check_sample_count(M)
     x_val = _parse_bits(x, circuit.num_input, "input bits")
@@ -120,16 +102,19 @@ def make_trace_estimator(
             f"bound 1/(M eps^2) would reach 1"
         )
     delta = 1.0 / (M * epsilon * epsilon)
-    if probabilities is None:
-        probabilities = _dense_probabilities(circuit, x)
+    if probabilities is None and 16 * M >= dim_w and circuit.num_qubits <= dense_qubit_cap():
+        probabilities = witness_probabilities(circuit, x)
     prob_cache: dict[int, float] = {}
 
     def run(rng: np.random.Generator, seed_record: int = 0) -> AdditiveEstimate:
         witnesses = uniform_indices(rng, dim_w, M)
         if probabilities is not None:
             probs = probabilities[witnesses]
-        else:
-            probs = _witness_probabilities(circuit, x_val, witnesses, prob_cache)
+        else:  # one simulation per new witness
+            ys = witnesses.tolist()
+            for y in set(ys) - prob_cache.keys():
+                prob_cache[y] = accept_probability(circuit, basis_index(circuit, x_val, y))
+            probs = np.array([prob_cache[y] for y in ys])
         hits = rng.random(M) < probs
         value = dim_w * (int(hits.sum()) / M)
         return AdditiveEstimate(
@@ -218,10 +203,9 @@ def avg_accept_decider(
     probability at least 2/3 whenever the promise holds.  The samples
     are one run of make_trace_estimator on stream(seed), so the mean is
     that run's value divided by 2**w.  The promise is not checkable from
-    samples; when the per-witness probabilities are given or the dense
-    oracle is affordable, the result carries a flag saying whether this
-    input actually violated it.  The sample count is checked against
-    SAMPLE_CAP before anything is built.
+    samples; when the per-witness probabilities are given or within the
+    dense cap (one embed, witness_probabilities), the result flags whether
+    this input violated it.  SAMPLE_CAP is checked before anything is embedded.
     """
     check_promise(c, s)
     gap = c - s
@@ -231,8 +215,8 @@ def avg_accept_decider(
         raise PreconditionError(f"epsilon={epsilon} cannot separate the promise gap {gap}")
     M = ceil_quotient(3.0, epsilon * epsilon) + 1
     _check_sample_count(M)
-    if probabilities is None:
-        probabilities = _dense_probabilities(circuit, x)
+    if probabilities is None and circuit.num_qubits <= dense_qubit_cap():
+        probabilities = witness_probabilities(circuit, x)
     run = make_trace_estimator(circuit, x, M, probabilities=probabilities)
     dim_w = 1 << circuit.num_witness
     mean = run(stream(seed)).value / dim_w

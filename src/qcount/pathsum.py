@@ -55,7 +55,7 @@ from .errors import CapExceeded, InvariantViolation, PreconditionError
 from .limits import check_draws
 from .rngstreams import stream, uniform_indices
 from .estimators import AdditiveEstimate
-from .spectral import AUDIT_SLACK, build_acceptance_operator
+from .spectral import AUDIT_SLACK, witness_probabilities
 
 _MAX_H = 62  # an H at most doubles a walk count, so counts stay below 2**h: int64 while h <= 62
 _LIMB = 16  # bits per limb: a limb product is below 2**32, so 2**31 of them sum exactly in int64
@@ -115,8 +115,9 @@ def _phase_products(blocks) -> np.ndarray:
 def path_sum_exact(circuit: VerifierCircuit, x: str = "") -> PathSumResult:
     """Tally every path's phase exactly from walk counts.
 
-    The trace is also compared against the dense spectral oracle; a
-    mismatch is an invariant violation, not a report.
+    The trace is also compared against the sum of the acceptance
+    probabilities read from the dense embed; a mismatch is an invariant
+    violation, not a report.
     """
     n_star = free_path_bits(circuit)
     _, blocks = _witness_blocks(circuit, x, (4,), np.int64, _z4_sub, _z4_times_i, None)
@@ -126,7 +127,7 @@ def path_sum_exact(circuit: VerifierCircuit, x: str = "") -> PathSumResult:
     products = _phase_products(blocks)
     g, i_plus, f, i_minus = (sum(products[a, (a + k) % 4] for a in range(4)) for k in range(4))
     trace = (g - f) / float(1 << h)
-    exact = build_acceptance_operator(circuit, x).trace
+    exact = float(witness_probabilities(circuit, x).sum())
     if abs(trace - exact) > AUDIT_SLACK:
         raise InvariantViolation(f"path sum {trace} disagrees with spectral trace {exact}")
     return PathSumResult(g, f, h, n_star, trace, i_plus, i_minus)

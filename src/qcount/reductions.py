@@ -90,11 +90,11 @@ class MiscountingOracle:
     genuine noise; every query is audited against the exact range
     either way.  Only the rectangle polynomial changes between
     estimator-backed queries: the block encoding is a view of the
-    oracle's own operator, whose eigh its first such query computes and
-    every later query reuses, so there is one embedding and one eigh per
-    oracle.  The exact backing never decomposes beyond eigvalsh; the
-    estimator backing checks its per-query sample count against
-    SAMPLE_CAP before anything is built.
+    oracle's own operator, whose blocks its first such query decomposes
+    in one stacked eigh that every later query reuses, so there is one
+    embedding and one eigh per oracle.  The exact backing never
+    decomposes beyond eigvalsh; the estimator backing checks its
+    per-query sample count against SAMPLE_CAP before anything is built.
     """
 
     def __init__(
@@ -211,10 +211,12 @@ class MiscountingOracle:
         """
         samp_eps = self.eps_bound / 2.0
         poly = band_polynomial(math.sqrt(c), math.sqrt(s), self.eps_bound / 4.0)
-        # per-witness probabilities: the amplified diagonal sum_k |V_yk|^2 P(sigma_k)^2,
+        # per-witness probabilities: the amplified diagonal sum_j |V_yj|^2 P(sigma_j)^2 by block,
         # clipped like any diagonal (P is checked on a grid, not between its points)
-        sigma, vh = self.encoding.svd
-        probs = np.clip((np.abs(vh) ** 2).T @ (poly(sigma) ** 2), 0.0, 1.0)
+        sigma, vecs = self.encoding.svd
+        amplified = np.einsum("bij,bj->bi", np.abs(vecs) ** 2, poly(sigma) ** 2)
+        probs = np.empty(self.operator.dim)
+        probs[self.operator.order] = np.clip(amplified, 0.0, 1.0).ravel()
         # the other eps/2 absorbs the amplification's (2e-e^2) trace loss
         base = make_trace_estimator(
             self.circuit, self.x, self._samples, probabilities=probs, epsilon=samp_eps

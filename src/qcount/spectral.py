@@ -25,7 +25,8 @@ the entries it leaves out are exactly zero.  An odd H count's
 final 1/sqrt(2) stays out of the embed and the Gram is halved instead,
 so an embed of exact Gaussian integers over a power of two gives an
 exact Gram.  It is the one spectral object per (circuit, x): the SVT
-block encoding reads its spectrum too.
+block encoding reads its spectrum and blocks, and witness_probabilities
+reads its diagonal from the same embed, with no Gram.
 The rules of the whole package live here: every threshold comparison goes
 through at_least and at_most (within TIE_TOL of a threshold counts as on
 it), every threshold pair passes check_promise, every count of a spectrum
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import VerifierCircuit, embedded_witness_matrix, simulate
+from .circuit import VerifierCircuit, WitnessEmbed, embedded_witness_matrix, simulate
 from .errors import InvariantViolation, PreconditionError
 from .limits import check_dense
 
@@ -96,15 +97,6 @@ class AcceptanceOperator:
         return 1 << self.num_witness
 
     @property
-    def matrix(self) -> np.ndarray:
-        """The dense matrix in witness order, assembled from the blocks on each access."""
-        count, m, _ = self.blocks.shape
-        cols = self.order.reshape(count, m)
-        mat = np.zeros((self.dim, self.dim), np.complex128)
-        mat[cols[:, :, np.newaxis], cols[:, np.newaxis, :]] = self.blocks
-        return mat
-
-    @property
     def eigenvalues(self) -> np.ndarray:
         """All 2**w eigenvalues, clamped into [0, 1], sorted descending."""
         if self._eigenvalues is None:
@@ -112,20 +104,12 @@ class AcceptanceOperator:
             self._eigenvalues = clamp_to_unit(np.sort(vals, axis=None))[::-1].copy()
         return self._eigenvalues
 
-    def _diagonal(self) -> np.ndarray:
-        diagonal = np.empty(self.dim, np.complex128)
-        diagonal[self.order] = np.diagonal(self.blocks, axis1=1, axis2=2).ravel()
-        return diagonal
-
     @property
     def trace(self) -> float:
-        """Real part of the trace, unclamped: the total acceptance weight."""
-        return float(np.real(self._diagonal().sum()))
-
-    @property
-    def probabilities(self) -> np.ndarray:
-        """Acceptance probability of each witness basis state: the diagonal, in witness order."""
-        return np.clip(np.real(self._diagonal()), 0.0, 1.0)
+        """Real part of the trace in witness order, unclamped: the total acceptance weight."""
+        diagonal = np.empty(self.dim, np.complex128)
+        diagonal[self.order] = np.diagonal(self.blocks, axis1=1, axis2=2).ravel()
+        return float(np.real(diagonal.sum()))
 
 
 def clamp_to_unit(values: np.ndarray) -> np.ndarray:
@@ -133,26 +117,31 @@ def clamp_to_unit(values: np.ndarray) -> np.ndarray:
     low, high = float(values.min()), float(values.max())
     if low < -EIG_CLAMP_TOL or high > 1.0 + EIG_CLAMP_TOL:
         raise InvariantViolation(
-            f"eigenvalues escape [0,1] beyond tolerance: {max(-low, 0.0):.3e} below 0, "
+            f"values escape [0,1] beyond tolerance: {max(-low, 0.0):.3e} below 0, "
             f"{max(high - 1.0, 0.0):.3e} above 1"
         )
     return np.clip(values, 0.0, 1.0)
 
 
-def build_acceptance_operator(circuit: VerifierCircuit, x: str = "") -> AcceptanceOperator:
-    """Dense acceptance operator of the circuit on input x, one block per diagonal assignment.
+def _cone_embed(circuit: VerifierCircuit, x: str) -> tuple[WitnessEmbed, float]:
+    """The output cone's compact embed, qubit 0's rows leading, and the factor of its products.
 
-    Only the output cone is embedded (the other gates cancel in V' P V),
-    over only the rows it can reach: the superposed qubits, with qubit 0
-    leading.  The k witness qubits it leaves diagonal lead each column
-    index, so the 2**k column groups of m = 2**(w - k) are the blocks.  The
-    embed leaves out an odd H count's final 1/sqrt(2), and the Gram is
-    halved instead: a power of two, so the Gram of an embed of exact
-    Gaussian integers stays exact.
+    The other gates cancel in V' P V.  The embed leaves out an odd H
+    count's final 1/sqrt(2), so its entries stay exact Gaussian integers
+    over a power of two; the factor 1/2 puts it back into a product of two.
     """
     check_dense(circuit.num_qubits)
     cone = circuit.output_cone()
-    embed = embedded_witness_matrix(cone, x, odd_h_root=False)
+    return embedded_witness_matrix(cone, x, odd_h_root=False), 0.5 if cone.h_count % 2 else 1.0
+
+
+def build_acceptance_operator(circuit: VerifierCircuit, x: str = "") -> AcceptanceOperator:
+    """Dense acceptance operator of the circuit on input x, one block per diagonal assignment.
+
+    The k witness qubits the cone's embed leaves diagonal lead each column
+    index, so the 2**k column groups of m = 2**(w - k) are the blocks.
+    """
+    embed, factor = _cone_embed(circuit, x)
     ve, order, k = embed.matrix, embed.order, len(embed.diagonal)
     half = ve.shape[0] // 2
     top, block = ve[:half], ve[half:]  # U: the rows with the output qubit at |1>
@@ -160,9 +149,23 @@ def build_acceptance_operator(circuit: VerifierCircuit, x: str = "") -> Acceptan
     groups = (half, 1 << k, ve.shape[1] >> k)  # column (c, j) is row j of block c
     stack = top.reshape(groups).transpose(1, 2, 0) @ block.reshape(groups).transpose(1, 0, 2)
     del embed, ve, top, block  # the embed is freed before the Hermitian check allocates
-    if cone.h_count % 2:
-        stack *= 0.5  # the 1/sqrt(2) left out of both factors
+    stack *= factor
     return AcceptanceOperator(stack, circuit.num_witness, order)
+
+
+def witness_probabilities(circuit: VerifierCircuit, x: str = "") -> np.ndarray:
+    """Acceptance probability of every witness basis state, in witness order: A's diagonal.
+
+    Each is the squared norm of a cone embed column's output-qubit-1 half,
+    with no Gram product: the diagonal's bits wherever the Gram is exact.
+    A probability further than 1e-9 outside [0, 1] fails loudly.
+    """
+    embed, factor = _cone_embed(circuit, x)
+    ve = embed.matrix
+    accepted = ve[ve.shape[0] // 2 :].view(np.float64).reshape(ve.shape[0] // 2, -1, 2)
+    probs = np.empty(ve.shape[1])
+    probs[embed.order] = np.einsum("rjc,rjc->j", accepted, accepted) * factor
+    return clamp_to_unit(probs)
 
 
 def at_least(values, a: float):

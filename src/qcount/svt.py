@@ -4,7 +4,8 @@ The bottom half-block U of the embedded circuit matrix (output qubit
 fixed at |1>, ancillas and input fixed on the column side) satisfies
 U'U = A, the acceptance operator, so the singular values of U are the
 square roots of A's eigenvalues and its right singular vectors are A's
-eigenvectors: a block encoding is a view of A.  Pushing the singular
+eigenvectors: a block encoding is a view of A, and BlockEncoding.svd
+decomposes A's diagonal blocks in one stacked eigh.  Pushing the singular
 values through an even rectangle-shaped polynomial P and squaring yields
 the amplified spectrum P(sigma)^2, whose sum is sandwiched between the
 exact counts:
@@ -240,10 +241,14 @@ class BlockEncoding:
 
     @property
     def svd(self) -> tuple[np.ndarray, np.ndarray]:
-        """(sigma, V') of U, sigma descending, from one eigh of U'U."""
+        """(sigma, V) of U per diagonal block of U'U, from one stacked eigh of the blocks.
+
+        sigma is (2**k, m) and V is (2**k, m, m): V[b, :, j], over witnesses
+        operator.order[b * m : (b + 1) * m], has sigma[b, j], ascending in j.
+        """
         if self._svd is None:
-            lam, vecs = np.linalg.eigh(self.operator.matrix)  # ascending
-            self._svd = (np.sqrt(clamp_to_unit(lam[::-1])), vecs[:, ::-1].conj().T)
+            lam, vecs = np.linalg.eigh(self.operator.blocks)
+            self._svd = (np.sqrt(clamp_to_unit(lam)), vecs)
         return self._svd
 
     @property

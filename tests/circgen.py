@@ -109,6 +109,15 @@ def full_rows(embed, circuit):
     return full
 
 
+def dense_matrix(op):
+    """An AcceptanceOperator's blocks assembled into the dense 2**w x 2**w matrix, in witness order."""
+    count, m, _ = op.blocks.shape
+    cols = op.order.reshape(count, m)
+    mat = np.zeros((op.dim, op.dim), np.complex128)
+    mat[cols[:, :, np.newaxis], cols[:, np.newaxis, :]] = op.blocks
+    return mat
+
+
 def random_circuit(rng, num_ancilla=1, num_input=0, num_witness=2, gate_count=12):
     """One random circuit over the core gate set, H-heavy so spectra spread."""
     total = num_ancilla + num_input + num_witness

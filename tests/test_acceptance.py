@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from circgen import (
+    dense_matrix,
     full_rows,
     gapped_circuit,
     promise_instances,
@@ -33,6 +34,7 @@ from qcount import (
     path_sum_exact,
     rect_poly,
     sandwich_bounds,
+    witness_probabilities,
 )
 from qcount.circuit import embedded_witness_matrix
 from qcount.estimators import make_trace_estimator
@@ -57,7 +59,7 @@ def mid_trace_ensemble(seed, count):
             gate_count=int(rng.integers(3, 25)),
         )
         op = build_acceptance_operator(circ)
-        tr = float(np.real(np.trace(op.matrix)))
+        tr = float(np.real(np.trace(dense_matrix(op))))
         if 0.05 * op.dim <= tr <= 0.95 * op.dim:
             kept.append((circ, op, tr))
     return kept
@@ -80,7 +82,7 @@ def test_criterion_01_path_sum_identity():
         )
     for circ in circuits:
         r = path_sum_exact(circ)
-        exact = float(np.real(np.trace(build_acceptance_operator(circ).matrix)))
+        exact = float(np.real(np.trace(dense_matrix(build_acceptance_operator(circ)))))
         worst = max(worst, abs(r.trace - exact))
     elapsed = time.time() - t0
     report(
@@ -96,7 +98,7 @@ def test_criterion_02_estimator_mean_and_variance():
     runs, M = 10_000, 16
     worst_z, worst_rel = 0.0, 0.0
     for idx, (circ, op, tr) in enumerate(mid_trace_ensemble(999, 10)):
-        base = make_trace_estimator(circ, M=M, probabilities=op.probabilities)
+        base = make_trace_estimator(circ, M=M, probabilities=witness_probabilities(circ))
         gen = stream(2000 + idx)
         values = np.array([base(gen).value for _ in range(runs)])
         var_theory = tr * (op.dim - tr) / M
@@ -116,7 +118,7 @@ def test_criterion_02_estimator_mean_and_variance():
 def test_criterion_03_chebyshev_concentration():
     worst_rate = 0.0
     for idx, (circ, op, tr) in enumerate(mid_trace_ensemble(999, 10)):
-        base = make_trace_estimator(circ, M=64, probabilities=op.probabilities, epsilon=0.25)
+        base = make_trace_estimator(circ, M=64, probabilities=witness_probabilities(circ), epsilon=0.25)
         gen = stream(3000 + idx)
         values = np.array([base(gen).value for _ in range(1000)])
         rate = float(np.mean(np.abs(values - tr) >= 0.25 * op.dim))
@@ -298,7 +300,7 @@ def test_criterion_10_average_accept_decider():
     trials = 1000
     worst_rate = 1.0
     for circ, x, truth in promise_instances(555, 4):
-        probs = build_acceptance_operator(circ, x).probabilities
+        probs = witness_probabilities(circ, x)
         hits = sum(
             avg_accept_decider(circ, x, seed=seed, epsilon=eps, probabilities=probs).answer
             == truth

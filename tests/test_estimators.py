@@ -1,12 +1,14 @@
 """Monte Carlo trace estimator: law, amplification, and the decider."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
+import qcount.circuit
 import qcount.estimators
-from circgen import ensemble, random_circuit, random_input
+from circgen import dense_matrix, ensemble, random_circuit, random_input
 from qcount import (
     AdditiveEstimate,
     PreconditionError,
@@ -17,11 +19,12 @@ from qcount import (
     median_repetitions,
     quantum_trace_estimator,
     trace_normalized,
+    witness_probabilities,
 )
 from qcount.circuit import basis_index, parse_circuit
 from qcount.errors import CapExceeded
 from qcount.estimators import make_trace_estimator
-from qcount.limits import SAMPLE_CAP
+from qcount.limits import SAMPLE_CAP, dense_qubit_cap
 from qcount.rngstreams import stream
 
 X_CIRC = parse_circuit("registers: ancilla=1 input=0 witness=1\nX 0\n")
@@ -72,8 +75,8 @@ def test_unbiased_within_standard_error():
     rng = np.random.default_rng(301)
     circ = random_circuit(rng, num_witness=3, gate_count=15)
     op = build_acceptance_operator(circ)
-    exact = float(np.real(np.trace(op.matrix)))
-    base = make_trace_estimator(circ, M=8, probabilities=op.probabilities)
+    exact = float(np.real(np.trace(dense_matrix(op))))
+    base = make_trace_estimator(circ, M=8, probabilities=witness_probabilities(circ))
     runs = 4000
     gen = stream(302)
     values = np.array([base(gen).value for _ in range(runs)])
@@ -122,12 +125,34 @@ def test_sample_cap_rejects_before_drawing():
 
 def test_decider_checks_sample_cap_before_building(monkeypatch):
     builds = []
-    monkeypatch.setattr(
-        qcount.estimators, "build_acceptance_operator", lambda *a: builds.append(a)
-    )
+    monkeypatch.setattr(qcount.estimators, "witness_probabilities", lambda *a: builds.append(a))
     with pytest.raises(CapExceeded, match="cap"):
         avg_accept_decider(H_CIRC, seed=1, epsilon=1e-7)
     assert builds == []
+
+
+@pytest.mark.parametrize("M, embed_calls", [(16, 0), (31, 0), (32, 1), (64, 1)])
+def test_in_cap_estimate_embeds_only_past_a_sixteenth(monkeypatch, M, embed_calls):
+    # below 2**w / 16 draws an estimate simulates each sampled witness, so a
+    # d9-sized circuit (Q = 11, within the dense cap) is never embedded; from
+    # there on one embed reads every witness
+    embeds = []
+    embed = qcount.circuit.embedded_witness_matrix
+
+    def counting_embed(*args, **kwargs):
+        embeds.append(args)
+        return embed(*args, **kwargs)
+
+    for module in list(sys.modules.values()):  # every binding that could embed
+        if getattr(module, "__name__", "").startswith("qcount") and hasattr(
+            module, "embedded_witness_matrix"
+        ):
+            monkeypatch.setattr(module, "embedded_witness_matrix", counting_embed)
+    circ = random_circuit(np.random.default_rng(314), num_ancilla=2, num_witness=9, gate_count=120)
+    assert circ.num_qubits == 11 <= dense_qubit_cap()
+    est = quantum_trace_estimator(circ, M=M, seed=1)
+    assert 0.0 <= est.value <= est.normalization
+    assert len(embeds) == embed_calls
 
 
 def test_same_seed_same_value():
@@ -178,15 +203,19 @@ def test_estimator_handles_input_register():
 
 
 def test_route_past_the_dense_cap_agrees_with_the_dense_route(monkeypatch):
-    # past the cap every sampled witness is one simulation of the output cone
+    # past the cap every sampled witness is one simulation of the output cone;
+    # within it the coins are drawn from the whole diagonal
     rng = np.random.default_rng(313)
     for _ in range(12):
         circ = random_circuit(
             rng, num_ancilla=2, num_input=1, num_witness=3, gate_count=int(rng.integers(1, 40))
         )
         x = random_input(rng, circ)
-        probs = build_acceptance_operator(circ, x).probabilities
-        dense = [quantum_trace_estimator(circ, x, 64, seed).value for seed in range(4)]
+        probs = witness_probabilities(circ, x)
+        dense = [
+            make_trace_estimator(circ, x, 64, probabilities=probs)(stream(seed), seed).value
+            for seed in range(4)
+        ]
         decided = avg_accept_decider(circ, x, seed=5)
         monkeypatch.setenv("QCOUNT_DENSE_CAP", str(circ.num_qubits - 1))
         past = [accept_probability(circ, basis_index(circ, int(x, 2), y)) for y in range(8)]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import qcount.cli
-from circgen import ensemble, random_circuit
+from circgen import dense_matrix, ensemble, random_circuit
 from qcount import (
     CapExceeded,
     PreconditionError,
@@ -154,7 +154,7 @@ def test_caps_exit_2(tmp_path, capsys):
 def test_matches_spectral_oracle():
     for circ, x in ensemble(403, 40, max_ancilla=1, max_input=1, max_witness=1, max_gates=3):
         r = path_sum_exact(circ, x)
-        exact = float(np.real(np.trace(build_acceptance_operator(circ, x).matrix)))
+        exact = float(np.real(np.trace(dense_matrix(build_acceptance_operator(circ, x)))))
         assert r.trace == pytest.approx(exact, abs=1e-9)
 
 
@@ -171,7 +171,7 @@ def test_toffoli_paths_match_oracle():
         if all(g.kind != "TOF" for g in circ.gates):
             continue
         r = path_sum_exact(circ)
-        exact = float(np.real(np.trace(build_acceptance_operator(circ).matrix)))
+        exact = float(np.real(np.trace(dense_matrix(build_acceptance_operator(circ)))))
         assert r.trace == pytest.approx(exact, abs=1e-9)
 
 

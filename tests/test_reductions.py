@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 import qcount.circuit
+import qcount.reductions
 import qcount.spectral
 import qcount.svt
-from circgen import ensemble, gapped_circuit
+from circgen import dense_matrix, ensemble, gapped_circuit
 from qcount import (
     CapExceeded,
     InvariantViolation,
@@ -229,6 +230,38 @@ def test_estimator_backing_is_seed_deterministic():
     a = MiscountingOracle(X_CIRC, eps_bound=0.5, backing="estimator", seed=3)
     b = MiscountingOracle(X_CIRC, eps_bound=0.5, backing="estimator", seed=3)
     assert a.query(0.7, 0.2) == b.query(0.7, 0.2)
+
+
+def test_estimator_amplified_diagonal_matches_a_dense_eigh(monkeypatch):
+    # the oracle amplifies block by block; the reference decomposes the
+    # assembled dense operator in one eigh
+    polys, probs = [], []
+    band, estimator = qcount.reductions.band_polynomial, qcount.reductions.make_trace_estimator
+
+    def recording_band(*args):
+        polys.append(band(*args))
+        return polys[-1]
+
+    def recording_estimator(*args, probabilities, **kwargs):
+        probs.append(probabilities)
+        return estimator(*args, probabilities=probabilities, **kwargs)
+
+    monkeypatch.setattr(qcount.reductions, "band_polynomial", recording_band)
+    monkeypatch.setattr(qcount.reductions, "make_trace_estimator", recording_estimator)
+    split = 0
+    for circ, x in ensemble(235, 12, max_witness=4):
+        oracle = MiscountingOracle(circ, x, eps_bound=1.0 / 8.0, backing="estimator", seed=2)
+        if oracle.operator.blocks.shape[0] == 1:
+            continue
+        split += 1
+        del polys[:], probs[:]
+        interval_partition_trace(oracle, 8)
+        lam, vecs = np.linalg.eigh(dense_matrix(oracle.operator))
+        sigma = np.sqrt(np.clip(lam, 0.0, 1.0))
+        for poly, got in zip(polys, probs, strict=True):
+            ref = np.clip((np.abs(vecs) ** 2) @ (poly(sigma) ** 2), 0.0, 1.0)
+            assert np.max(np.abs(got - ref)) <= 1e-12
+    assert split >= 3
 
 
 def test_estimator_backing_builds_one_encoding(monkeypatch):

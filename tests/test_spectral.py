@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from circgen import ensemble, full_witness_matrix, kron_unitary, random_circuit
+from circgen import dense_matrix, ensemble, full_witness_matrix, kron_unitary, random_circuit
 from qcount import (
     AcceptanceOperator,
     BlockEncoding,
@@ -20,6 +20,7 @@ from qcount import (
     sandwich_bounds,
     trace_normalized,
     validate_dqc1,
+    witness_probabilities,
 )
 from qcount.circuit import (
     _BLOCK_BYTES,
@@ -37,13 +38,13 @@ ID_CIRC = parse_circuit("registers: ancilla=1 input=0 witness=1\n")
 
 def test_x_operator_is_identity():
     op = build_acceptance_operator(X_CIRC)
-    assert np.allclose(op.matrix, np.eye(2), atol=1e-12)
+    assert np.allclose(dense_matrix(op), np.eye(2), atol=1e-12)
     assert np.allclose(op.eigenvalues, [1.0, 1.0], atol=1e-12)
 
 
 def test_h_operator_is_half_identity():
     op = build_acceptance_operator(H_CIRC)
-    assert np.allclose(op.matrix, 0.5 * np.eye(2), atol=1e-12)
+    assert np.allclose(dense_matrix(op), 0.5 * np.eye(2), atol=1e-12)
     count = SpectralCount.of(op.eigenvalues, 0.6, 0.5)
     assert (count.n_geq_c, count.n_geq_s) == (0, 2)
     assert trace_normalized(op) == pytest.approx(0.5, abs=1e-12)
@@ -51,7 +52,7 @@ def test_h_operator_is_half_identity():
 
 def test_identity_circuit_never_accepts():
     op = build_acceptance_operator(ID_CIRC)
-    assert np.allclose(op.matrix, 0.0, atol=1e-12)
+    assert np.allclose(dense_matrix(op), 0.0, atol=1e-12)
     assert trace_normalized(op) == 0.0
 
 
@@ -85,7 +86,7 @@ def test_trace_equals_acceptance_probability_sum():
             accept_probability(circ, basis_index(circ, x_val, y))
             for y in range(1 << circ.num_witness)
         )
-        assert float(np.real(np.trace(op.matrix))) == pytest.approx(
+        assert float(np.real(np.trace(dense_matrix(op)))) == pytest.approx(
             by_simulation, abs=1e-7
         )
         assert float(op.eigenvalues.sum()) == pytest.approx(by_simulation, abs=1e-7)
@@ -135,10 +136,11 @@ def test_operator_build_copies_no_output_block():
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= embed_bytes + op.matrix.nbytes + 2 * _BLOCK_BYTES
+        mat = dense_matrix(op)
+        assert peak <= embed_bytes + mat.nbytes + 2 * _BLOCK_BYTES
         assert peak <= embed_bytes + stack_bytes + 2 * _BLOCK_BYTES
         block = full_witness_matrix(circ.output_cone(), "")[1 << (circ.num_qubits - 1) :]
-        assert np.array_equal(op.matrix, block.conj().T @ block)  # the same bits
+        assert np.array_equal(mat, block.conj().T @ block)  # the same bits
 
 
 def test_operator_build_stores_only_the_superposed_rows():
@@ -163,7 +165,7 @@ def test_operator_build_stores_only_the_superposed_rows():
     assert op.blocks.shape == (1 << k, 1 << (w - k), 1 << (w - k))
     assert peak <= compact_bytes + stack_bytes + 2 * _BLOCK_BYTES
     u = full_witness_matrix(circ, "")[1 << (circ.num_qubits - 1) :]
-    assert np.max(np.abs(op.matrix - u.conj().T @ u)) <= 1e-12
+    assert np.max(np.abs(dense_matrix(op) - u.conj().T @ u)) <= 1e-12
 
 
 def _reference_operator(circ, x):
@@ -226,12 +228,27 @@ def test_block_split_matches_the_kron_reference():
         ref = _reference_operator(circ, x)
         op = build_acceptance_operator(circ, x)
         assert op.blocks.shape[0] == 1 << k
-        assert np.max(np.abs(op.matrix - ref)) <= 1e-12
+        assert np.max(np.abs(dense_matrix(op) - ref)) <= 1e-12
         ref_eigs = np.sort(np.linalg.eigvalsh(ref))[::-1]
         assert np.max(np.abs(op.eigenvalues - ref_eigs)) <= 1e-12
         assert abs(op.trace - float(np.real(np.trace(ref)))) <= 1e-12
-        assert np.max(np.abs(op.probabilities - np.real(np.diagonal(ref)))) <= 1e-12
-    assert not np.any(build_acceptance_operator(NEVER_FLIPS_OUTPUT, "1").matrix)
+        assert np.max(np.abs(witness_probabilities(circ, x) - np.real(np.diagonal(ref)))) <= 1e-12
+    assert not np.any(dense_matrix(build_acceptance_operator(NEVER_FLIPS_OUTPUT, "1")))
+
+
+def test_witness_probabilities_are_the_operator_diagonal_bit_for_bit():
+    # one squared column norm of the embed per witness, without the Gram: the
+    # same bits as the Gram's diagonal, which is exact on these circuits
+    cases = [(circ, x) for circ, x, _ in _split_cases()] + ensemble(210, 40, max_witness=4)
+    seen = set()
+    for circ, x in cases:
+        op = build_acceptance_operator(circ, x)
+        probs = witness_probabilities(circ, x)
+        assert np.array_equal(probs, np.real(np.diagonal(dense_matrix(op))))
+        seen.add(("odd h", circ.output_cone().h_count % 2 == 1))
+        seen.add(("input", bool(x)))
+        seen.add(("k >= 1", op.blocks.shape[0] > 1))
+    assert seen == {(name, v) for name in ("odd h", "input", "k >= 1") for v in (False, True)}
 
 
 def test_odd_h_gram_is_exact():
@@ -242,7 +259,7 @@ def test_odd_h_gram_is_exact():
     op = build_acceptance_operator(readme)
     assert (op.trace, trace_normalized(op)) == (3.0, 0.75)
     for circ, x in ensemble(209, 40, max_witness=4):
-        scaled = build_acceptance_operator(circ, x).matrix * 2.0**circ.h_count
+        scaled = dense_matrix(build_acceptance_operator(circ, x)) * 2.0**circ.h_count
         assert np.array_equal(scaled, np.round(scaled))
 
 

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 from numpy.polynomial import chebyshev as cheb
 
-from circgen import ensemble, full_rows, kron_unitary, thresholds_from_sigma_gap
+from circgen import dense_matrix, ensemble, full_rows, kron_unitary, thresholds_from_sigma_gap
 from qcount import (
+    AcceptanceOperator,
     PreconditionError,
     apply_svt,
     build_acceptance_operator,
@@ -29,11 +30,12 @@ X_CIRC = parse_circuit("registers: ancilla=1 input=0 witness=1\nX 0\n")
 
 def test_block_encoding_of_sure_acceptor():
     enc = build_block_encoding(X_CIRC)
-    assert enc.operator.matrix.shape == (2, 2)
+    assert dense_matrix(enc.operator).shape == (2, 2)
     assert np.allclose(enc.singular_values, [1.0, 1.0], atol=1e-12)
-    sigma, vh = enc.svd
-    assert np.allclose(sigma, [1.0, 1.0], atol=1e-12)
-    assert np.allclose(vh @ vh.conj().T, np.eye(2), atol=1e-12)
+    sigma, vecs = enc.svd  # per diagonal block
+    assert np.allclose(sigma, 1.0, atol=1e-12) and sigma.size == 2
+    eye = np.eye(vecs.shape[1])
+    assert np.allclose(vecs @ vecs.conj().transpose(0, 2, 1), eye, atol=1e-12)
 
 
 def test_gram_matrix_is_acceptance_operator():
@@ -43,7 +45,7 @@ def test_gram_matrix_is_acceptance_operator():
         cols = (int(x or "0", 2) << circ.num_witness) + np.arange(1 << circ.num_witness)
         block = u[u.shape[0] // 2 :, cols]
         op = build_acceptance_operator(circ, x)
-        assert np.max(np.abs(block.conj().T @ block - op.matrix)) <= 1e-9
+        assert np.max(np.abs(block.conj().T @ block - dense_matrix(op))) <= 1e-9
 
 
 def test_singular_values_square_to_eigenvalues():
@@ -52,10 +54,11 @@ def test_singular_values_square_to_eigenvalues():
         sigma = np.linalg.svd(ve[ve.shape[0] // 2 :], compute_uv=False)  # descending
         enc = build_block_encoding(circ, x)
         assert np.allclose(enc.singular_values**2, sigma**2, atol=1e-9)
-        eigh_sigma, vh = enc.svd
-        assert np.allclose(eigh_sigma**2, sigma**2, atol=1e-9)
-        rebuilt = (vh.conj().T * eigh_sigma**2) @ vh
-        assert np.max(np.abs(rebuilt - enc.operator.matrix)) <= 1e-9
+        eigh_sigma, vecs = enc.svd  # per diagonal block, ascending in each
+        assert np.allclose(np.sort(eigh_sigma, axis=None)[::-1] ** 2, sigma**2, atol=1e-9)
+        blocks = (vecs * eigh_sigma[:, np.newaxis, :] ** 2) @ vecs.conj().transpose(0, 2, 1)
+        rebuilt = dense_matrix(AcceptanceOperator(blocks, circ.num_witness, enc.operator.order))
+        assert np.max(np.abs(rebuilt - dense_matrix(enc.operator))) <= 1e-9
 
 
 @pytest.mark.parametrize("delta,eps", [(0.2, 0.1), (0.1, 0.01)])
