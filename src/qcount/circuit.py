@@ -56,7 +56,7 @@ _MNEMONICS = {
 }
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
-_BLOCK_BYTES = 1 << 20  # bytes of one gate-kernel column block, to stay in cache
+_BLOCK_BYTES = 1 << 20  # bytes of one gate-kernel column block: bounds a run's working memory
 
 NORM_TOL = 1e-9
 
@@ -433,9 +433,10 @@ def _witness_blocks(
     (2**s,) + (2,)*w: the block's column axes are b of the w, in layout
     order, and the other w - b diagonal qubits are bits it shares, never
     targets of a column permutation, so the permutations stay inside a
-    block.  Blocks are about _BLOCK_BYTES, to stay in cache, and more where
-    permutations need more column axes.  Columns never interact, so
-    blocking changes no bit.
+    block.  Blocks are about _BLOCK_BYTES, and more where permutations
+    need more column axes: they bound the memory a run holds beyond the
+    array it fills, not its speed.  Columns never interact, so blocking
+    changes no bit.
     """
     q, w = circuit.num_qubits, circuit.num_witness
     check_dense(q)

@@ -18,14 +18,16 @@ per sample, drawn from counter-based streams (see rngstreams).  The
 coin's bias is one accept_probability per distinct sampled witness,
 simulating only the output cone, or, within the dense cap from 2**w / 16
 draws on, every witness's at once from one embed (witness_probabilities).
-No operator is built.
+No operator is built.  Every estimator builds its AdditiveEstimate, the
+one check of epsilon, delta and the sample count, before its first draw
+or embed, and returns copies of it with the value filled in.
 """
 
 from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -45,7 +47,11 @@ from .spectral import (
 
 @dataclass(frozen=True)
 class AdditiveEstimate:
-    """A value promised within epsilon * normalization, except w.p. delta."""
+    """A value promised within epsilon * normalization, except w.p. delta.
+
+    Its check is the package's one check of an estimate's epsilon, delta
+    and sample count; each estimator builds one before it draws anything.
+    """
 
     value: float
     normalization: float
@@ -94,14 +100,12 @@ def make_trace_estimator(
     dim_w = 1 << circuit.num_witness
     if epsilon is None:
         epsilon = 2.0 / math.sqrt(M)  # puts the Chebyshev failure bound at 1/4
-    elif not math.isfinite(epsilon):
-        raise PreconditionError(f"epsilon must be finite, got {epsilon}")
     elif epsilon * epsilon * M <= 1.0:
         raise PreconditionError(
             f"epsilon={epsilon} is unattainable at M={M}: the failure "
             f"bound 1/(M eps^2) would reach 1"
         )
-    delta = 1.0 / (M * epsilon * epsilon)
+    template = AdditiveEstimate(0.0, float(dim_w), epsilon, 1.0 / (M * epsilon * epsilon), M, 0)
     if probabilities is None and 16 * M >= dim_w and circuit.num_qubits <= dense_qubit_cap():
         probabilities = witness_probabilities(circuit, x)
     prob_cache: dict[int, float] = {}
@@ -116,15 +120,7 @@ def make_trace_estimator(
                 prob_cache[y] = accept_probability(circuit, basis_index(circuit, x_val, y))
             probs = np.array([prob_cache[y] for y in ys])
         hits = rng.random(M) < probs
-        value = dim_w * (int(hits.sum()) / M)
-        return AdditiveEstimate(
-            value=value,
-            normalization=float(dim_w),
-            epsilon=epsilon,
-            delta=delta,
-            samples=M,
-            seed=seed_record,
-        )
+        return replace(template, value=dim_w * (int(hits.sum()) / M), seed=seed_record)
 
     return run
 
@@ -163,12 +159,10 @@ def median_amplify(
     if k < 1:
         raise PreconditionError(f"need at least one run, got {k}")
     runs = [base(stream(seed, jump=j)) for j in range(k)]
-    delta = min(math.exp(-k / 8.0), 0.25)
-    return AdditiveEstimate(
+    return replace(
+        runs[0],
         value=statistics.median(r.value for r in runs),
-        normalization=runs[0].normalization,
-        epsilon=runs[0].epsilon,
-        delta=delta,
+        delta=min(math.exp(-k / 8.0), 0.25),
         samples=sum(r.samples for r in runs),
         seed=seed,
     )

@@ -46,7 +46,7 @@ the Hoeffding tail Pr(|est - Tr| >= eps * u) <= 2 exp(-S eps^2 / 2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -187,22 +187,12 @@ def path_sum_estimator(
     if epsilon is None:
         # default is the eps whose two-sided Hoeffding bound equals 1/4
         epsilon = float(np.sqrt(2.0 * np.log(8.0) / samples))
-    elif not np.isfinite(epsilon):
-        raise PreconditionError(f"epsilon must be finite, got {epsilon}")
     elif samples * epsilon * epsilon <= 2.0 * np.log(2.0):
         raise PreconditionError(
             f"epsilon={epsilon} is unattainable at {samples} samples: the "
             f"Hoeffding bound 2 exp(-S eps^2 / 2) would reach 1"
         )
     delta = float(2.0 * np.exp(-samples * epsilon * epsilon / 2.0))
+    estimate = AdditiveEstimate(0.0, float(2.0**scale_bits), epsilon, delta, samples, seed)
     scores = _walk_pair_scores(circuit, x_val, stream(seed), samples)
-    normalization = float(2.0 ** scale_bits)
-    value = normalization * (int(scores.sum()) / samples)
-    return AdditiveEstimate(
-        value=value,
-        normalization=normalization,
-        epsilon=epsilon,
-        delta=delta,
-        samples=samples,
-        seed=seed,
-    )
+    return replace(estimate, value=estimate.normalization * (int(scores.sum()) / samples))

@@ -43,7 +43,6 @@ import numpy as np
 
 from .circuit import VerifierCircuit, WitnessEmbed, embedded_witness_matrix, simulate
 from .errors import InvariantViolation, PreconditionError
-from .limits import check_dense
 
 HERM_TOL = 1e-9
 EIG_CLAMP_TOL = 1e-9
@@ -130,7 +129,6 @@ def _cone_embed(circuit: VerifierCircuit, x: str) -> tuple[WitnessEmbed, float]:
     count's final 1/sqrt(2), so its entries stay exact Gaussian integers
     over a power of two; the factor 1/2 puts it back into a product of two.
     """
-    check_dense(circuit.num_qubits)
     cone = circuit.output_cone()
     return embedded_witness_matrix(cone, x, odd_h_root=False), 0.5 if cone.h_count % 2 else 1.0
 

@@ -463,6 +463,9 @@ def test_circuit_validation():
         VerifierCircuit(0, 0, 1, (Gate("H", (0,)),))
     with pytest.raises(PreconditionError):
         VerifierCircuit(1, 0, 1, (Gate("H", (2,)),))
+    for registers in ((1, -1, 1), (1, 0, -1)):
+        with pytest.raises(PreconditionError, match="register sizes must be nonnegative"):
+            VerifierCircuit(*registers, ())
 
 
 def test_simulation_cap():

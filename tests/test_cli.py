@@ -20,6 +20,8 @@ X_QCV = "registers: ancilla=1 input=0 witness=1\nX 0\n"
 H_QCV = "registers: ancilla=1 input=0 witness=1\nH 0\n"
 H_NO_WITNESS_QCV = "registers: ancilla=1 input=0 witness=0\nH 0\n"
 TWO_INPUT_QCV = "registers: ancilla=1 input=2 witness=1\nH 0\nTOF 1 2 0\nH 3\n"
+COMMENT_ONLY_QCV = "# registers: ancilla=1 input=0 witness=1\n"
+QUBITS_64_QCV = "registers: ancilla=1 input=0 witness=63\nH 0\n"
 SUBCOMMANDS = (
     "decide-avg-accept",
     "estimate-trace",
@@ -58,6 +60,8 @@ def circuits(tmp_path):
         ("h", H_QCV),
         ("h0", H_NO_WITNESS_QCV),
         ("i2", TWO_INPUT_QCV),
+        ("comment", COMMENT_ONLY_QCV),
+        ("q64", QUBITS_64_QCV),
     ]:
         p = tmp_path / f"{name}.qcv"
         p.write_text(text)
@@ -327,6 +331,16 @@ def test_bad_flag_exits_2(circuits):
              "--delta-strategy", "max"),
             None,
         ),
+        (("estimate-trace", "{x}", "--M", "64", "--seed", "1", "--eps", "-0.5"), None),
+        (
+            ("path-sum", "{x}", "--mode", "sampled", "--samples", "1024", "--seed", "1",
+             "--eps", "-0.1"),
+            None,
+        ),
+        (("exact-count", "{comment}", "--c", "0.6", "--s", "0.3"), None),
+        (("exact-count", "{x}", "--c", "0.6", "--s", "0.3"), {"QCOUNT_DENSE_CAP": "0"}),
+        (("reduce-pad", "{h}", "--u-exponent", "1.5", "--eps", "0.9"), None),
+        (("path-sum", "{q64}", "--mode", "sampled", "--samples", "64", "--seed", "1"), None),
     ],
     ids=[
         "c-below-s",
@@ -353,6 +367,12 @@ def test_bad_flag_exits_2(circuits):
         "decide-eps-square-underflows",
         "circuit-not-utf8",
         "reduce-interval-estimator-with-strategy",
+        "estimate-trace-eps-negative",
+        "path-sum-eps-negative",
+        "circuit-without-registers-header",
+        "dense-cap-zero",
+        "reduce-pad-u-exponent-above-1",
+        "path-sum-sampled-over-64-qubits",
     ],
 )
 def test_precondition_violation_exits_2(circuits, args, env):

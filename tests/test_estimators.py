@@ -1,13 +1,13 @@
 """Monte Carlo trace estimator: law, amplification, and the decider."""
 
 import math
-import sys
 
 import numpy as np
 import pytest
 
 import qcount.circuit
 import qcount.estimators
+import qcount.spectral
 from circgen import dense_matrix, ensemble, random_circuit, random_input
 from qcount import (
     AdditiveEstimate,
@@ -132,27 +132,38 @@ def test_decider_checks_sample_cap_before_building(monkeypatch):
 
 
 @pytest.mark.parametrize("M, embed_calls", [(16, 0), (31, 0), (32, 1), (64, 1)])
-def test_in_cap_estimate_embeds_only_past_a_sixteenth(monkeypatch, M, embed_calls):
+def test_in_cap_estimate_embeds_only_past_a_sixteenth(qcount_calls, M, embed_calls):
     # below 2**w / 16 draws an estimate simulates each sampled witness, so a
     # d9-sized circuit (Q = 11, within the dense cap) is never embedded; from
     # there on one embed reads every witness
-    embeds = []
-    embed = qcount.circuit.embedded_witness_matrix
-
-    def counting_embed(*args, **kwargs):
-        embeds.append(args)
-        return embed(*args, **kwargs)
-
-    for module in list(sys.modules.values()):  # every binding that could embed
-        if getattr(module, "__name__", "").startswith("qcount") and hasattr(
-            module, "embedded_witness_matrix"
-        ):
-            monkeypatch.setattr(module, "embedded_witness_matrix", counting_embed)
+    embeds = qcount_calls(qcount.circuit.embedded_witness_matrix)
     circ = random_circuit(np.random.default_rng(314), num_ancilla=2, num_witness=9, gate_count=120)
     assert circ.num_qubits == 11 <= dense_qubit_cap()
     est = quantum_trace_estimator(circ, M=M, seed=1)
     assert 0.0 <= est.value <= est.normalization
     assert len(embeds) == embed_calls
+
+
+def test_negative_epsilon_fails_when_the_estimator_is_built():
+    with pytest.raises(PreconditionError, match="epsilon must be finite and positive"):
+        make_trace_estimator(H_CIRC, M=64, epsilon=-1.0)
+
+
+@pytest.mark.parametrize(
+    "num_witness, work",
+    [(13, qcount.spectral.accept_probability), (9, qcount.circuit.embedded_witness_matrix)],
+    ids=["past-cap-simulations", "in-cap-embeds"],
+)
+def test_negative_epsilon_fails_before_any_work(qcount_calls, num_witness, work):
+    # past the dense cap (Q = 15) each sampled witness would be simulated;
+    # within it (Q = 11, 16 M >= 2**w) one embed would read every witness
+    calls = qcount_calls(work)
+    rng = np.random.default_rng(314)
+    circ = random_circuit(rng, num_ancilla=2, num_witness=num_witness, gate_count=120)
+    assert (circ.num_qubits > dense_qubit_cap()) == (num_witness == 13)
+    with pytest.raises(PreconditionError, match="epsilon must be finite and positive"):
+        quantum_trace_estimator(circ, M=64, seed=1, epsilon=-0.5)
+    assert calls == []
 
 
 def test_same_seed_same_value():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import qcount.cli
+import qcount.pathsum
 from circgen import dense_matrix, ensemble, random_circuit
 from qcount import (
     CapExceeded,
@@ -213,6 +214,14 @@ def test_estimator_metadata_and_validation():
     path_sum_estimator(circ, samples=SAMPLE_CAP // 5, seed=0)
     with pytest.raises(CapExceeded, match="cap"):
         path_sum_estimator(circ, samples=SAMPLE_CAP // 5 + 1, seed=0)
+
+
+def test_negative_epsilon_fails_before_any_walk(qcount_calls):
+    walks = qcount_calls(qcount.pathsum._walk_pair_scores)
+    circ = parse_circuit("registers: ancilla=1 input=0 witness=1\nX 0\n")
+    with pytest.raises(PreconditionError, match="epsilon must be finite and positive"):
+        path_sum_estimator(circ, samples=1024, seed=0, epsilon=-0.1)
+    assert walks == []
 
 
 def test_estimator_seed_determinism():

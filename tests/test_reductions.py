@@ -115,6 +115,10 @@ def test_oracle_validation():
         MiscountingOracle(H_CIRC, eps_bound=0.1, backing="quantum")
     with pytest.raises(PreconditionError):
         MiscountingOracle(H_CIRC, eps_bound=0.1, backing="estimator", pad_qubits=1)
+    with pytest.raises(PreconditionError, match="pad_qubits must be nonnegative"):
+        MiscountingOracle(H_CIRC, eps_bound=0.1, pad_qubits=-1)
+    with pytest.raises(PreconditionError, match="estimator backing needs a positive eps_bound"):
+        MiscountingOracle(H_CIRC, eps_bound=0.0, backing="estimator")
     # the estimator backing's error is sampled: it has no strategy to apply
     for strategies in ({"delta_strategy": "max"}, {"eps_strategy": "adversarial"}):
         with pytest.raises(PreconditionError, match="no padding or strategies"):

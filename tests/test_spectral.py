@@ -304,6 +304,14 @@ def test_rejects_non_hermitian():
         AcceptanceOperator(np.array([[0.0, 1.0], [0.0, 0.0]]), 1)
 
 
+def test_rejects_a_malformed_stack_or_order():
+    # (1, 1, 2) spans the 2 witness columns but its block is not square
+    with pytest.raises(PreconditionError, match="stack of square blocks"):
+        AcceptanceOperator(np.zeros((1, 1, 2)), 1)
+    with pytest.raises(PreconditionError, match="order must be a permutation"):
+        AcceptanceOperator(np.eye(2) / 2, 1, order=[0, 0])
+
+
 def test_rejects_escaping_eigenvalues():
     bad = AcceptanceOperator(np.diag([1.5, 0.0]).astype(complex), 1)
     with pytest.raises(InvariantViolation):
