@@ -16,6 +16,7 @@ import argparse
 import ctypes
 import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -114,16 +115,8 @@ def _exact_count(p, args, circ) -> dict:
     _flag("--eps", type=float, default=None),
 )
 def _estimate_trace(p, args, circ) -> dict:
-    est = quantum_trace_estimator(circ, args.x, args.M, args.seed, epsilon=args.eps)
-    return {
-        "x": args.x,
-        "M": est.samples,
-        "epsilon": est.epsilon,
-        "delta": est.delta,
-        "value": est.value,
-        "normalization": est.normalization,
-        "seed": est.seed,
-    }
+    fields = asdict(quantum_trace_estimator(circ, args.x, args.M, args.seed, epsilon=args.eps))
+    return {"x": args.x, "M": fields.pop("samples"), **fields}
 
 
 @_subcommand(
@@ -140,17 +133,7 @@ def _path_sum(p, args, circ) -> dict:
     if args.seed is None or args.samples is None:
         p.error("--mode sampled requires --samples and --seed")
     est = pathsum.path_sum_estimator(circ, args.x, args.samples, args.seed, epsilon=args.eps)
-    return {
-        "mode": "sampled",
-        "h": circ.h_count,
-        "N_star": pathsum.free_path_bits(circ),
-        "value": est.value,
-        "normalization": est.normalization,
-        "epsilon": est.epsilon,
-        "delta": est.delta,
-        "samples": est.samples,
-        "seed": est.seed,
-    }
+    return dict(mode="sampled", h=circ.h_count, N_star=pathsum.free_path_bits(circ)) | asdict(est)
 
 
 @_subcommand(
@@ -267,15 +250,7 @@ def _reduce_pad(p, args, circ) -> dict:
     _flag("--eps", type=float, default=None),
 )
 def _decide_avg_accept(p, args, circ) -> dict:
-    r = avg_accept_decider(circ, args.x, args.c, args.s, args.seed, epsilon=args.eps)
-    return {
-        "answer": r.answer,
-        "mean": r.mean,
-        "samples": r.samples,
-        "epsilon": r.epsilon,
-        "promise_violated": r.promise_violated,
-        "exact_normalized_trace": r.exact_normalized_trace,
-    }
+    return asdict(avg_accept_decider(circ, args.x, args.c, args.s, args.seed, epsilon=args.eps))
 
 
 @_subcommand("validate-dqc1")

@@ -1,26 +1,25 @@
-"""Monte Carlo additive trace estimation from single-shot acceptance draws.
+"""Monte Carlo additive estimates: one sampling core and the trace estimator.
 
-One sample of the basic estimator is: pick a uniform witness y, run the
+An additive estimate is a value within eps * normalization of the trace
+except with probability delta, from S single-shot samples.  The core,
+additive_template, checks the sample count, SAMPLE_CAP, eps and delta
+before any draw and returns the AdditiveEstimate each run copies.  An
+estimator is then its draw plus the tail bound of a mean of S scores in
+[-1, 1]: CHEBYSHEV, delta = 1/(S eps^2), or HOEFFDING, delta =
+2 exp(-S eps^2 / 2), each with the default eps that puts delta at 1/4.
+The median of k >= 2 runs that each fail w.p. at most 1/4 fails w.p. at
+most exp(-k/8), so k = ceil(8 * ln(1/delta)) runs give confidence delta.
+
+The trace estimator's sample is: pick a uniform witness y, run the
 verifier once, record whether the output qubit read 1.  Averaging M such
-Bernoulli outcomes and scaling by 2**w gives
-
-    X = (2**w / M) * sum(X_i),
-
-which is unbiased for the acceptance-operator trace and has variance
-exactly (1/M) * Tr * (2**w - Tr), so Chebyshev gives
-Pr(|X - Tr| >= eps * 2**w) <= 1 / (M * eps**2).  Taking the median of k
-independent runs sharpens the 1/4-failure setting to exp(-k/8), hence
-k = ceil(8 * ln(1/delta)) repetitions suffice for confidence delta.
-
+Bernoulli outcomes and scaling by 2**w gives X = (2**w / M) * sum(X_i),
+unbiased for the acceptance-operator trace, with the Chebyshev tail.
 Sampling is simulated classically but never peeks beyond what one run
 of the verifier would reveal: a witness index and one biased coin flip
 per sample, drawn from counter-based streams (see rngstreams).  The
 coin's bias is one accept_probability per distinct sampled witness,
 simulating only the output cone, or, within the dense cap from 2**w / 16
 draws on, every witness's at once from one embed (witness_probabilities).
-No operator is built.  Every estimator builds its AdditiveEstimate, the
-one check of epsilon, delta and the sample count, before its first draw
-or embed, and returns copies of it with the value filled in.
 """
 
 from __future__ import annotations
@@ -37,6 +36,7 @@ from .errors import PreconditionError
 from .limits import ceil_quotient, check_draws, dense_qubit_cap
 from .rngstreams import stream, uniform_indices
 from .spectral import (
+    AUDIT_SLACK,
     accept_probability,
     at_least,
     at_most,
@@ -45,12 +45,17 @@ from .spectral import (
 )
 
 
+def _check_epsilon(epsilon: float) -> None:
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise PreconditionError(f"epsilon must be finite and positive, got {epsilon}")
+
+
 @dataclass(frozen=True)
 class AdditiveEstimate:
     """A value promised within epsilon * normalization, except w.p. delta.
 
     Its check is the package's one check of an estimate's epsilon, delta
-    and sample count; each estimator builds one before it draws anything.
+    and sample count; additive_template runs it before any draw.
     """
 
     value: float
@@ -61,20 +66,57 @@ class AdditiveEstimate:
     seed: int
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
-            raise PreconditionError(
-                f"epsilon must be finite and positive, got {self.epsilon}"
-            )
+        _check_epsilon(self.epsilon)
         if not 0.0 < self.delta < 1.0:
             raise PreconditionError(f"delta must lie in (0, 1), got {self.delta}")
         if self.samples < 1:
             raise PreconditionError(f"need at least one sample, got {self.samples}")
 
 
-def _check_sample_count(M: int) -> None:
-    if M < 1:
-        raise PreconditionError(f"sample count must be >= 1, got {M}")
-    check_draws(2 * M, f"M={M}")
+@dataclass(frozen=True)
+class TailBound:
+    """Failure bound delta(S, eps) of a mean of S scores in [-1, 1]."""
+
+    law: str  # as the unattainable-epsilon message names it
+    unattainable_at: float  # S eps^2 at or below which delta would reach 1
+    default_epsilon: Callable[[int], float]  # puts delta at 1/4
+    delta: Callable[[int, float], float]
+
+
+CHEBYSHEV = TailBound(
+    "Chebyshev 1/(M eps^2)", 1.0, lambda M: 2.0 / math.sqrt(M), lambda M, eps: 1.0 / (M * eps * eps)
+)
+HOEFFDING = TailBound(
+    "Hoeffding 2 exp(-S eps^2 / 2)",
+    2.0 * math.log(2.0),
+    lambda S: float(np.sqrt(2.0 * np.log(8.0) / S)),
+    lambda S, eps: float(2.0 * np.exp(-S * eps * eps / 2.0)),
+)
+
+
+def additive_template(
+    samples: int, draws_per_sample: int, normalization: float,
+    epsilon: float | None, bound: TailBound, who: str,
+) -> AdditiveEstimate:
+    """The checked estimate (value 0, seed 0) of one run, before its first draw.
+
+    Checks the sample count, SAMPLE_CAP, epsilon (the bound's 1/4 point if
+    None) and that the bound says anything there, in that order.  delta is
+    floored at the smallest positive double, still a bound if it underflows.
+    """
+    if samples < 1:
+        raise PreconditionError(f"sample count must be >= 1, got {samples}")
+    check_draws(samples * draws_per_sample, who)
+    if epsilon is None:
+        epsilon = bound.default_epsilon(samples)
+    _check_epsilon(epsilon)
+    if samples * epsilon * epsilon <= bound.unattainable_at:
+        raise PreconditionError(
+            f"epsilon={epsilon} is unattainable at {samples} samples: "
+            f"the {bound.law} bound would reach 1"
+        )
+    delta = max(bound.delta(samples, epsilon), math.ulp(0.0))
+    return AdditiveEstimate(0.0, normalization, epsilon, delta, samples, 0)
 
 
 def make_trace_estimator(
@@ -95,17 +137,9 @@ def make_trace_estimator(
     (acceptance coin): the package's one Monte Carlo draw, which
     avg_accept_decider and the estimator-backed oracle sample through too.
     """
-    _check_sample_count(M)
-    x_val = _parse_bits(x, circuit.num_input, "input bits")
     dim_w = 1 << circuit.num_witness
-    if epsilon is None:
-        epsilon = 2.0 / math.sqrt(M)  # puts the Chebyshev failure bound at 1/4
-    elif epsilon * epsilon * M <= 1.0:
-        raise PreconditionError(
-            f"epsilon={epsilon} is unattainable at M={M}: the failure "
-            f"bound 1/(M eps^2) would reach 1"
-        )
-    template = AdditiveEstimate(0.0, float(dim_w), epsilon, 1.0 / (M * epsilon * epsilon), M, 0)
+    template = additive_template(M, 2, float(dim_w), epsilon, CHEBYSHEV, f"M={M}")
+    x_val = _parse_bits(x, circuit.num_input, "input bits")
     if probabilities is None and 16 * M >= dim_w and circuit.num_qubits <= dense_qubit_cap():
         probabilities = witness_probabilities(circuit, x)
     prob_cache: dict[int, float] = {}
@@ -134,8 +168,7 @@ def quantum_trace_estimator(
     epsilon: float | None = None,
 ) -> AdditiveEstimate:
     """One M-sample additive estimate of the acceptance-operator trace."""
-    run = make_trace_estimator(circuit, x, M, epsilon=epsilon)
-    return run(stream(seed), seed_record=seed)
+    return make_trace_estimator(circuit, x, M, epsilon=epsilon)(stream(seed), seed_record=seed)
 
 
 def median_repetitions(delta: float) -> int:
@@ -146,23 +179,29 @@ def median_repetitions(delta: float) -> int:
 
 
 def median_amplify(
-    base: Callable[[np.random.Generator], AdditiveEstimate],
-    k: int,
-    seed: int,
+    base: Callable[[np.random.Generator], AdditiveEstimate], k: int, seed: int
 ) -> AdditiveEstimate:
     """Median of k independent runs of a 1/4-failure additive estimator.
 
     Run j draws from substream j of the seed, so k=1 reproduces the
-    plain estimator bit for bit and the runs parallelize freely.  The
-    returned failure probability is the Hoeffding envelope exp(-k/8).
+    plain estimator bit for bit, its delta included, and the runs
+    parallelize freely.  For k >= 2 the median fails only when at least
+    half the runs do, which the Hoeffding envelope exp(-k/8) bounds for
+    runs failing w.p. at most 1/4; a base with a larger delta is refused
+    after its first run.
     """
     if k < 1:
         raise PreconditionError(f"need at least one run, got {k}")
-    runs = [base(stream(seed, jump=j)) for j in range(k)]
+    runs = [base(stream(seed))]
+    if k > 1 and runs[0].delta > 0.25 + AUDIT_SLACK:
+        raise PreconditionError(
+            f"a median of {k} runs needs runs that fail w.p. at most 1/4, got {runs[0].delta}"
+        )
+    runs += [base(stream(seed, jump=j)) for j in range(1, k)]
     return replace(
         runs[0],
         value=statistics.median(r.value for r in runs),
-        delta=min(math.exp(-k / 8.0), 0.25),
+        delta=runs[0].delta if k == 1 else max(math.exp(-k / 8.0), math.ulp(0.0)),
         samples=sum(r.samples for r in runs),
         seed=seed,
     )
@@ -208,7 +247,7 @@ def avg_accept_decider(
     if not 0.0 < epsilon < gap / 2.0:
         raise PreconditionError(f"epsilon={epsilon} cannot separate the promise gap {gap}")
     M = ceil_quotient(3.0, epsilon * epsilon) + 1
-    _check_sample_count(M)
+    check_draws(2 * M, f"M={M}")
     if probabilities is None and circuit.num_qubits <= dense_qubit_cap():
         probabilities = witness_probabilities(circuit, x)
     run = make_trace_estimator(circuit, x, M, probabilities=probabilities)
@@ -220,11 +259,4 @@ def avg_accept_decider(
     if probabilities is not None:
         exact = min(1.0, float(probabilities.sum()) / dim_w)
         promise_violated = not at_most(exact, s) and not at_least(exact, c)
-    return DeciderResult(
-        answer=answer,
-        mean=mean,
-        samples=M,
-        epsilon=epsilon,
-        promise_violated=promise_violated,
-        exact_normalized_trace=exact,
-    )
+    return DeciderResult(answer, mean, M, epsilon, promise_violated, exact)

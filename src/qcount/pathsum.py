@@ -40,8 +40,10 @@ f = N_2 and i- = N_3, exactly.
 Sampled mode draws walk pairs: one uniform witness and one uniform branch
 per H on each walk.  A pair scores +1 or -1 when both walks end on the
 same output-1 state with phase difference 0 or 2, and 0 otherwise, so
-the mean score times u = 2**(w + h) is an unbiased trace estimate with
-the Hoeffding tail Pr(|est - Tr| >= eps * u) <= 2 exp(-S eps^2 / 2).
+the mean score times u = 2**(w + h) is an unbiased trace estimate.  The
+sampling core (estimators.additive_template) checks it before the first
+draw and gives it the Hoeffding tail Pr(|est - Tr| >= eps * u) <=
+2 exp(-S eps^2 / 2).
 """
 
 from __future__ import annotations
@@ -52,9 +54,8 @@ import numpy as np
 
 from .circuit import VerifierCircuit, _parse_bits, _witness_blocks, basis_index
 from .errors import CapExceeded, InvariantViolation, PreconditionError
-from .limits import check_draws
 from .rngstreams import stream, uniform_indices
-from .estimators import AdditiveEstimate
+from .estimators import HOEFFDING, AdditiveEstimate, additive_template
 from .spectral import AUDIT_SLACK, witness_probabilities
 
 _MAX_H = 62  # an H at most doubles a walk count, so counts stay below 2**h: int64 while h <= 62
@@ -170,29 +171,20 @@ def path_sum_estimator(
     *,
     epsilon: float | None = None,
 ) -> AdditiveEstimate:
-    """Trace estimate from sampled walk pairs, normalization 2**(w+h)."""
-    if samples < 1:
-        raise PreconditionError(f"sample count must be >= 1, got {samples}")
-    h = circuit.h_count
-    # one witness, then one branch per H on each of the two walks
-    check_draws(samples * (1 + 2 * h), f"{samples}-sample path estimate")
+    """Trace estimate from sampled walk pairs, normalization 2**(w+h), Hoeffding tail."""
     x_val = _parse_bits(x, circuit.num_input, "input bits")
     if circuit.num_qubits > 63:
         raise CapExceeded(f"{circuit.num_qubits} qubits exceed the 63 of an int64 walk state")
+    h = circuit.h_count
     scale_bits = circuit.num_witness + h
     if scale_bits > 1000:
         raise CapExceeded(
             f"normalization 2**{scale_bits} overflows doubles; circuit too deep"
         )
-    if epsilon is None:
-        # default is the eps whose two-sided Hoeffding bound equals 1/4
-        epsilon = float(np.sqrt(2.0 * np.log(8.0) / samples))
-    elif samples * epsilon * epsilon <= 2.0 * np.log(2.0):
-        raise PreconditionError(
-            f"epsilon={epsilon} is unattainable at {samples} samples: the "
-            f"Hoeffding bound 2 exp(-S eps^2 / 2) would reach 1"
-        )
-    delta = float(2.0 * np.exp(-samples * epsilon * epsilon / 2.0))
-    estimate = AdditiveEstimate(0.0, float(2.0**scale_bits), epsilon, delta, samples, seed)
+    # one witness, then one branch per H on each of the two walks
+    template = additive_template(
+        samples, 1 + 2 * h, 2.0**scale_bits, epsilon, HOEFFDING, f"{samples}-sample path estimate"
+    )
     scores = _walk_pair_scores(circuit, x_val, stream(seed), samples)
-    return replace(estimate, value=estimate.normalization * (int(scores.sum()) / samples))
+    value = template.normalization * (int(scores.sum()) / samples)
+    return replace(template, value=value, seed=seed)

@@ -573,6 +573,46 @@ def test_stochastic_subcommands_are_byte_deterministic(circuits, args):
     assert first.stdout == second.stdout
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        (
+            "path-sum", "{x}", "--mode", "sampled", "--samples", "262144", "--seed", "1",
+            "--eps", "0.1",
+        ),
+        ("estimate-trace", "{x}", "--M", "64", "--seed", "1", "--eps", "1e200"),
+    ],
+    ids=["hoeffding", "chebyshev"],
+)
+def test_an_underflowing_delta_is_floored_not_refused(circuits, args):
+    # 2 exp(-1310) and 1 / inf round to 0.0; the smallest positive double
+    # still bounds the failure probability
+    rec = run_json(*[a.format(**circuits) for a in args])
+    assert rec["delta"] == 5e-324
+
+
+@pytest.mark.parametrize(
+    "args, pinned",
+    [
+        (("estimate-trace", "{x}", "--M", "64", "--seed", "11"), {"value": 2.0, "delta": 0.25}),
+        (
+            ("path-sum", "{x}", "--mode", "sampled", "--samples", "128", "--seed", "5"),
+            {"value": 2.0625, "delta": 0.25000000000000006},
+        ),
+        (("decide-avg-accept", "{h}", "--seed", "21"), {"mean": 0.47540983606557374}),
+        (
+            ("reduce-interval", "{h}", "--M", "4", "--mode", "estimator", "--seed", "3"),
+            {"n_hat": [0, 0, 1.9375, 2, 2]},
+        ),
+    ],
+    ids=["estimate-trace", "path-sum-sampled", "decide-avg-accept", "reduce-interval-estimator"],
+)
+def test_stochastic_records_are_pinned(circuits, args, pinned):
+    # a change to the draw layout keeps reruns identical but moves these values
+    rec = run_json(*[a.format(**circuits) for a in args])
+    assert {key: rec[key] for key in pinned} == pinned
+
+
 def test_config_echo_round_trips(circuits):
     rec = run_json("estimate-trace", circuits["x"], "--M", "32", "--seed", "4")
     assert rec["config"]["M"] == 32

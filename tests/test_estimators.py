@@ -114,6 +114,39 @@ def test_median_amplify_takes_the_middle_runs(k):
     assert median_amplify(base, k, seed=8).value == middle
 
 
+def test_median_delta_bounds_the_binomial_tail_of_its_runs():
+    # the median misses only when at least ceil(k/2) of k runs, each missing
+    # w.p. at most 1/4, do
+    base = make_trace_estimator(H_CIRC, M=16)
+    for k in range(1, 65):
+        tail = sum(
+            math.comb(k, j) * 0.25**j * 0.75 ** (k - j) for j in range(math.ceil(k / 2), k + 1)
+        )
+        assert median_amplify(base, k, seed=k).delta >= tail, k
+
+
+def test_median_refuses_runs_that_fail_too_often():
+    loose = make_trace_estimator(H_CIRC, M=64, epsilon=0.2)  # delta = 1/(64 * 0.04) = 0.39
+    runs = []
+
+    def counted(rng):
+        runs.append(rng)
+        return loose(rng)
+
+    assert median_amplify(counted, 1, seed=4).delta == pytest.approx(1.0 / (64 * 0.04))
+    runs.clear()
+    with pytest.raises(PreconditionError, match="fail w.p. at most 1/4"):
+        median_amplify(counted, 33, seed=4)
+    assert len(runs) == 1  # refused after the first run, before the other 32
+
+
+def test_underflowing_deltas_are_floored_at_the_smallest_double():
+    tiny = math.ulp(0.0)
+    assert quantum_trace_estimator(H_CIRC, M=64, seed=1, epsilon=1e200).delta == tiny
+    fixed = quantum_trace_estimator(H_CIRC, M=16, seed=1)
+    assert median_amplify(lambda rng: fixed, 6000, seed=1).delta == tiny  # exp(-750)
+
+
 def test_sample_cap_rejects_before_drawing():
     # 2 uniforms per sample: M = SAMPLE_CAP / 2 is the largest accepted
     make_trace_estimator(H_CIRC, M=SAMPLE_CAP // 2)
