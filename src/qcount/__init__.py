@@ -51,11 +51,9 @@ from .spectral import (
     witness_probabilities,
 )
 from .svt import (
-    BlockEncoding,
     RectanglePolynomial,
     SandwichBounds,
     apply_svt,
-    build_block_encoding,
     degree_budget,
     rect_poly,
     sandwich_bounds,

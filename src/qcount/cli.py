@@ -160,11 +160,11 @@ def _rect_poly(p, args, circ) -> dict:
     _flag("--eps", type=float, required=True),
 )
 def _svt_amplify(p, args, circ) -> dict:
-    encoding = svt.build_block_encoding(circ, args.x)
-    bounds = svt.sandwich_bounds(encoding, args.c, args.s, args.eps)
+    op = build_acceptance_operator(circ, args.x)
+    bounds = svt.sandwich_bounds(op, args.c, args.s, args.eps)
     return {
         "poly_degree": bounds.poly.degree,
-        "singular_values": encoding.singular_values,
+        "singular_values": op.singular_values,
         "amplified_eigenvalues": np.sort(bounds.amplified)[::-1],
         "trace_amplified": bounds.trace_amplified,
         "lower": bounds.lower,
@@ -237,7 +237,7 @@ def _reduce_pad(p, args, circ) -> dict:
         "normalization": r.normalization,
         "N_geq_c": r.n_geq_c,
         "N_geq_s": r.n_geq_s,
-        "in_interval": bool(r.n_geq_c <= r.count <= r.n_geq_s),
+        "in_interval": r.in_interval,
         "rounding_margin": r.rounding_margin,
     }
 

@@ -50,7 +50,7 @@ from .spectral import (
     check_promise,
     trace_normalized,
 )
-from .svt import BlockEncoding, band_polynomial
+from .svt import band_polynomial
 
 DELTA_STRATEGIES = ("zero", "max", "random")
 EPS_STRATEGIES = ("zero", "adversarial", "random")
@@ -89,12 +89,12 @@ class MiscountingOracle:
     takes no strategy and no padding, and the error budget must absorb
     genuine noise; every query is audited against the exact range
     either way.  Only the rectangle polynomial changes between
-    estimator-backed queries: the block encoding is a view of the
-    oracle's own operator, whose blocks its first such query decomposes
-    in one stacked eigh that every later query reuses, so there is one
-    embedding and one eigh per oracle.  The exact backing never
-    decomposes beyond eigvalsh; the estimator backing checks its
-    per-query sample count against SAMPLE_CAP before anything is built.
+    estimator-backed queries: the first such query decomposes the
+    oracle's operator, its block encoding, in one stacked eigh that
+    every later query reuses, so there is one embedding and one eigh
+    per oracle.  The exact backing never decomposes beyond eigvalsh;
+    the estimator backing checks its per-query sample count against
+    SAMPLE_CAP before anything is built.
     """
 
     def __init__(
@@ -144,7 +144,6 @@ class MiscountingOracle:
         self.u_exponent = u_exponent
         self.backing = backing
         self.operator = build_acceptance_operator(circuit, x)
-        self.encoding = BlockEncoding(self.operator)
         self.multiplicity = 1 << pad_qubits
         self.w_total = circuit.num_witness + pad_qubits
         self.normalization = 2.0 ** (u_exponent * self.w_total)
@@ -213,7 +212,7 @@ class MiscountingOracle:
         poly = band_polynomial(math.sqrt(c), math.sqrt(s), self.eps_bound / 4.0)
         # per-witness probabilities: the amplified diagonal sum_j |V_yj|^2 P(sigma_j)^2 by block,
         # clipped like any diagonal (P is checked on a grid, not between its points)
-        sigma, vecs = self.encoding.svd
+        sigma, vecs = self.operator.svd
         amplified = np.einsum("bij,bj->bi", np.abs(vecs) ** 2, poly(sigma) ** 2)
         probs = np.empty(self.operator.dim)
         probs[self.operator.order] = np.clip(amplified, 0.0, 1.0).ravel()
@@ -302,6 +301,11 @@ class PaddingResult:
     n_geq_c: int
     n_geq_s: int
     rounding_margin: float
+
+    @property
+    def in_interval(self) -> bool:
+        """Whether the recovered count is a member of the exact interval [N_geq_c, N_geq_s]."""
+        return self.n_geq_c <= self.count <= self.n_geq_s
 
 
 def padding_reduction(

@@ -24,9 +24,9 @@ product over the compact rows and decomposed by one stacked eigvalsh;
 the entries it leaves out are exactly zero.  An odd H count's
 final 1/sqrt(2) stays out of the embed and the Gram is halved instead,
 so an embed of exact Gaussian integers over a power of two gives an
-exact Gram.  It is the one spectral object per (circuit, x): the SVT
-block encoding reads its spectrum and blocks, and witness_probabilities
-reads its diagonal from the same embed, with no Gram.
+exact Gram.  It is the one spectral object per (circuit, x) and the block
+encoding that svt amplifies; witness_probabilities reads its diagonal
+from the same embed, with no Gram.
 The rules of the whole package live here: every threshold comparison goes
 through at_least and at_most (within TIE_TOL of a threshold counts as on
 it), every threshold pair passes check_promise, every count of a spectrum
@@ -62,9 +62,10 @@ class AcceptanceOperator:
     A exactly, and its eigenvalues are those of the blocks.
     A dense 2**w x 2**w matrix is one block in the identity order.
 
-    Eigenvalues are computed lazily, once, clamped by clamp_to_unit and
-    stored sorted descending.  Instances are treated as immutable after
-    construction.
+    It is also the block encoding svt amplifies (U'U = A for the output
+    block U).  Eigenvalues (one stacked eigvalsh) and U's SVD (one stacked
+    eigh of the blocks) are each computed lazily, once, and clamped by
+    clamp_to_unit.  Instances are treated as immutable after construction.
     """
 
     def __init__(self, blocks: np.ndarray, num_witness: int, order: np.ndarray | None = None):
@@ -90,6 +91,7 @@ class AcceptanceOperator:
         self.order = order
         self.num_witness = num_witness
         self._eigenvalues: np.ndarray | None = None
+        self._svd: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def dim(self) -> int:
@@ -102,6 +104,23 @@ class AcceptanceOperator:
             vals = np.linalg.eigvalsh(self.blocks)  # ascending within each block
             self._eigenvalues = clamp_to_unit(np.sort(vals, axis=None))[::-1].copy()
         return self._eigenvalues
+
+    @property
+    def singular_values(self) -> np.ndarray:
+        """All 2**w singular values of U, descending: sqrt of the eigenvalues."""
+        return np.sqrt(self.eigenvalues)
+
+    @property
+    def svd(self) -> tuple[np.ndarray, np.ndarray]:
+        """(sigma, V) of U per diagonal block, from one stacked eigh of the blocks.
+
+        sigma is (2**k, m) and V is (2**k, m, m): V[b, :, j], over witnesses
+        order[b * m : (b + 1) * m], has sigma[b, j], ascending in j.
+        """
+        if self._svd is None:
+            lam, vecs = np.linalg.eigh(self.blocks)
+            self._svd = (np.sqrt(clamp_to_unit(lam)), vecs)
+        return self._svd
 
     @property
     def trace(self) -> float:

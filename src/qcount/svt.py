@@ -4,8 +4,10 @@ The bottom half-block U of the embedded circuit matrix (output qubit
 fixed at |1>, ancillas and input fixed on the column side) satisfies
 U'U = A, the acceptance operator, so the singular values of U are the
 square roots of A's eigenvalues and its right singular vectors are A's
-eigenvectors: a block encoding is a view of A, and BlockEncoding.svd
-decomposes A's diagonal blocks in one stacked eigh.  Pushing the singular
+eigenvectors: the block encoding is A itself.  apply_svt and
+sandwich_bounds take the AcceptanceOperator, which reads its singular
+values off its cached eigenvalues and caches its svd, one stacked eigh
+of its diagonal blocks.  Pushing the singular
 values through an even rectangle-shaped polynomial P and squaring yields
 the amplified spectrum P(sigma)^2, whose sum is sandwiched between the
 exact counts:
@@ -36,7 +38,6 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .circuit import VerifierCircuit
 from .errors import CapExceeded, PreconditionError
 from .limits import POLY_DEGREE_CAP
 from .spectral import (
@@ -232,44 +233,20 @@ def _report(vals: np.ndarray, grid: np.ndarray, t: float, delta: float, eps: flo
     }
 
 
-class BlockEncoding:
-    """The output block U of a circuit, held only as its acceptance operator U'U."""
-
-    def __init__(self, operator: AcceptanceOperator):
-        self.operator = operator
-        self._svd: tuple[np.ndarray, np.ndarray] | None = None
-
-    @property
-    def svd(self) -> tuple[np.ndarray, np.ndarray]:
-        """(sigma, V) of U per diagonal block of U'U, from one stacked eigh of the blocks.
-
-        sigma is (2**k, m) and V is (2**k, m, m): V[b, :, j], over witnesses
-        operator.order[b * m : (b + 1) * m], has sigma[b, j], ascending in j.
-        """
-        if self._svd is None:
-            lam, vecs = np.linalg.eigh(self.operator.blocks)
-            self._svd = (np.sqrt(clamp_to_unit(lam)), vecs)
-        return self._svd
-
-    @property
-    def singular_values(self) -> np.ndarray:
-        """All 2**w singular values, descending: sqrt of the operator's eigenvalues."""
-        return np.sqrt(self.operator.eigenvalues)
+# The block encoding is the operator itself; these names stay only for the benchmark
+# tracer's svt.block_encoding and svt.svd spans, until it times the operator directly.
+BlockEncoding = AcceptanceOperator
+build_block_encoding = build_acceptance_operator
 
 
-def build_block_encoding(circuit: VerifierCircuit, x: str = "") -> BlockEncoding:
-    """Output-block of the circuit on the embedded witness register."""
-    return BlockEncoding(build_acceptance_operator(circuit, x))
-
-
-def apply_svt(encoding: BlockEncoding, poly: RectanglePolynomial) -> np.ndarray:
+def apply_svt(operator: AcceptanceOperator, poly: RectanglePolynomial) -> np.ndarray:
     """Amplified spectrum P(sigma)^2, elementwise in singular_values order.
 
     These are the eigenvalues of the amplified operator V P(Sigma)^2 V',
     which is never built.  The polynomial must be even; calling it
     raises PreconditionError otherwise.
     """
-    return clamp_to_unit(poly(encoding.singular_values) ** 2)
+    return clamp_to_unit(poly(operator.singular_values) ** 2)
 
 
 @dataclass(frozen=True)
@@ -287,19 +264,19 @@ class SandwichBounds:
     amplified: np.ndarray = field(compare=False, repr=False)  # apply_svt's spectrum
 
 
-def sandwich_bounds(encoding: BlockEncoding, c: float, s: float, eps: float) -> SandwichBounds:
-    """Amplify the encoding over the singular-value band (s, c) and check the sandwich.
+def sandwich_bounds(operator: AcceptanceOperator, c: float, s: float, eps: float) -> SandwichBounds:
+    """Amplify the operator over the singular-value band (s, c) and check the sandwich.
 
     One band_polynomial(c, s, eps), one apply_svt; the amplified trace is
     bracketed by the exact sigma counts.  The singular values are the
-    operator's cached eigvalsh values, so amplifying one encoding at many
+    operator's cached eigvalsh values, so amplifying one operator at many
     thresholds decomposes it once.
     """
     poly = band_polynomial(c, s, eps)
-    amplified = apply_svt(encoding, poly)
-    sigma = encoding.singular_values
+    amplified = apply_svt(operator, poly)
+    sigma = operator.singular_values
     count = SpectralCount.of(sigma, c, s)
-    dim = float(encoding.operator.dim)
+    dim = float(operator.dim)
     trace = float(amplified.sum())
     lower = count.n_geq_c - (2.0 * eps - eps * eps) * dim
     upper = count.n_geq_s + eps * eps * dim

@@ -26,7 +26,6 @@ from qcount import (
     MiscountingOracle,
     avg_accept_decider,
     build_acceptance_operator,
-    build_block_encoding,
     decide_by_interval_recovery,
     degree_budget,
     interval_partition_trace,
@@ -203,8 +202,7 @@ def test_criterion_06_padding_recovers_interval_member():
             r = padding_reduction(
                 circ, c=0.5, eps=0.9, delta_strategy=ds, eps_strategy=es, seed=i
             )
-            in_interval = r.n_geq_c <= r.count <= r.n_geq_s
-            if not in_interval or r.count != exact:
+            if not r.in_interval or r.count != exact:
                 failures += 1
     report(
         6,
@@ -246,18 +244,18 @@ def sandwich_test_circuits(seed, count):
             num_witness=int(rng.integers(1, 3)),
             gate_count=int(rng.integers(2, 20)),
         )
-        enc = build_block_encoding(circ)
-        picked = thresholds_from_sigma_gap(enc.singular_values)
+        op = build_acceptance_operator(circ)
+        picked = thresholds_from_sigma_gap(op.singular_values)
         if picked is not None:
-            out.append((circ, enc, picked))
+            out.append((circ, op, picked))
     return out
 
 
 def test_criterion_08_trace_sandwich():
     eps = 0.01
     violations = 0
-    for circ, enc, (c, s) in sandwich_test_circuits(1448, 50):
-        bounds = sandwich_bounds(enc, c, s, eps)
+    for circ, op, (c, s) in sandwich_test_circuits(1448, 50):
+        bounds = sandwich_bounds(op, c, s, eps)
         if bounds.sigma_in_gap != 0 or not bounds.satisfied:
             violations += 1
     report(

@@ -22,6 +22,7 @@ H_NO_WITNESS_QCV = "registers: ancilla=1 input=0 witness=0\nH 0\n"
 TWO_INPUT_QCV = "registers: ancilla=1 input=2 witness=1\nH 0\nTOF 1 2 0\nH 3\n"
 COMMENT_ONLY_QCV = "# registers: ancilla=1 input=0 witness=1\n"
 QUBITS_64_QCV = "registers: ancilla=1 input=0 witness=63\nH 0\n"
+H_1001_QCV = "registers: ancilla=1 input=0 witness=1\n" + "H 0\n" * 1001
 SUBCOMMANDS = (
     "decide-avg-accept",
     "estimate-trace",
@@ -62,6 +63,7 @@ def circuits(tmp_path):
         ("i2", TWO_INPUT_QCV),
         ("comment", COMMENT_ONLY_QCV),
         ("q64", QUBITS_64_QCV),
+        ("h1001", H_1001_QCV),
     ]:
         p = tmp_path / f"{name}.qcv"
         p.write_text(text)
@@ -341,6 +343,7 @@ def test_bad_flag_exits_2(circuits):
         (("exact-count", "{x}", "--c", "0.6", "--s", "0.3"), {"QCOUNT_DENSE_CAP": "0"}),
         (("reduce-pad", "{h}", "--u-exponent", "1.5", "--eps", "0.9"), None),
         (("path-sum", "{q64}", "--mode", "sampled", "--samples", "64", "--seed", "1"), None),
+        (("path-sum", "{h1001}", "--mode", "sampled", "--samples", "8", "--seed", "1"), None),
     ],
     ids=[
         "c-below-s",
@@ -373,6 +376,7 @@ def test_bad_flag_exits_2(circuits):
         "dense-cap-zero",
         "reduce-pad-u-exponent-above-1",
         "path-sum-sampled-over-64-qubits",
+        "path-sum-sampled-normalization-overflows",
     ],
 )
 def test_precondition_violation_exits_2(circuits, args, env):
@@ -380,6 +384,46 @@ def test_precondition_violation_exits_2(circuits, args, env):
     assert proc.returncode == 2
     assert f"qcount {args[0]}" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def _oracle_answer_out_of_range(self, c, s, rng):
+    return 1e6
+
+
+def _probabilities_off_by_1e_6(circuit, x=""):
+    import qcount.spectral
+
+    return qcount.spectral.witness_probabilities(circuit, x) + 1e-6
+
+
+@pytest.mark.parametrize(
+    "target,fault,args,audit",
+    [
+        (
+            "qcount.reductions.MiscountingOracle._estimator_answer",
+            _oracle_answer_out_of_range,
+            ("reduce-interval", "{h}", "--M", "4", "--mode", "estimator", "--seed", "1"),
+            "oracle answer 1000000.0 escapes its allowed range",
+        ),
+        (
+            "qcount.pathsum.witness_probabilities",
+            _probabilities_off_by_1e_6,
+            ("path-sum", "{h}"),
+            "path sum 1.0 disagrees with spectral trace",
+        ),
+    ],
+    ids=["oracle-range-audit", "path-sum-self-check"],
+)
+def test_invariant_violation_exits_3(circuits, monkeypatch, capsys, target, fault, args, audit):
+    # a fault injected under an audit reaches the CLI's exit-3 branch
+    import qcount.cli
+
+    monkeypatch.setattr(target, fault)
+    assert qcount.cli.run([a.format(**circuits) for a in args]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"qcount {args[0]}: INVARIANT VIOLATION: {audit}")
+    assert "Traceback" not in err
 
 
 def test_estimator_reduction_over_sample_cap_exits_before_embedding(

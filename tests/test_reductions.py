@@ -1,5 +1,6 @@
 """Counting-oracle reductions: interval recovery, decision, and padding."""
 
+import dataclasses
 import itertools
 import math
 
@@ -172,6 +173,13 @@ def test_padding_worked_example():
     assert (r.n_geq_c, r.n_geq_s) == (0, 2)
 
 
+@pytest.mark.parametrize("count,member", [(-1, False), (0, True), (2, True), (3, False)])
+def test_padding_in_interval_is_membership_of_the_exact_interval(count, member):
+    r = dataclasses.replace(padding_reduction(H_CIRC, c=0.5, eps=0.9, seed=0), count=count)
+    assert (r.n_geq_c, r.n_geq_s) == (0, 2)
+    assert r.in_interval is member
+
+
 def test_padding_recovers_exact_count_on_gapped_circuits():
     rng = np.random.default_rng(602)
     for _ in range(10):
@@ -277,7 +285,7 @@ def test_estimator_backing_builds_one_encoding(monkeypatch):
         calls["embed"] += 1
         return embed(*args, **kwargs)
 
-    svd = qcount.svt.BlockEncoding.svd.fget
+    svd = qcount.spectral.AcceptanceOperator.svd.fget
 
     def counting_svd(self):
         calls["svd"] += self._svd is None
@@ -286,7 +294,7 @@ def test_estimator_backing_builds_one_encoding(monkeypatch):
     for module in (qcount.spectral, qcount.svt):  # every binding that could embed
         if hasattr(module, "embedded_witness_matrix"):
             monkeypatch.setattr(module, "embedded_witness_matrix", counting_embed)
-    monkeypatch.setattr(qcount.svt.BlockEncoding, "svd", property(counting_svd))
+    monkeypatch.setattr(qcount.spectral.AcceptanceOperator, "svd", property(counting_svd))
     oracle = MiscountingOracle(H_CIRC, eps_bound=1.0 / 8.0, backing="estimator", seed=5)
     r = interval_partition_trace(oracle, 8)
     assert r.abs_error <= r.error_bound

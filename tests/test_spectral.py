@@ -8,7 +8,6 @@ import pytest
 from circgen import dense_matrix, ensemble, full_witness_matrix, kron_unitary, random_circuit
 from qcount import (
     AcceptanceOperator,
-    BlockEncoding,
     InvariantViolation,
     PreconditionError,
     SpectralCount,
@@ -276,9 +275,9 @@ def test_every_threshold_comparison_shares_the_tie_rule(offset, at_least, at_mos
     assert SpectralCount.of(eigs, 1.0, a).n_geq_s == at_least
     assert SpectralCount.of(eigs, 1.0, a).n_interval == at_least
     assert SpectralCount.of(eigs, a, 0.1).n_interval == at_most
-    enc = BlockEncoding(AcceptanceOperator(np.diag([v * v, 0.0]).astype(complex), 1))
-    assert sandwich_bounds(enc, a, 0.1, 0.1).n_geq_c == at_least
-    assert sandwich_bounds(enc, 0.9, a, 0.1).sigma_in_gap == (not at_most)
+    op = AcceptanceOperator(np.diag([v * v, 0.0]).astype(complex), 1)
+    assert sandwich_bounds(op, a, 0.1, 0.1).n_geq_c == at_least
+    assert sandwich_bounds(op, 0.9, a, 0.1).sigma_in_gap == (not at_most)
     probs = np.array([v, v])
     below_c = avg_accept_decider(H_CIRC, c=a, s=0.2, probabilities=probs)
     assert below_c.promise_violated == (not at_least)
