@@ -3,8 +3,8 @@
 The caps keep every operation desk-scale: statevector simulation stays
 under SIM_QUBIT_CAP total qubits, anything that materializes a full
 unitary, an eigendecomposition or the walk counts of an exact path sum
-stays under the dense cap, the rectangle polynomial search builds no
-candidate above POLY_DEGREE_CAP, one estimator run draws at most
+stays under the dense cap, no rectangle polynomial has a degree above
+POLY_DEGREE_CAP, one estimator run draws at most
 SAMPLE_CAP uniforms, and an interval partition has at most PARTITION_CAP
 bands.  QCOUNT_DENSE_CAP overrides the dense cap; check_dense and
 check_draws are the one check of each.
@@ -17,7 +17,7 @@ from .errors import CapExceeded, PreconditionError
 
 SIM_QUBIT_CAP = 20
 DENSE_QUBIT_CAP_DEFAULT = 14
-POLY_DEGREE_CAP = 2**14  # O(p * GRID_SIZE) Clenshaw work a candidate; p + 1 coefficients a record
+POLY_DEGREE_CAP = 2**14  # O(p) Clenshaw work per point evaluated; p + 1 coefficients a record
 SAMPLE_CAP = 2**24  # uniform draws per estimator run: 128 MiB of float64
 PARTITION_CAP = 2**16  # interval-partition bands: M - 1 oracle queries and an M + 1 n_hat
 

@@ -34,7 +34,7 @@ injected strategy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -211,7 +211,7 @@ class MiscountingOracle:
         samp_eps = self.eps_bound / 2.0
         poly = band_polynomial(math.sqrt(c), math.sqrt(s), self.eps_bound / 4.0)
         # per-witness probabilities: the amplified diagonal sum_j |V_yj|^2 P(sigma_j)^2 by block,
-        # clipped like any diagonal (P is checked on a grid, not between its points)
+        # clipped like any diagonal (P is certified in [0, 1]; the clip absorbs rounding)
         sigma, vecs = self.operator.svd
         amplified = np.einsum("bij,bj->bi", np.abs(vecs) ** 2, poly(sigma) ** 2)
         probs = np.empty(self.operator.dim)

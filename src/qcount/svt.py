@@ -7,27 +7,27 @@ square roots of A's eigenvalues and its right singular vectors are A's
 eigenvectors: the block encoding is A itself.  apply_svt and
 sandwich_bounds take the AcceptanceOperator, which reads its singular
 values off its cached eigenvalues and caches its svd, one stacked eigh
-of its diagonal blocks.  Pushing the singular
-values through an even rectangle-shaped polynomial P and squaring yields
-the amplified spectrum P(sigma)^2, whose sum is sandwiched between the
-exact counts:
+of its diagonal blocks.  Pushing the singular values through an even
+rectangle-shaped polynomial P and squaring yields the amplified spectrum
+P(sigma)^2, whose sum is sandwiched between the exact counts:
 
     N_geq_c - (2 eps - eps^2) 2**w  <=  sum P(sigma)^2  <=  N_geq_s + eps^2 2**w
 
 with thresholds read on singular values, t = (c+s)/2, half-width
 Delta = (c-s)/2.  Callers holding eigenvalue-space thresholds take
-their square roots first.  sandwich_bounds is the
-one amplification call: it builds P, applies it once and checks the
-bracket, counting the singular values with spectral's SpectralCount.of
-and checking within its AUDIT_SLACK.
+their square roots first.  sandwich_bounds is the one amplification
+call: it builds P, applies it once and checks the bracket, counting the
+singular values with spectral's SpectralCount.of and checking within
+its AUDIT_SLACK.
 
-P is built from a difference of scaled error functions, interpolated in
-the Chebyshev basis at Chebyshev nodes (a DCT-II through one real FFT,
-O(p log p)), odd coefficients forced to zero (evenness is exact), then
-renormalized affinely into [0, 1].  P is evaluated by Clenshaw over its
-even terms only, in the variable 2x^2 - 1.  The degree comes from a
-doubling-then-bisection search over even degrees, verified on a dense
-grid, and must stay within the declared budget p <= 40 ln(1/eps) / Delta.
+P is built from a difference of scaled error functions, interpolated
+once in the Chebyshev basis at Chebyshev nodes (a DCT-II through one
+real FFT, O(p log p)), odd coefficients forced to zero (evenness is
+exact), then renormalized affinely into [0, 1] by its certified error
+bound.  P is evaluated by Clenshaw over its even terms only, in the
+variable 2x^2 - 1.  The degree is fixed before anything is built: the
+least even one whose a-priori interpolation bound is at most eps/4.  It
+must stay within the declared budget p <= 40 ln(1/eps) / Delta.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ from .spectral import (
 )
 
 DEGREE_BUDGET_FACTOR = 40.0
-GRID_SIZE = 10001
 _SAFETY = 1e-9
 SV_FLOOR = 1e-6  # smallest threshold s: sqrt(lambda) is off by ~1e-8 near lambda = 0
 
@@ -60,10 +59,10 @@ SV_FLOOR = 1e-6  # smallest threshold s: sqrt(lambda) is off by ~1e-8 near lambd
 class RectanglePolynomial:
     """Even Chebyshev-basis polynomial, ~1 outside the band, ~0 inside.
 
-    Guarantees (verified on the construction grid): |P| <= 1 on [-1, 1],
-    P in [1-eps, 1] for |x| >= t + delta, and P in [0, eps] for
-    |x| <= t - delta.  `report` is that check: the accepted candidate's
-    margins on the grid, with 0 violations.
+    Guarantees (certified, not sampled): 0 <= P <= 1 on [-1, 1], P in
+    [1-eps, 1] for |x| >= t + delta, and P in [0, eps] for |x| <= t - delta.
+    `report` is that certificate: the interpolation bound and the band
+    margins it implies, with 0 violations.
     """
 
     coefficients: np.ndarray
@@ -87,21 +86,10 @@ def degree_budget(delta: float, eps: float) -> int:
     return int(math.ceil(budget))
 
 
-def _verification_grid(t: float, delta: float) -> np.ndarray:
-    pts = np.linspace(-1.0, 1.0, GRID_SIZE)
-    edges = np.array([t - delta, t + delta, t, 0.0])
-    pts = np.sort(np.clip(np.concatenate([pts, edges, -edges]), -1.0, 1.0))
-    # dedupe by hand: np.unique loads numpy.ma on its first call
-    return pts[np.concatenate(([True], np.diff(pts) != 0.0))]
-
-
-def _erf(z: np.ndarray) -> np.ndarray:
-    return np.fromiter(map(math.erf, z.tolist()), dtype=float, count=z.size)
-
-
 def _target(t: float, k: float, x: np.ndarray) -> np.ndarray:
     # 1 outside [-t, t], 0 inside, transitions of width ~1/k; even in x
-    return 1.0 + 0.5 * (_erf(k * (x - t)) - _erf(k * (x + t)))
+    erf = np.fromiter(map(math.erf, np.concatenate([k * (x - t), k * (x + t)]).tolist()), float)
+    return 1.0 + 0.5 * (erf[: x.size] - erf[x.size :])
 
 
 def _chebinterpolate(func, degree: int) -> np.ndarray:
@@ -147,90 +135,101 @@ def _even_chebval(x, coeffs: np.ndarray) -> np.ndarray:
     return tmp
 
 
-def _candidate(target, degree: int) -> np.ndarray:
-    coeffs = _chebinterpolate(target, degree)
-    coeffs[1::2] = 0.0  # evenness is exact by construction
-    # affine renormalization into [0, 1]: P = (Q + d) / (1 + 2d)
-    probe = _even_chebval(np.linspace(-1.0, 1.0, 2048), coeffs)
-    d = max(0.0, -float(probe.min()), float(probe.max()) - 1.0) + _SAFETY
-    coeffs = coeffs / (1.0 + 2.0 * d)
-    coeffs[0] += d / (1.0 + 2.0 * d)
-    return coeffs
+def _log_bound_terms(b, k: float, xp):
+    """ln(M / (rho - 1)) and ln(rho) for the ellipse of half-height b / k, in numpy or math."""
+    beta = b / k
+    rho_m1 = beta + beta * beta / (1.0 + xp.sqrt(1.0 + beta * beta))  # rho - 1, no cancellation
+    return b * b + xp.log1p(2.0 * xp.exp(-b * b)) - xp.log(rho_m1), xp.log1p(rho_m1)
+
+
+def _interpolation_degree(k: float, tol: float) -> tuple[int, float]:
+    """Least even degree p whose interpolation bound eta is <= tol, and that eta.
+
+    On the Bernstein ellipse of parameter rho, half-height beta = (rho - 1/rho)/2,
+    the target is at most M = 2 + e^(k^2 beta^2), as |erf(a + ib)| <= 1 + erfi(|b|)
+    <= 1 + e^(b^2); its interpolant at p + 1 first-kind Chebyshev nodes is then
+    within eta = 4 M rho^-p / (rho - 1) of it on [-1, 1] (Trefethen, ATAP Thm 8.2;
+    aliasing carries it to first-kind nodes).  One scan over b = k beta picks rho;
+    math evaluates the bound there, so the degree is deterministic.
+    """
+    b = np.geomspace(2.0**-6, 2.0**6, 4096)
+    log_ratio, log_rho = _log_bound_terms(b, k, np)
+    i = int(np.argmin((math.log(4.0 / tol) + log_ratio) / log_rho))
+    log_ratio, log_rho = _log_bound_terms(float(b[i]), k, math)
+    degree = 2 * math.ceil((math.log(4.0 / tol) + log_ratio) / log_rho / 2.0)
+    while (eta := 4.0 * math.exp(log_ratio - degree * log_rho)) > tol:
+        degree += 2  # the ceiling fell short by a rounding
+    return degree, eta
+
+
+def _rounding_slack(coeffs: np.ndarray, k: float) -> float:
+    """Bound r on the float rounding between the evaluated P and the exact interpolant.
+
+    With u = 2^-53 and n = p + 1: a sample errs by <= 16(k+1)u (node error 6u,
+    slope <= 2k/sqrt(pi)), times the Lebesgue constant <= (2/pi) ln(n+1) + 1; the
+    FFT of the 2n mirrored samples in [0, 1] errs by ~u log2(2n) times its 2-norm
+    2n, <= 16u sqrt(n) log2(2n) in the coefficients' 1-norm; a Clenshaw rounding
+    in step j perturbs c_2j alone (|T_j| <= 1) by a few u sum_i (i-j+1)|c_2i|
+    (|U_m| <= m+1), and y = 2x^2 - 1 errs by 3u, moving the sum by 3u sum j^2|c_2j|
+    (Markov): 12u sum (j+1)^2 |c_2j| in all.  The +1 covers the renormalization and
+    the report.  Zeroing odd coefficients keeps the even part, no farther from f.
+    """
+    n = coeffs.size
+    even = np.abs(coeffs[::2])
+    nodes = (k + 1.0) * (2.0 / math.pi * math.log(n + 1) + 1.0) + math.sqrt(n) * math.log2(2 * n)
+    return 16.0 * 2.0**-53 * (nodes + float(even @ np.arange(1.0, even.size + 1) ** 2) + 1.0)
 
 
 def rect_poly(t: float, delta: float, eps: float) -> RectanglePolynomial:
-    """Construct the rectangle polynomial for band center t, half-width delta.
+    """Construct the certified rectangle polynomial for band center t, half-width delta.
 
-    Fails with PreconditionError when the parameters are infeasible
-    (delta must leave room on both sides of t) or when no degree within
-    the budget passes the grid verification, and with CapExceeded when
-    the search would build a candidate above POLY_DEGREE_CAP.
+    The erf target f lies in [0, 1], increases in |x|, and is >= 1 - eps/4
+    outside the band and <= eps/2 inside it.  One interpolation Q at the degree
+    of _interpolation_degree (eta <= eps/4), odd coefficients zeroed, has
+    |Q - f| <= d = eta + r (_rounding_slack); P = (Q + d)/(1 + 2d) lies in [0, 1],
+    and f at 0 and t -+ delta gives the certified band margins, its report.
+
+    Fails with PreconditionError on infeasible parameters (delta must leave room
+    on both sides of t), a degree over the budget or a certificate that rounding
+    leaves short of eps, and with CapExceeded above POLY_DEGREE_CAP.
     """
     if not 0.0 < t < 1.0:
         raise PreconditionError(f"band center t must lie in (0, 1), got {t}")
     if not 0.0 < delta < min(t, 1.0 - t):
         raise PreconditionError(
-            f"half-width delta must lie in (0, min(t, 1-t)) = "
-            f"(0, {min(t, 1.0 - t)}), got {delta}"
+            f"half-width delta must lie in (0, min(t, 1-t)) = (0, {min(t, 1.0 - t)}), got {delta}"
         )
     if not _SAFETY < eps < 0.5:
-        # the renormalization caps P near 1 - _SAFETY on the outer band
+        # at smaller eps the rounding slack r is no longer small beside eps
         raise PreconditionError(f"eps must lie in ({_SAFETY}, 0.5), got {eps}")
     budget = degree_budget(delta, eps)
-    budget_even = budget if budget % 2 == 0 else budget - 1
     # erfcinv(eps / 2) through the normal quantile: erfc(z) = 2 Phi(-z sqrt 2)
     k = -NormalDist().inv_cdf(eps / 4.0) / math.sqrt(2.0) / delta
-    grid = _verification_grid(t, delta)
-
-    def accepted(degree: int) -> tuple[np.ndarray, dict] | None:
-        """The candidate of this degree and its report if it has no violations, else None."""
-        coeffs = _candidate(lambda x: _target(t, k, x), degree)
-        report = _report(_even_chebval(grid, coeffs), grid, t, delta, eps)
-        return (coeffs, report) if report["violations"] == 0 else None
-
-    # doubling phase: lo is the last failing even degree, hi the next to try
-    lo, hi = 0, 4
-    while (best := accepted(hi)) is None:
-        if hi >= budget_even:
-            raise PreconditionError(
-                f"no rectangle polynomial up to the degree budget {budget} "
-                f"meets (t={t}, delta={delta}, eps={eps})"
-            )
-        lo, hi = hi, min(2 * hi, budget_even)
-        if hi > POLY_DEGREE_CAP:
-            raise CapExceeded(
-                f"rectangle polynomial degree {hi} exceeds the {POLY_DEGREE_CAP} cap"
-            )
-    # bisection phase: minimal passing even degree in (lo, hi]
-    while hi - lo > 2:
-        mid = (lo + hi) // 2
-        mid -= mid % 2
-        if (found := accepted(mid)) is not None:
-            hi, best = mid, found
-        else:
-            lo = mid
-    coeffs, report = best
-    return RectanglePolynomial(coeffs, hi, t, delta, eps, report)
-
-
-def _report(vals: np.ndarray, grid: np.ndarray, t: float, delta: float, eps: float) -> dict:
-    """Band violations and margins of P's values on the verification grid."""
-    abs_vals = np.abs(vals)
-    outer = vals[np.abs(grid) >= t + delta]
-    inner = vals[np.abs(grid) <= t - delta]
-    return {
-        "grid_points": int(grid.size),
-        "max_abs": float(abs_vals.max()),
-        "outer_min": float(outer.min()),
-        "inner_max": float(inner.max()),
-        "inner_min": float(inner.min()),
-        "violations": int(
-            np.count_nonzero(abs_vals > 1.0)
-            + np.count_nonzero(outer < 1.0 - eps)
-            + np.count_nonzero(inner < 0.0)
-            + np.count_nonzero(inner > eps)
-        ),
+    degree, eta = _interpolation_degree(k, eps / 4.0)
+    if degree > budget:
+        raise PreconditionError(
+            f"rect_poly({t}, {delta}, {eps}) needs degree {degree}, over its budget {budget}"
+        )
+    if degree > POLY_DEGREE_CAP:
+        raise CapExceeded(f"rectangle polynomial degree {degree} exceeds the {POLY_DEGREE_CAP} cap")
+    coeffs = _chebinterpolate(lambda x: _target(t, k, x), degree)
+    coeffs[1::2] = 0.0  # evenness is exact by construction
+    d = eta + _rounding_slack(coeffs, k)
+    scale = 1.0 + 2.0 * d
+    coeffs /= scale
+    coeffs[0] += d / scale
+    erfc = math.erfc  # f(0), f(t - delta) and f(t + delta), accurate near 0
+    report = {
+        "interpolation_bound": eta,
+        "max_abs": 1.0,  # -d <= Q <= 1 + d maps onto [0, 1]
+        "outer_min": (1.0 - 0.5 * (erfc(k * delta) - erfc(k * (2.0 * t + delta)))) / scale,
+        "inner_max": (0.5 * (erfc(k * delta) + erfc(k * (2.0 * t - delta))) + 2.0 * d) / scale,
+        "inner_min": erfc(k * t) / scale,
     }
+    report["violations"] = int(report["outer_min"] < 1.0 - eps) + int(report["inner_max"] > eps)
+    if report["violations"]:
+        raise PreconditionError(f"rounding leaves rect_poly({t}, {delta}, {eps}) uncertified")
+    return RectanglePolynomial(coeffs, degree, t, delta, eps, report)
 
 
 # The block encoding is the operator itself; these names stay only for the benchmark

@@ -224,3 +224,28 @@ def thresholds_from_sigma_gap(sigmas, min_half_width=0.05, shrink=0.8):
     if delta < min_half_width:
         return None
     return t + delta, t - delta
+
+
+def certificate_misses(poly, points=2_000_001):
+    """Points of a dense sample where a RectanglePolynomial leaves its certified report bounds.
+
+    The sample is the Chebyshev-Lobatto points cos(pi j / N), j = 0..N with
+    N = points - 1, evaluated by one DCT-I (a real FFT of the zero-padded
+    coefficients); every 1000th value is checked against the package's own
+    Clenshaw evaluation.
+    """
+    n = points - 1
+    xs = np.cos(np.pi / n * np.arange(points))
+    padded = np.zeros(2 * n)
+    padded[: poly.coefficients.size] = poly.coefficients
+    vals = np.fft.rfft(padded)[:points].real
+    assert np.max(np.abs(vals[::1000] - poly(xs[::1000]))) <= 1e-12
+    rep = poly.report
+    outer = vals[np.abs(xs) >= poly.t + poly.delta]
+    inner = vals[np.abs(xs) <= poly.t - poly.delta]
+    return int(
+        np.count_nonzero(np.abs(vals) > rep["max_abs"])
+        + np.count_nonzero(outer < rep["outer_min"])
+        + np.count_nonzero(inner > rep["inner_max"])
+        + np.count_nonzero(inner < rep["inner_min"])
+    )

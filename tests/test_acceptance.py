@@ -12,9 +12,9 @@ import sys
 import time
 
 import numpy as np
-import pytest
 
 from circgen import (
+    certificate_misses,
     dense_matrix,
     full_rows,
     gapped_circuit,
@@ -213,7 +213,7 @@ def test_criterion_06_padding_recovers_interval_member():
     )
 
 
-def test_criterion_07_rectangle_polynomial_grid():
+def test_criterion_07_rectangle_polynomial_certificate():
     rows = []
     ok = True
     for delta, eps in itertools.product((0.2, 0.1, 0.05), (0.1, 0.01)):
@@ -224,13 +224,14 @@ def test_criterion_07_rectangle_polynomial_grid():
         budget = degree_budget(delta, eps)
         good = (
             rep["violations"] == 0
-            and rep["grid_points"] >= 10_000
+            and rep["interpolation_bound"] <= eps / 4.0
+            and certificate_misses(poly) == 0
             and poly.degree <= budget
             and elapsed < 10.0
         )
         ok &= good
         rows.append(f"d={delta},e={eps}:deg {poly.degree}<={budget},{elapsed:.2f}s")
-    report(7, "rectangle polynomial grid", ok, "; ".join(rows))
+    report(7, "rectangle polynomial certificate", ok, "; ".join(rows))
 
 
 def sandwich_test_circuits(seed, count):

@@ -224,8 +224,8 @@ _CIRCUIT_CONFIG = {"circuit", "x"}
         (
             ("rect-poly", "--t", "0.5", "--width", "0.2", "--eps", "0.1"),
             _FRAME_KEYS
-            | {"coefficients", "degree", "degree_budget", "grid_points", "inner_max",
-               "inner_min", "max_abs", "outer_min", "violations"},
+            | {"coefficients", "degree", "degree_budget", "inner_max", "inner_min",
+               "interpolation_bound", "max_abs", "outer_min", "violations"},
             {"eps", "t", "width"},
         ),
         (
@@ -646,7 +646,7 @@ def test_an_underflowing_delta_is_floored_not_refused(circuits, args):
         (("decide-avg-accept", "{h}", "--seed", "21"), {"mean": 0.47540983606557374}),
         (
             ("reduce-interval", "{h}", "--M", "4", "--mode", "estimator", "--seed", "3"),
-            {"n_hat": [0, 0, 1.9375, 2, 2]},
+            {"n_hat": [0, 0, 1.8828125, 1.953125, 2]},
         ),
     ],
     ids=["estimate-trace", "path-sum-sampled", "decide-avg-accept", "reduce-interval-estimator"],

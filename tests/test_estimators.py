@@ -18,7 +18,6 @@ from qcount import (
     median_amplify,
     median_repetitions,
     quantum_trace_estimator,
-    trace_normalized,
     witness_probabilities,
 )
 from qcount.circuit import basis_index, parse_circuit

@@ -14,7 +14,6 @@ import qcount.svt
 from circgen import dense_matrix, ensemble, gapped_circuit
 from qcount import (
     CapExceeded,
-    InvariantViolation,
     IntervalPartition,
     MiscountingOracle,
     PreconditionError,

@@ -9,7 +9,15 @@ import pytest
 from numpy.polynomial import chebyshev as cheb
 
 import qcount
-from circgen import dense_matrix, ensemble, full_rows, kron_unitary, thresholds_from_sigma_gap
+from circgen import (
+    certificate_misses,
+    dense_matrix,
+    ensemble,
+    full_rows,
+    kron_unitary,
+    random_circuit,
+    thresholds_from_sigma_gap,
+)
 from qcount import (
     AcceptanceOperator,
     PreconditionError,
@@ -76,13 +84,59 @@ def test_singular_values_square_to_eigenvalues():
 def test_rect_poly_properties(delta, eps):
     poly = rect_poly(0.5, delta, eps)
     report = poly.report
-    grid = svt._verification_grid(0.5, delta)
-    assert report["max_abs"] == float(np.abs(poly(grid)).max())  # it reports these coefficients
+    assert certificate_misses(poly) == 0  # it certifies these coefficients
     assert report["violations"] == 0
     assert report["max_abs"] <= 1.0
     assert report["outer_min"] >= 1.0 - eps
     assert 0.0 <= report["inner_min"] and report["inner_max"] <= eps
-    assert report["grid_points"] >= 10_000
+    assert 0.0 < report["interpolation_bound"] <= eps / 4.0
+
+
+def _band_cases(m, eps):
+    """The (t, delta, eps) of every band an M-band interval recovery amplifies."""
+    cases = []
+    for s, c in IntervalPartition(m).intervals():
+        c_sv, s_sv = math.sqrt(c), math.sqrt(s)
+        cases.append(((c_sv + s_sv) / 2.0, (c_sv - s_sv) / 2.0, eps))
+    return cases
+
+
+@pytest.mark.parametrize(
+    "t,delta,eps",
+    [
+        (0.5, 0.001, 0.01),  # a grid check passed degree 8192, which reached 1 + 9.07e-6
+        (0.5, 0.01, 1e-3),
+        (0.5, 0.1, 0.01),
+        (0.7, 0.02, 1e-3),
+        (0.5, 0.25, 1.5e-9),
+        *_band_cases(8, 1 / 32),
+        *_band_cases(16, 1 / 64),
+    ],
+)
+def test_certified_bounds_hold_on_a_dense_sample(t, delta, eps):
+    poly = rect_poly(t, delta, eps)
+    assert poly.report["violations"] == 0
+    assert certificate_misses(poly) == 0
+
+
+def test_sandwich_holds_where_a_grid_checked_polynomial_overshot():
+    # query 2 of an estimator-backed M=8 recovery: a grid-checked degree-604
+    # polynomial reached 1 + 2.079e-09 at a singular value, past the clamp tolerance
+    circ = random_circuit(np.random.default_rng(5), num_ancilla=2, num_witness=10, gate_count=200)
+    op = build_acceptance_operator(circ)
+    assert sandwich_bounds(op, 0.8660254037844386, 0.8477912478906585, 0.03125).satisfied
+
+
+def test_rect_poly_builds_one_candidate(monkeypatch):
+    degrees = []
+
+    def counting(func, degree):
+        degrees.append(degree)
+        return _chebinterpolate(func, degree)
+
+    monkeypatch.setattr(svt, "_chebinterpolate", counting)
+    poly = rect_poly(0.5, 0.01, 1e-3)
+    assert degrees == [poly.degree] == [1832]
 
 
 def test_rect_poly_is_exactly_even():
@@ -124,12 +178,9 @@ def test_fft_interpolation_and_even_clenshaw_match_numpy(degree):
 
 
 def test_rect_poly_degrees_are_pinned():
-    assert rect_poly(0.5, 0.01, 1e-3).degree == 1528
-    degrees = []
-    for s, c in IntervalPartition(8).intervals():
-        c_sv, s_sv = math.sqrt(c), math.sqrt(s)
-        degrees.append(rect_poly((c_sv + s_sv) / 2.0, (c_sv - s_sv) / 2.0, 1 / 32).degree)
-    assert degrees == [240, 604, 756, 806, 256, 668, 374]
+    assert rect_poly(0.5, 0.01, 1e-3).degree == 1832
+    degrees = [rect_poly(*case).degree for case in _band_cases(8, 1 / 32)]
+    assert degrees == [1306, 1204, 1092, 968, 828, 662, 442]
 
 
 def test_rect_poly_parameter_validation():
@@ -140,19 +191,13 @@ def test_rect_poly_parameter_validation():
     with pytest.raises(PreconditionError):
         rect_poly(0.5, 0.1, 0.5)
     with pytest.raises(PreconditionError):
-        rect_poly(0.5, 0.25, 1e-9)  # no candidate can pass at eps <= _SAFETY
+        rect_poly(0.5, 0.25, 1e-9)  # eps <= _SAFETY
     with pytest.raises(PreconditionError, match="delta=5e-324"):
         rect_poly(0.5, 5e-324, 0.1)  # 40 ln(10) / delta overflows to inf
     assert rect_poly(0.5, 0.25, 1.5e-9).degree <= degree_budget(0.25, 1.5e-9)
-
-
-def test_verification_grid_matches_numpy_unique():
-    for t, delta in [(0.5, 0.01), (0.6, 0.2), (0.3, 0.29), (0.9, 0.1)]:
-        pts = np.concatenate(
-            [np.linspace(-1.0, 1.0, svt.GRID_SIZE), [t - delta, t + delta, t, 0.0]]
-        )
-        pts = np.concatenate([pts, -pts[svt.GRID_SIZE:]])
-        assert np.array_equal(svt._verification_grid(t, delta), np.unique(np.clip(pts, -1, 1)))
+    with pytest.raises(PreconditionError, match="uncertified"):
+        # the target reaches nearly eps/2 at t - delta, leaving about eps^2/4 for rounding
+        rect_poly(0.01, 0.00999, 2e-9)
 
 
 def test_rect_poly_and_median_load_no_numpy_ma():
