@@ -24,12 +24,14 @@ so derived gate counts always refer to the expanded circuit.
 `_apply_gate` is the one gate kernel, and `_track` the one bookkeeping
 of which qubits it runs on.  A qubit is a constant bit until an H, or a
 TOF with a superposed control, puts it into superposition; only then
-does it become a tensor axis.  `simulate` runs this on one basis state.
-`_witness_blocks` runs it on every |0^a x y> at once, a column block at
-a time, for both the compact embed (`embedded_witness_matrix`) and the
-path sum's walk counts: there a witness qubit starts as a diagonal
-column axis, whose bit is each column's own, so a column stores only the
-rows its superposed qubits span.
+does it become a tensor axis.  `simulate` runs this on one basis state,
+in complex128.  `_witness_blocks` runs it on every |0^a x y> at once, a
+column block at a time, for both the compact embed
+(`embedded_witness_matrix`) and the path sum's walk counts: there a
+witness qubit starts as a diagonal column axis, whose bit is each
+column's own, so a column stores only the rows its superposed qubits
+span.  The embed runs in the Gaussian ring on (real, imag) planes: int32
+and exact while the circuit has at most 61 H, float64 past that.
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ _MNEMONICS = {
 }
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
+_GAUSS_INT_MAX_H = 61  # h unnormalized H give a column norm 2**(h/2): parts stay <= 2**30.5 < 2**31
 _BLOCK_BYTES = 1 << 20  # bytes of one gate-kernel column block: bounds a run's working memory
 
 NORM_TOL = 1e-9
@@ -209,13 +212,20 @@ def _times_i(one: np.ndarray) -> None:
     one *= 1j
 
 
+def _gauss_times_i(one: np.ndarray) -> None:
+    # i (re, im) = (-im, re) on the trailing (real, imag) pair
+    real = one[..., 0].copy()
+    np.negative(one[..., 1], out=one[..., 0])
+    one[..., 1] = real
+
+
 def _apply_gate(view: np.ndarray, kind: str, axes, sub=np.subtract, times_i=_times_i) -> None:
     # One gate on the (2,)*k + (m, ...) view, in place, with `axes` the
     # axes of its qubits (controls first, target last); a function of its
     # own so that H's half-size temporary is freed before the next gate.
     # `sub(a, b, out=b)` and `times_i(b)` are the two ring operations the
-    # gates need beyond addition: complex by default, and the phase-tally
-    # ring of the path sum (pathsum) when it passes its own.
+    # gates need beyond addition: complex by default, the embed's Gaussian
+    # planes, and the phase-tally ring of the path sum (pathsum).
     *controls, target = axes
     index = [slice(1, 2) if ax in controls else slice(None) for ax in range(view.ndim)]
     index[target] = 0
@@ -297,6 +307,12 @@ def _grow(tensor: np.ndarray, pos: int, bit, column: int) -> np.ndarray:
     return grown
 
 
+def _h_scale(h: int, odd_root: float) -> float:
+    # what `_run_steps` leaves of 2**(-h/2) after h H: 2**-(r // 2) for the
+    # r = h % 64 since its last rescale, times odd_root for odd h
+    return 2.0 ** -(h % 64 // 2) * (odd_root if h % 2 else 1.0)
+
+
 def _run_steps(
     tensor: np.ndarray,
     steps,
@@ -304,7 +320,6 @@ def _run_steps(
     fixed=None,
     sub=np.subtract,
     times_i=_times_i,
-    odd_root=_INV_SQRT2,
 ) -> np.ndarray:
     """Run `_track`'s steps on the tensor of the superposed qubits; return it.
 
@@ -313,11 +328,12 @@ def _run_steps(
     index); `fixed` maps the other diagonal qubits to this block's bit,
     which acts as a constant.  A target enters as a new axis holding zeros
     opposite its bit, and the gate that put it there then runs on the
-    kernel, so every amplitude meets the same float operations as in a
-    run over all 2**Q rows.  H is [[1, 1], [1, -1]]: every 64 H scale by
-    exactly 2**-32, the r left by 2**-(r // 2) at the end, times `odd_root`
-    (1/sqrt(2)) for odd r, so an even-h run is exactly Gaussian integers
-    over 2**(h/2).  `odd_root=None` runs exact counts, never rescaled.
+    kernel, so every amplitude meets the same operations as in a run over
+    all 2**Q rows.  H is [[1, 1], [1, -1]] and every 64 H scale by exactly
+    2**-32; the caller applies the rest, `_h_scale`, so an even-h run is
+    exactly Gaussian integers over 2**(h/2).  The integer rings never meet
+    that rescale: the embed's int32 runs at most 61 H, the path sum's
+    int64 at most 62.
     """
     columns, fixed = columns or {}, dict(fixed or {})
     rows: list[int] = []
@@ -339,15 +355,11 @@ def _run_steps(
             live = [c for c in qubits if c not in fixed]
             axes = [rows.index(c) if c in rows else len(rows) + columns[c] for c in live]
             _apply_gate(tensor, kind, axes, sub, times_i)
-        if kind == "H" and odd_root is not None:
+        if kind == "H":
             r += 1
             if r == 64:
                 tensor *= 2.0**-32
                 r = 0
-    if odd_root is not None:
-        scale = 2.0 ** -(r // 2) * (odd_root if r % 2 else 1.0)
-        if scale != 1.0:
-            tensor *= scale
     return tensor
 
 
@@ -387,6 +399,9 @@ def simulate(circuit: VerifierCircuit, basis: int) -> np.ndarray:
     bits = _bits_of(basis, range(q), q)
     steps, rows, _ = _track(circuit.gates, bits)
     tensor = _run_steps(np.ones(1, np.complex128), steps)
+    scale = _h_scale(circuit.h_count, _INV_SQRT2)
+    if scale != 1.0:
+        tensor *= scale
     norm = float(np.linalg.norm(tensor))
     if abs(norm - 1.0) > NORM_TOL:
         raise InvariantViolation(f"statevector norm drifted to {norm}")
@@ -417,26 +432,20 @@ class WitnessEmbed:
 
 
 def _witness_blocks(
-    circuit: VerifierCircuit,
-    x: str,
-    tail=(),
-    dtype=np.complex128,
-    sub=np.subtract,
-    times_i=_times_i,
-    odd_root=_INV_SQRT2,
+    circuit: VerifierCircuit, x: str, tail, dtype, sub, times_i
 ) -> tuple[WitnessEmbed, object]:
     """Check the dense cap and x now; return the layout and a generator of (index, block).
 
     Each block is (2**s,) + (2,)*b + tail: the circuit run by `_run_steps`
-    on 2**b columns of the compact layout, each starting with its 1 in the
-    first tail cell.  `index` places it in the layout's matrix viewed as
-    (2**s,) + (2,)*w: the block's column axes are b of the w, in layout
-    order, and the other w - b diagonal qubits are bits it shares, never
-    targets of a column permutation, so the permutations stay inside a
-    block.  Blocks are about _BLOCK_BYTES, and more where permutations
-    need more column axes: they bound the memory a run holds beyond the
-    array it fills, not its speed.  Columns never interact, so blocking
-    changes no bit.
+    in the ring of `dtype`, `sub` and `times_i` on 2**b columns of the
+    compact layout, each starting with its 1 in the first tail cell.
+    `index` places it in the layout's matrix viewed as (2**s,) + (2,)*w:
+    the block's column axes are b of the w, in layout order, and the other
+    w - b diagonal qubits are bits it shares, never targets of a column
+    permutation, so the permutations stay inside a block.  Blocks are
+    about _BLOCK_BYTES, and more where permutations need more column axes:
+    they bound the memory a run holds beyond the array it fills, not its
+    speed.  Columns never interact, so blocking changes no bit.
     """
     q, w = circuit.num_qubits, circuit.num_witness
     check_dense(q)
@@ -473,13 +482,7 @@ def _witness_blocks(
             tensor = np.zeros((1 << b, 1) + tail, dtype)  # the 1 keeps every index a view
             tensor.reshape(1 << b, -1)[:, 0] = 1
             tensor = _run_steps(
-                tensor.reshape((2,) * b + (1,) + tail),
-                steps,
-                columns,
-                shared,
-                sub,
-                times_i,
-                odd_root,
+                tensor.reshape((2,) * b + (1,) + tail), steps, columns, shared, sub, times_i
             )
             if grow_output is not None:
                 tensor = _grow(tensor, 0, grow_output, 0)
@@ -494,13 +497,23 @@ def embedded_witness_matrix(
 ) -> WitnessEmbed:
     """The compact embed: the circuit's output on every |0^a x y>, as a WitnessEmbed.
 
-    With odd_h_root=False the 1/sqrt(2) that an odd H count ends on is
-    left out, so every entry is a Gaussian integer over a power of two and
-    the matrix is sqrt(2) times the normalized one.
+    The blocks run in the Gaussian ring on (real, imag) planes: int32,
+    exact and never rescaled, while the circuit has at most
+    _GAUSS_INT_MAX_H H, and float64 under `_run_steps`' rescale past that.
+    One float64 array takes them and is scaled once by `_h_scale`, so the
+    complex128 matrix it views holds the values of a complex run.  With
+    odd_h_root=False the 1/sqrt(2) that an odd H count ends on is left
+    out, so every entry is a Gaussian integer over a power of two and the
+    matrix is sqrt(2) times the normalized one.
     """
-    layout, blocks = _witness_blocks(circuit, x, odd_root=_INV_SQRT2 if odd_h_root else 1.0)
-    mat = np.empty((1 << len(layout.rows),) + (2,) * circuit.num_witness, np.complex128)
+    h = circuit.h_count
+    dtype = np.int32 if h <= _GAUSS_INT_MAX_H else np.float64
+    layout, blocks = _witness_blocks(circuit, x, (2,), dtype, np.subtract, _gauss_times_i)
+    mat = np.empty((1 << len(layout.rows),) + (2,) * circuit.num_witness + (2,))
     for index, block in blocks:
         mat[index] = block
         del block  # freed before the next block grows
-    return replace(layout, matrix=mat.reshape(mat.shape[0], -1))
+    scale = _h_scale(h, _INV_SQRT2 if odd_h_root else 1.0)
+    if scale != 1.0:
+        mat *= scale
+    return replace(layout, matrix=mat.view(np.complex128).reshape(mat.shape[0], -1))

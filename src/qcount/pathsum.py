@@ -121,7 +121,7 @@ def path_sum_exact(circuit: VerifierCircuit, x: str = "") -> PathSumResult:
     violation, not a report.
     """
     n_star = free_path_bits(circuit)
-    _, blocks = _witness_blocks(circuit, x, (4,), np.int64, _z4_sub, _z4_times_i, None)
+    _, blocks = _witness_blocks(circuit, x, (4,), np.int64, _z4_sub, _z4_times_i)
     h = circuit.h_count
     if h > _MAX_H:
         raise CapExceeded(f"{h} H gates exceed the {_MAX_H} at which walk counts fit int64")

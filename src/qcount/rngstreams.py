@@ -9,6 +9,8 @@ stream itself, which is what makes a 1-run median coincide exactly with
 the underlying estimator.
 """
 
+from __future__ import annotations
+
 import numpy as np
 
 from .errors import PreconditionError

@@ -23,10 +23,11 @@ their bits.  The operator holds that stack, formed by one batched Gram
 product over the compact rows and decomposed by one stacked eigvalsh;
 the entries it leaves out are exactly zero.  An odd H count's
 final 1/sqrt(2) stays out of the embed and the Gram is halved instead,
-so an embed of exact Gaussian integers over a power of two gives an
-exact Gram.  It is the one spectral object per (circuit, x) and the block
-encoding that svt amplifies; witness_probabilities reads its diagonal
-from the same embed, with no Gram.
+so the embed is exact Gaussian integers over a power of two, computed on
+int32 planes while the cone has at most 61 H, and gives an exact Gram.
+It is the one spectral object per (circuit, x) and the block encoding
+that svt amplifies; witness_probabilities reads its diagonal from the
+same embed, with no Gram.
 The rules of the whole package live here: every threshold comparison goes
 through at_least and at_most (within TIE_TOL of a threshold counts as on
 it), every threshold pair passes check_promise, every count of a spectrum

@@ -7,7 +7,15 @@ frozen by the seeds in the test files, never by import order.
 import numpy as np
 
 from qcount import VerifierCircuit, build_acceptance_operator, trace_normalized
-from qcount.circuit import Gate, _apply_gate, _parse_bits, _times_i, basis_index
+from qcount.circuit import (
+    _GAUSS_INT_MAX_H,
+    Gate,
+    _apply_gate,
+    _gauss_times_i,
+    _parse_bits,
+    _times_i,
+    basis_index,
+)
 
 FLIP_OUTPUT = (Gate("H", (0,)), Gate("S", (0,)), Gate("S", (0,)), Gate("H", (0,)))
 
@@ -57,14 +65,19 @@ def kron_unitary(circuit):
     return mat
 
 
+def final_scale(r, odd_h_root=True):
+    """2**-(r // 2), times 1/sqrt(2) for odd r unless odd_h_root is False."""
+    return 2.0 ** -(r // 2) * (1.0 / np.sqrt(2.0) if r % 2 and odd_h_root else 1.0)
+
+
 def full_run(view, gates, *, odd_h_root=True, sub=np.subtract, times_i=_times_i):
     """Every gate of the package's kernel on all of a (2,)*Q + (m, ...) view, zeros included.
 
-    A complex view is rescaled as the package documents: 2**-32 every 64
-    H, the rest at the end, times 1/sqrt(2) for an odd count unless
-    odd_h_root is False.  Other rings run exact counts.
+    A float or complex view is rescaled as the package documents: 2**-32
+    every 64 H, and final_scale of the r left at the end.  Integer rings
+    run exact counts.
     """
-    rescale = view.dtype == np.complex128
+    rescale = view.dtype.kind in "fc"
     r = 0
     for gate in gates:
         _apply_gate(view, gate.kind, gate.qubits, sub, times_i)
@@ -73,7 +86,7 @@ def full_run(view, gates, *, odd_h_root=True, sub=np.subtract, times_i=_times_i)
             view *= 2.0**-32
             r = 0
     if rescale:
-        scale = 2.0 ** -(r // 2) * (1.0 / np.sqrt(2.0) if r % 2 and odd_h_root else 1.0)
+        scale = final_scale(r, odd_h_root)
         if scale != 1.0:
             view *= scale
 
@@ -91,6 +104,28 @@ def full_witness_matrix(circuit, x, *, tail=(), dtype=np.complex128, **run):
     mat.reshape(1 << q, 1 << w, -1)[rows, cols, 0] = 1
     full_run(mat.reshape((2,) * q + mat.shape[1:]), circuit.gates, **run)
     return mat
+
+
+def full_embed(circuit, x, *, odd_h_root=True):
+    """The full-row oracle in the embed's ring, as a complex (2**Q, 2**w) array.
+
+    The Gaussian ring on (real, imag) planes: int32 counts scaled once as
+    float64 while the circuit has at most _GAUSS_INT_MAX_H H, float64
+    planes rescaled by full_run past that.
+    """
+    h = circuit.h_count
+    exact = h <= _GAUSS_INT_MAX_H
+    planes = full_witness_matrix(
+        circuit,
+        x,
+        tail=(2,),
+        dtype=np.int32 if exact else np.float64,
+        odd_h_root=odd_h_root,
+        times_i=_gauss_times_i,
+    )
+    if exact:
+        planes = planes * final_scale(h, odd_h_root)
+    return planes.view(np.complex128)[..., 0]
 
 
 def full_rows(embed, circuit):

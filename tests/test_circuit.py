@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from circgen import (
     S2,
     ensemble,
+    full_embed,
     full_rows,
     full_run,
     full_witness_matrix,
@@ -31,7 +32,7 @@ from qcount.circuit import (
 )
 from qcount.errors import CapExceeded, CircuitFormatError, PreconditionError
 from qcount.pathsum import _z4_sub, _z4_times_i, path_sum_exact
-from qcount.spectral import accept_probability
+from qcount.spectral import accept_probability, build_acceptance_operator
 
 X2 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 Z2 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
@@ -274,7 +275,7 @@ def _assert_compact_is_full_row(circ, x):
     """The compact embed and walk counts against the full-row oracle, bit for bit."""
     for odd_h_root in (True, False):
         compact = full_rows(embedded_witness_matrix(circ, x, odd_h_root=odd_h_root), circ)
-        full = full_witness_matrix(circ, x, odd_h_root=odd_h_root)
+        full = full_embed(circ, x, odd_h_root=odd_h_root)
         assert np.array_equal(compact.view(np.uint64), full.view(np.uint64))  # signed zeros too
     if circ.gate_count and circ.h_count <= 62:
         counts = full_witness_matrix(
@@ -368,6 +369,54 @@ def test_even_h_embedding_is_exactly_dyadic():
         assert np.array_equal(scaled, np.round(scaled.real) + 1j * np.round(scaled.imag))
         checked += 1
     assert checked
+
+
+def test_planar_ring_is_the_complex_ring():
+    # the embed's int32 planes (h <= 61) and float64 planes (h > 61) hold
+    # the values of a complex run of the same kernel over every row
+    rng = np.random.default_rng(111)
+    routes = set()
+    for _ in range(16):
+        gate_count = int(rng.integers(100, 140))
+        circ = random_circuit(rng, num_ancilla=2, num_input=1, num_witness=3, gate_count=gate_count)
+        routes.add(circ.h_count <= 61)
+        for odd_h_root in (True, False):
+            compact = full_rows(embedded_witness_matrix(circ, "1", odd_h_root=odd_h_root), circ)
+            assert np.array_equal(compact, full_witness_matrix(circ, "1", odd_h_root=odd_h_root))
+    assert routes == {True, False}
+
+
+def _embed_dtype(circ):
+    """The dtype the embed's blocks ran in, and the embed without an odd H count's 1/sqrt(2)."""
+    blocks = qcount.circuit._witness_blocks
+    with mock.patch.object(qcount.circuit, "_witness_blocks", wraps=blocks) as spy:
+        embed = embedded_witness_matrix(circ, "", odd_h_root=False)
+    return spy.call_args.args[3], embed
+
+
+@pytest.mark.parametrize("h, dtype, trace", [(61, np.int32, 1.0), (62, np.float64, 0.0)])
+def test_embed_runs_int32_planes_up_to_61_h(h, dtype, trace):
+    # unnormalized, H**61 is 2**30 H, parts of +-2**30; H**62 is 2**31 I, past int32
+    circ = parse_circuit(HEADER + "H 0\n" * h)
+    ran, embed = _embed_dtype(circ)
+    assert ran is dtype
+    parts = np.abs(embed.matrix.view(np.float64)) * 2.0 ** (h // 2)
+    assert set(parts.ravel()) == {0.0, 2.0 ** (h // 2)}
+    assert build_acceptance_operator(circ).trace == trace
+
+
+def test_int32_parts_near_the_bound_are_exact():
+    # 56 H on qubit 0 are 2**28 I; the S-phased rest, 5 H, reaches a part of
+    # 5 * 2**2, so the 61-H total has one of 5 * 2**28 = 1.25 * 2**30: past
+    # the 2**30 of H**61, toward the 2**30.5 that bounds every part
+    core = "H 1\nH 2\nTOF 1 2 0\nH 1\nTOF 0 1 2\nS 1\nS 2\nS 2\nH 0\nS 2\nTOF 0 2 1\nH 2\n"
+    circ = parse_circuit("registers: ancilla=1 input=0 witness=2\n" + "H 0\n" * 56 + core)
+    assert circ.h_count == 61
+    ran, embed = _embed_dtype(circ)
+    assert ran is np.int32
+    parts = np.abs(embed.matrix.view(np.float64)) * 2.0**30
+    assert parts.max() == 1.25 * 2.0**30
+    assert np.array_equal(full_rows(embed, circ), full_witness_matrix(circ, "", odd_h_root=False))
 
 
 def test_apply_gate_matches_kron():

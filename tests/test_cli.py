@@ -538,14 +538,15 @@ def test_records_do_not_depend_on_the_blas_thread_count(tmp_path):
 
 
 def test_import_loads_no_scipy():
-    # nor logging (nothing configures it) nor numpy.polynomial (one node formula)
+    # nor logging (nothing configures it), numpy.polynomial (one node
+    # formula) or numpy.random (only a seeded run draws)
     proc = subprocess.run(
         [
             sys.executable,
             "-c",
             "import sys, qcount.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'logging') "
-            "or m.startswith('numpy.polynomial')))",
+            "or m.startswith(('numpy.polynomial', 'numpy.random'))))",
         ],
         capture_output=True,
         text=True,
