@@ -31,13 +31,13 @@ from .pathsum import (
     path_sum_exact,
 )
 from .reductions import (
-    IntervalPartition,
     IntervalTraceResult,
     MiscountingOracle,
     PaddingResult,
     decide_by_interval_recovery,
     interval_partition_trace,
     padding_reduction,
+    partition_intervals,
 )
 from .spectral import (
     AcceptanceOperator,

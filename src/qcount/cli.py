@@ -186,7 +186,7 @@ def _svt_amplify(p, args, circ) -> dict:
 )
 def _reduce_interval(p, args, circ) -> dict:
     _default_seed(p, args, "random strategies or estimator backing", args.mode == "estimator")
-    reductions.IntervalPartition(args.M)  # rejects M < 2 before eps_bound divides by it
+    reductions.partition_intervals(args.M)  # rejects M < 2 before eps_bound divides by it
     oracle = reductions.MiscountingOracle(
         circ,
         args.x,

@@ -144,7 +144,7 @@ def make_trace_estimator(
         probabilities = witness_probabilities(circuit, x)
     prob_cache: dict[int, float] = {}
 
-    def run(rng: np.random.Generator, seed_record: int = 0) -> AdditiveEstimate:
+    def run(rng: np.random.Generator) -> AdditiveEstimate:
         witnesses = uniform_indices(rng, dim_w, M)
         if probabilities is not None:
             probs = probabilities[witnesses]
@@ -154,7 +154,7 @@ def make_trace_estimator(
                 prob_cache[y] = accept_probability(circuit, basis_index(circuit, x_val, y))
             probs = np.array([prob_cache[y] for y in ys])
         hits = rng.random(M) < probs
-        return replace(template, value=dim_w * (int(hits.sum()) / M), seed=seed_record)
+        return replace(template, value=dim_w * (int(hits.sum()) / M))
 
     return run
 
@@ -168,7 +168,7 @@ def quantum_trace_estimator(
     epsilon: float | None = None,
 ) -> AdditiveEstimate:
     """One M-sample additive estimate of the acceptance-operator trace."""
-    return make_trace_estimator(circuit, x, M, epsilon=epsilon)(stream(seed), seed_record=seed)
+    return replace(make_trace_estimator(circuit, x, M, epsilon=epsilon)(stream(seed)), seed=seed)
 
 
 def median_repetitions(delta: float) -> int:
@@ -227,7 +227,6 @@ def avg_accept_decider(
     seed: int = 0,
     *,
     epsilon: float | None = None,
-    probabilities: np.ndarray | None = None,
 ) -> DeciderResult:
     """Decide whether the normalized trace is >= c or <= s by plain averaging.
 
@@ -236,8 +235,8 @@ def avg_accept_decider(
     probability at least 2/3 whenever the promise holds.  The samples
     are one run of make_trace_estimator on stream(seed), so the mean is
     that run's value divided by 2**w.  The promise is not checkable from
-    samples; when the per-witness probabilities are given or within the
-    dense cap (one embed, witness_probabilities), the result flags whether
+    samples; within the dense cap one embed (witness_probabilities) gives
+    the per-witness probabilities the run samples from and flags whether
     this input violated it.  SAMPLE_CAP is checked before anything is embedded.
     """
     check_promise(c, s)
@@ -248,8 +247,8 @@ def avg_accept_decider(
         raise PreconditionError(f"epsilon={epsilon} cannot separate the promise gap {gap}")
     M = ceil_quotient(3.0, epsilon * epsilon) + 1
     check_draws(2 * M, f"M={M}")
-    if probabilities is None and circuit.num_qubits <= dense_qubit_cap():
-        probabilities = witness_probabilities(circuit, x)
+    dense = circuit.num_qubits <= dense_qubit_cap()
+    probabilities = witness_probabilities(circuit, x) if dense else None
     run = make_trace_estimator(circuit, x, M, probabilities=probabilities)
     dim_w = 1 << circuit.num_witness
     mean = run(stream(seed)).value / dim_w

@@ -5,16 +5,18 @@ down spectral structure.
 
 Interval partition: split [0, 1] into M bands with query thresholds
 c_i = (M-i)/M, s_i = c_i - 1/(4M), ask a miscounting oracle for every
-n_hat_i (i = 1 .. M-1), hardwire n_hat_0 = 0 and n_hat_M = 2**w, and
+n_hat_i (i = 1 .. M-1), hardwire n_hat_0 = 0 and n_hat_M = 2**W, and
 recombine with weights D_i = c_i + 1/(2M):
 
     estimate = sum_i D_i (n_hat_i - n_hat_{i-1}).
 
 As long as each answer is N_geq_c_i + delta_i + eps_i with
-delta_i in [0, N_[s_i, c_i]] and |eps_i| <= 2**w / M, the estimate
-lands within (5/2) 2**w / M of the true trace, whatever strategy the
-oracle uses inside its allowance.  With M > 5/(c-s) that error is
-below half the promise gap, so comparing against (c+s)/2 decides.
+delta_i in [0, N_[s_i, c_i]] and |eps_i| <= 2**W / M, the estimate
+lands within (5/2) 2**W / M of the true trace, whatever the oracle does
+inside that allowance, its one precondition; W is the witness count of
+the operator it answers for, w + l for A tensor I on l idle qubits.
+With M > 5/(c-s) that error is below half the promise gap, so
+comparing against (c+s)/2 decides.
 
 Padding: tensoring l = floor(w/(1-c)) + 2 idle witness qubits onto the
 verifier multiplies every exact count by 2**l while an additive oracle
@@ -35,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -45,12 +48,13 @@ from .limits import PARTITION_CAP, ceil_quotient, check_draws
 from .rngstreams import stream
 from .spectral import (
     AUDIT_SLACK,
+    AcceptanceOperator,
     SpectralCount,
     build_acceptance_operator,
     check_promise,
     trace_normalized,
 )
-from .svt import band_polynomial
+from .svt import RectanglePolynomial, band_polynomial
 
 DELTA_STRATEGIES = ("zero", "max", "random")
 EPS_STRATEGIES = ("zero", "adversarial", "random")
@@ -58,22 +62,13 @@ MIN_HEADROOM = 0.05  # smallest supported 1 - c for the padding exponent
 ESTIMATOR_DELTA = 1e-3  # failure probability of each estimator-backed answer
 
 
-@dataclass(frozen=True)
-class IntervalPartition:
-    """The M-1 query intervals of a partition of [0, 1] into M bands."""
-
-    M: int
-
-    def __post_init__(self) -> None:
-        if self.M < 2:
-            raise PreconditionError(f"partition needs M >= 2, got {self.M}")
-        if self.M > PARTITION_CAP:
-            raise CapExceeded(f"partition M={self.M} exceeds the {PARTITION_CAP}-band cap")
-
-    def intervals(self) -> list[tuple[float, float]]:
-        """The M-1 queried (s_i, c_i) pairs, i = 1 .. M-1, in query order."""
-        M = self.M
-        return [((M - i) / M - 1.0 / (4.0 * M), (M - i) / M) for i in range(1, M)]
+def partition_intervals(M: int) -> list[tuple[float, float]]:
+    """The M-1 queried (s_i, c_i) of a partition of [0, 1] into M bands, in query order."""
+    if M < 2:
+        raise PreconditionError(f"partition needs M >= 2, got {M}")
+    if M > PARTITION_CAP:
+        raise CapExceeded(f"partition M={M} exceeds the {PARTITION_CAP}-band cap")
+    return [((M - i) / M - 1.0 / (4.0 * M), (M - i) / M) for i in range(1, M)]
 
 
 class MiscountingOracle:
@@ -82,19 +77,20 @@ class MiscountingOracle:
     Answers query(c, s) with N_geq_c + delta + eps where delta is within
     [0, N_[s,c]] (strategy: zero, max, or random) and |eps| is within
     eps_bound * u for normalization u = 2**(u_exponent * w_total).
-    pad_qubits idle witness qubits are accounted for by multiplicity
-    (the tensor identity is verified directly elsewhere), so w_total =
-    w + pad_qubits.  With backing="estimator" the answer instead comes
-    from SVT amplification plus median-amplified trace sampling, so it
-    takes no strategy and no padding, and the error budget must absorb
-    genuine noise; every query is audited against the exact range
-    either way.  Only the rectangle polynomial changes between
-    estimator-backed queries: the first such query decomposes the
-    oracle's operator, its block encoding, in one stacked eigh that
-    every later query reuses, so there is one embedding and one eigh
-    per oracle.  The exact backing never decomposes beyond eigvalsh;
-    the estimator backing checks its per-query sample count against
-    SAMPLE_CAP before anything is built.
+    pad_qubits idle witness qubits count by multiplicity, so the oracle
+    answers for A tensor I with w_total = w + pad_qubits
+    (test_padding_multiplicity_matches_direct_eigensolve checks this).
+    A query after i logged answers draws from stream i of the seed.  With
+    backing="estimator" the answer instead comes from SVT amplification
+    plus median-amplified trace sampling, so it takes no strategy or
+    padding and u_exponent 1 only, and the error budget must absorb
+    genuine noise; every query is audited against the exact range either
+    way.  The operator is built at its first read, after an
+    estimator-backed query has built its rectangle polynomial, so the
+    degree cap refuses before any embed; its one stacked eigh then serves
+    every later query.  The exact backing never decomposes beyond
+    eigvalsh; the estimator backing checks its per-query sample count
+    against SAMPLE_CAP before anything is built.
     """
 
     def __init__(
@@ -124,9 +120,14 @@ class MiscountingOracle:
             raise PreconditionError(f"eps_bound must be nonnegative, got {eps_bound}")
         if pad_qubits < 0:
             raise PreconditionError(f"pad_qubits must be nonnegative, got {pad_qubits}")
+        if not math.isfinite(u_exponent):
+            raise PreconditionError(f"u_exponent must be finite, got {u_exponent}")
         injected = pad_qubits or delta_strategy != "zero" or eps_strategy != "zero"
-        if backing == "estimator" and injected:
-            raise PreconditionError("estimator backing samples its error: no padding or strategies")
+        # the sampler's error scales with 2**w, so a smaller u would fail the audit
+        if backing == "estimator" and (injected or u_exponent != 1.0):
+            raise PreconditionError(
+                "estimator backing samples its error: no padding or strategies, u_exponent 1"
+            )
         _parse_bits(x, circuit.num_input, "input bits")
         if backing == "estimator":
             if not eps_bound > 0:
@@ -140,22 +141,24 @@ class MiscountingOracle:
         self.delta_strategy = delta_strategy
         self.eps_strategy = eps_strategy
         self.seed = seed
-        self.pad_qubits = pad_qubits
-        self.u_exponent = u_exponent
         self.backing = backing
-        self.operator = build_acceptance_operator(circuit, x)
         self.multiplicity = 1 << pad_qubits
         self.w_total = circuit.num_witness + pad_qubits
         self.normalization = 2.0 ** (u_exponent * self.w_total)
         self.query_log: list[dict] = []
-        self._queries = 0
+
+    @cached_property
+    def operator(self) -> AcceptanceOperator:
+        """The unpadded acceptance operator, built at its first read."""
+        return build_acceptance_operator(self.circuit, self.x)
 
     def query(self, c: float, s: float) -> float:
         """One noisy count answer for thresholds (c, s), appended to the log."""
-        # checks (c, s) before the query counter moves
+        if self.backing == "estimator":  # the degree cap before the embed
+            check_promise(c, s)
+            poly = band_polynomial(math.sqrt(c), math.sqrt(s), self.eps_bound / 4.0)
         count = SpectralCount.of(self.operator.eigenvalues, c, s)
-        rng = stream(self.seed, jump=self._queries)
-        self._queries += 1
+        rng = stream(self.seed, jump=len(self.query_log))
         mult = self.multiplicity
         n_c = count.n_geq_c * mult
         n_interval = count.n_interval * mult
@@ -175,7 +178,7 @@ class MiscountingOracle:
                 eps = float(rng.uniform(-budget, budget))
             answer = n_c + delta + eps
         else:
-            answer = self._estimator_answer(c, s, rng)
+            answer = self._estimator_answer(poly, rng)
             delta = float("nan")
             eps = float("nan")
         # n_interval can double-count an eigenvalue sitting exactly at c,
@@ -201,15 +204,14 @@ class MiscountingOracle:
         )
         return answer
 
-    def _estimator_answer(self, c: float, s: float, rng: np.random.Generator) -> float:
-        """Genuinely sampled answer: amplify at (sqrt(c), sqrt(s)), then estimate.
+    def _estimator_answer(self, poly: RectanglePolynomial, rng: np.random.Generator) -> float:
+        """Genuinely sampled answer: amplify by the band polynomial, then estimate.
 
         The declared eps_bound is split between amplification loss and
         sampling error; the range audit in query() then checks the split
         actually held for this run.
         """
         samp_eps = self.eps_bound / 2.0
-        poly = band_polynomial(math.sqrt(c), math.sqrt(s), self.eps_bound / 4.0)
         # per-witness probabilities: the amplified diagonal sum_j |V_yj|^2 P(sigma_j)^2 by block,
         # clipped like any diagonal (P is certified in [0, 1]; the clip absorbs rounding)
         sigma, vecs = self.operator.svd
@@ -231,7 +233,6 @@ class IntervalTraceResult:
 
     estimate: float
     error_bound: float
-    M: int
     n_hat: tuple[float, ...]
     exact_trace: float
     abs_error: float
@@ -245,20 +246,18 @@ class IntervalTraceResult:
 def interval_partition_trace(oracle: MiscountingOracle, M: int) -> IntervalTraceResult:
     """Recover the trace from M-1 noisy interval counts.
 
-    The oracle's error allowance must be at most 2**w_total / M (the
-    eps = 1/M setting of the underlying argument, scaled by the
-    normalization); anything looser voids the certified bound.
+    The one precondition: the oracle's error allowance is at most
+    2**w_total / M (eps = 1/M in the underlying argument), whatever its
+    padding or normalization; anything looser voids the certified bound.
     """
-    partition = IntervalPartition(M)
-    if oracle.pad_qubits or oracle.u_exponent != 1.0:
-        raise PreconditionError("interval recovery expects an unpadded, u = 2**w oracle")
+    intervals = partition_intervals(M)
     dim = float(1 << oracle.w_total)
     if oracle.eps_bound * oracle.normalization > dim / M + AUDIT_SLACK:
         raise PreconditionError(
             f"oracle allows errors up to {oracle.eps_bound * oracle.normalization}, "
             f"more than the 2**w / M = {dim / M} the bound needs"
         )
-    n_hat = [0.0] + [oracle.query(c, s) for s, c in partition.intervals()] + [dim]
+    n_hat = [0.0] + [oracle.query(c, s) for s, c in intervals] + [dim]
     estimate = 0.0
     for i in range(1, M + 1):  # weight D_i = c_i + 1/(2M), c_M = 0
         estimate += ((M - i) / M + 1.0 / (2.0 * M)) * (n_hat[i] - n_hat[i - 1])
@@ -267,7 +266,6 @@ def interval_partition_trace(oracle: MiscountingOracle, M: int) -> IntervalTrace
     return IntervalTraceResult(
         estimate=estimate,
         error_bound=bound,
-        M=M,
         n_hat=tuple(n_hat),
         exact_trace=exact,
         abs_error=abs(estimate - exact),

@@ -294,14 +294,18 @@ def test_criterion_09_block_encoding_consistency():
     )
 
 
-def test_criterion_10_average_accept_decider():
+def test_criterion_10_average_accept_decider(monkeypatch):
+    import qcount.estimators
+
     eps = 1.0 / 6.0 - 0.01
     trials = 1000
     worst_rate = 1.0
     for circ, x, truth in promise_instances(555, 4):
+        # the decider embeds at every call; one embed per instance serves its trials
         probs = witness_probabilities(circ, x)
+        monkeypatch.setattr(qcount.estimators, "witness_probabilities", lambda *a: probs)
         hits = sum(
-            avg_accept_decider(circ, x, seed=seed, epsilon=eps, probabilities=probs).answer
+            avg_accept_decider(circ, x, seed=seed, epsilon=eps).answer
             == truth
             for seed in range(trials)
         )

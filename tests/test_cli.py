@@ -386,7 +386,7 @@ def test_precondition_violation_exits_2(circuits, args, env):
     assert "Traceback" not in proc.stderr
 
 
-def _oracle_answer_out_of_range(self, c, s, rng):
+def _oracle_answer_out_of_range(self, poly, rng):
     return 1e6
 
 
@@ -438,6 +438,22 @@ def test_estimator_reduction_over_sample_cap_exits_before_embedding(
     assert qcount.cli.run(argv) == 2
     assert embeds == []
     assert "eps_bound=0.001" in capsys.readouterr().err
+
+
+def test_estimator_reduction_over_degree_cap_exits_before_embedding(
+    circuits, monkeypatch, capsys
+):
+    import qcount.cli
+    import qcount.spectral
+    from qcount.limits import POLY_DEGREE_CAP
+
+    embeds = []
+    monkeypatch.setattr(qcount.spectral, "embedded_witness_matrix", lambda *a: embeds.append(a))
+    # M = 64 is within the sample cap, but its narrowest band needs a degree past the cap
+    argv = ["reduce-interval", circuits["h"], "--M", "64", "--mode", "estimator", "--seed", "1"]
+    assert qcount.cli.run(argv) == 2
+    assert embeds == []
+    assert f"exceeds the {POLY_DEGREE_CAP} cap" in capsys.readouterr().err
 
 
 def test_exact_count_rejects_thresholds_before_embedding(circuits, monkeypatch, capsys):

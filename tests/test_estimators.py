@@ -256,7 +256,7 @@ def test_route_past_the_dense_cap_agrees_with_the_dense_route(monkeypatch):
         x = random_input(rng, circ)
         probs = witness_probabilities(circ, x)
         dense = [
-            make_trace_estimator(circ, x, 64, probabilities=probs)(stream(seed), seed).value
+            make_trace_estimator(circ, x, 64, probabilities=probs)(stream(seed)).value
             for seed in range(4)
         ]
         decided = avg_accept_decider(circ, x, seed=5)

@@ -14,13 +14,13 @@ import qcount.svt
 from circgen import dense_matrix, ensemble, gapped_circuit
 from qcount import (
     CapExceeded,
-    IntervalPartition,
     MiscountingOracle,
     PreconditionError,
     build_acceptance_operator,
     decide_by_interval_recovery,
     interval_partition_trace,
     padding_reduction,
+    partition_intervals,
 )
 from qcount.circuit import VerifierCircuit, parse_circuit
 from qcount.limits import PARTITION_CAP
@@ -34,7 +34,7 @@ ID_CIRC = parse_circuit("registers: ancilla=1 input=0 witness=1\n")
 @pytest.mark.parametrize("M", [2, 8, 64, 256])
 def test_partition_formulas(M):
     # bit for bit: c_i = (M-i)/M and s_i = c_i - 1/(4M), i = 1 .. M-1
-    pairs = IntervalPartition(M).intervals()
+    pairs = partition_intervals(M)
     expected = [((M - i) / M - 1.0 / (4.0 * M), (M - i) / M) for i in range(1, M)]
     assert np.array_equal(np.array(pairs).view(np.uint64), np.array(expected).view(np.uint64))
     assert pairs[0] == (1.0 - 1.25 / M, 1.0 - 1.0 / M)
@@ -43,7 +43,7 @@ def test_partition_formulas(M):
 
 @pytest.mark.parametrize("M", [2, 8, 64, 256])
 def test_partition_intervals_disjoint(M):
-    pairs = IntervalPartition(M).intervals()
+    pairs = partition_intervals(M)
     assert len(pairs) == M - 1
     for (s_hi, c_hi), (s_lo, c_lo) in zip(pairs, pairs[1:]):
         assert c_lo < s_hi  # queried bands never overlap
@@ -51,10 +51,10 @@ def test_partition_intervals_disjoint(M):
 
 def test_partition_validation():
     with pytest.raises(PreconditionError):
-        IntervalPartition(1)
-    IntervalPartition(PARTITION_CAP)
+        partition_intervals(1)
+    partition_intervals(PARTITION_CAP)
     with pytest.raises(CapExceeded, match=f"M={PARTITION_CAP + 1} exceeds"):
-        IntervalPartition(PARTITION_CAP + 1)
+        partition_intervals(PARTITION_CAP + 1)
 
 
 def test_worked_recovery_half_identity():
@@ -117,10 +117,16 @@ def test_oracle_validation():
         MiscountingOracle(H_CIRC, eps_bound=0.1, backing="estimator", pad_qubits=1)
     with pytest.raises(PreconditionError, match="pad_qubits must be nonnegative"):
         MiscountingOracle(H_CIRC, eps_bound=0.1, pad_qubits=-1)
+    # a NaN exponent would otherwise reach the range audit as an InvariantViolation
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(PreconditionError, match="u_exponent must be finite"):
+            MiscountingOracle(H_CIRC, eps_bound=0.1, u_exponent=bad)
     with pytest.raises(PreconditionError, match="estimator backing needs a positive eps_bound"):
         MiscountingOracle(H_CIRC, eps_bound=0.0, backing="estimator")
     # the estimator backing's error is sampled: it has no strategy to apply
-    for strategies in ({"delta_strategy": "max"}, {"eps_strategy": "adversarial"}):
+    # and sizes its samples for u = 2**w, so a smaller u would fail the range audit
+    injected = ({"delta_strategy": "max"}, {"eps_strategy": "adversarial"}, {"u_exponent": 0.5})
+    for strategies in injected:
         with pytest.raises(PreconditionError, match="no padding or strategies"):
             MiscountingOracle(H_CIRC, eps_bound=0.1, backing="estimator", **strategies)
     # (eps/2)**2 is subnormal at 1e-160 (4 / it overflows) and 0 at 1e-200
@@ -138,10 +144,23 @@ def test_recovery_rejects_oversized_error_budget():
         interval_partition_trace(oracle, 8)  # needs eps_bound <= 1/8
 
 
-def test_recovery_rejects_padded_oracle():
-    oracle = MiscountingOracle(H_CIRC, eps_bound=0.01, pad_qubits=2)
-    with pytest.raises(PreconditionError):
-        interval_partition_trace(oracle, 8)
+@pytest.mark.parametrize("pad,u", [(2, 1.0), (2, 0.5), (0, 0.5)])
+@pytest.mark.parametrize("ds,es", [("max", "adversarial"), ("random", "random")])
+def test_recovery_meets_its_bound_on_padded_oracles(pad, u, ds, es):
+    # a padded oracle answers for A tensor I: its budget against 2**(w + pad) / M
+    # is all the bound needs, whatever the normalization exponent
+    M = 8
+    for circ, x in ensemble(604, 6, max_ancilla=2, max_witness=3):
+        w_total = circ.num_witness + pad
+        oracle = MiscountingOracle(
+            circ, x, eps_bound=2.0 ** ((1.0 - u) * w_total) / M,
+            delta_strategy=ds, eps_strategy=es, seed=11, pad_qubits=pad, u_exponent=u,
+        )
+        r = interval_partition_trace(oracle, M)
+        trace = build_acceptance_operator(circ, x).trace
+        assert r.exact_trace == pytest.approx(2**pad * trace, abs=1e-9)
+        assert r.error_bound == pytest.approx(2.5 * 2**w_total / M)
+        assert r.within_bound
 
 
 def test_decide_trivial_instances():
@@ -153,6 +172,17 @@ def test_decide_trivial_instances():
     no, _ = decide_by_interval_recovery(
         MiscountingOracle(ID_CIRC, eps_bound=1.0 / M), c, s
     )
+    assert (yes, no) == ("YES", "NO")
+
+
+@pytest.mark.parametrize("pad", [2, 3])
+@pytest.mark.parametrize("ds,es", [("zero", "zero"), ("max", "adversarial"), ("random", "random")])
+def test_decide_trivial_instances_on_padded_oracles(pad, ds, es):
+    c, s = 2.0 / 3.0, 1.0 / 3.0
+    M = math.ceil(5.0 / (c - s)) + 1
+    kwargs = dict(eps_bound=1.0 / M, delta_strategy=ds, eps_strategy=es, seed=4, pad_qubits=pad)
+    yes, _ = decide_by_interval_recovery(MiscountingOracle(X_CIRC, **kwargs), c, s)
+    no, _ = decide_by_interval_recovery(MiscountingOracle(ID_CIRC, **kwargs), c, s)
     assert (yes, no) == ("YES", "NO")
 
 

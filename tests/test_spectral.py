@@ -266,7 +266,9 @@ def test_odd_h_gram_is_exact():
     "offset, at_least, at_most",
     [(-2.0, False, True), (-0.5, True, True), (0.5, True, True), (2.0, True, False)],
 )
-def test_every_threshold_comparison_shares_the_tie_rule(offset, at_least, at_most):
+def test_every_threshold_comparison_shares_the_tie_rule(offset, at_least, at_most, monkeypatch):
+    import qcount.estimators
+
     # a value within TIE_TOL of a threshold counts as on it, wherever it is compared
     a = 0.5
     v = a + offset * TIE_TOL
@@ -278,10 +280,10 @@ def test_every_threshold_comparison_shares_the_tie_rule(offset, at_least, at_mos
     op = AcceptanceOperator(np.diag([v * v, 0.0]).astype(complex), 1)
     assert sandwich_bounds(op, a, 0.1, 0.1).n_geq_c == at_least
     assert sandwich_bounds(op, 0.9, a, 0.1).sigma_in_gap == (not at_most)
-    probs = np.array([v, v])
-    below_c = avg_accept_decider(H_CIRC, c=a, s=0.2, probabilities=probs)
+    monkeypatch.setattr(qcount.estimators, "witness_probabilities", lambda *args: np.array([v, v]))
+    below_c = avg_accept_decider(H_CIRC, c=a, s=0.2)
     assert below_c.promise_violated == (not at_least)
-    above_s = avg_accept_decider(H_CIRC, c=0.8, s=a, probabilities=probs)
+    above_s = avg_accept_decider(H_CIRC, c=0.8, s=a)
     assert above_s.promise_violated == (not at_most)
 
 

@@ -30,7 +30,7 @@ from qcount import (
 from qcount import svt
 from qcount.circuit import embedded_witness_matrix, parse_circuit
 from qcount.errors import CapExceeded
-from qcount.reductions import IntervalPartition
+from qcount.reductions import partition_intervals
 from qcount.svt import RectanglePolynomial, _chebinterpolate, _even_chebval
 
 X_CIRC = parse_circuit("registers: ancilla=1 input=0 witness=1\nX 0\n")
@@ -95,7 +95,7 @@ def test_rect_poly_properties(delta, eps):
 def _band_cases(m, eps):
     """The (t, delta, eps) of every band an M-band interval recovery amplifies."""
     cases = []
-    for s, c in IntervalPartition(m).intervals():
+    for s, c in partition_intervals(m):
         c_sv, s_sv = math.sqrt(c), math.sqrt(s)
         cases.append(((c_sv + s_sv) / 2.0, (c_sv - s_sv) / 2.0, eps))
     return cases
