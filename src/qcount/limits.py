@@ -18,7 +18,7 @@ from .errors import CapExceeded, PreconditionError
 SIM_QUBIT_CAP = 20
 DENSE_QUBIT_CAP_DEFAULT = 14
 POLY_DEGREE_CAP = 2**14  # O(p) Clenshaw work per point evaluated; p + 1 coefficients a record
-SAMPLE_CAP = 2**24  # uniform draws per estimator run: 128 MiB of float64
+SAMPLE_CAP = 2**24  # uniform draws per estimator run: a bound on time, as walks stream theirs
 PARTITION_CAP = 2**16  # interval-partition bands: M - 1 oracle queries and an M + 1 n_hat
 
 _ENV_DENSE_CAP = "QCOUNT_DENSE_CAP"

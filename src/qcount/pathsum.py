@@ -41,9 +41,11 @@ Sampled mode draws walk pairs: one uniform witness and one uniform branch
 per H on each walk.  A pair scores +1 or -1 when both walks end on the
 same output-1 state with phase difference 0 or 2, and 0 otherwise, so
 the mean score times u = 2**(w + h) is an unbiased trace estimate.  The
-sampling core (estimators.additive_template) checks it before the first
-draw and gives it the Hoeffding tail Pr(|est - Tr| >= eps * u) <=
-2 exp(-S eps^2 / 2).
+walks keep int64 states, uint8 phases and uint8 gate bits, and draw
+their uniforms through one reused buffer, so a sample costs about 21
+bytes however many H the circuit has.  The sampling core
+(estimators.additive_template) checks it before the first draw and gives
+it the Hoeffding tail Pr(|est - Tr| >= eps * u) <= 2 exp(-S eps^2 / 2).
 """
 
 from __future__ import annotations
@@ -54,12 +56,13 @@ import numpy as np
 
 from .circuit import VerifierCircuit, _parse_bits, _witness_blocks, basis_index
 from .errors import CapExceeded, InvariantViolation, PreconditionError
-from .rngstreams import stream, uniform_indices
+from .rngstreams import stream
 from .estimators import HOEFFDING, AdditiveEstimate, additive_template
 from .spectral import AUDIT_SLACK, witness_probabilities
 
 _MAX_H = 62  # an H at most doubles a walk count, so counts stay below 2**h: int64 while h <= 62
 _LIMB = 16  # bits per limb: a limb product is below 2**32, so 2**31 of them sum exactly in int64
+_DRAW_CHUNK = 2**16  # uniforms per refill of the walk sampler's one draw buffer
 
 
 @dataclass(frozen=True)
@@ -137,30 +140,72 @@ def path_sum_exact(circuit: VerifierCircuit, x: str = "") -> PathSumResult:
 def _walk_pair_scores(
     circuit: VerifierCircuit, x_val: int, rng: np.random.Generator, samples: int
 ) -> np.ndarray:
-    """Score (in {-1, 0, +1}) of `samples` walk pairs.
+    """Score (in {-1, 0, +1}, int8) of `samples` walk pairs.
 
     The witness of sample i is the generator's uniform i; the k-th H
     then draws the next 2 * samples uniforms, the first walk's branches
     before the second's, so the layout is fixed by (seed, samples) alone.
+    The uniforms pass through one reused buffer of at most _DRAW_CHUNK,
+    so a sample holds only its two int64 walk states, two uint8 phases
+    (mod 4, which uint8 wraparound keeps since 4 divides 256) and two
+    uint8 scratch bits, plus its int8 score at the end.
     """
-    q = circuit.num_qubits
-    y = uniform_indices(rng, 1 << circuit.num_witness, samples)
-    state = np.tile(basis_index(circuit, x_val, y), (2, 1))  # basis index of each walk
-    phase = np.zeros((2, samples), dtype=np.int64)  # powers of i
+    q, w = circuit.num_qubits, circuit.num_witness
+    if w > 53:  # floor(u * 2**w) is exactly uniform only up to the 53 bits of u
+        raise PreconditionError(f"bound must be in (0, 2**53], got {1 << w}")
+    buf = np.empty(min(samples, _DRAW_CHUNK))
+
+    def draws():
+        """The next `samples` uniforms, chunk by chunk, with the columns each fills."""
+        for start in range(0, samples, len(buf)):
+            u = buf[: samples - start]
+            rng.random(out=u)
+            yield slice(start, start + len(u)), u
+
+    def read_bit(walk: np.ndarray, pos: int, out: np.ndarray) -> None:
+        np.right_shift(walk, pos, out=out, casting="unsafe")  # keeps the low 8 bits
+        out &= 1
+
+    state = np.empty((2, samples), dtype=np.int64)  # basis index of each walk
+    for cols, u in draws():
+        u *= 1 << w
+        state[0, cols] = np.floor(u, out=u)  # exact: u = k / 2**53
+    state[0] |= basis_index(circuit, x_val, 0)
+    state[1] = state[0]
+    phase = np.zeros((2, samples), dtype=np.uint8)  # powers of i
+    bits = np.empty((2, samples), dtype=np.uint8)  # scratch: one gate bit per row
     for gate in circuit.gates:
         *controls, target = (q - 1 - k for k in gate.qubits)  # bit positions
-        bit = (state >> target) & 1
-        if gate.kind == "H":
-            branch = uniform_indices(rng, 2, 2 * samples).reshape(2, samples)
-            phase += 2 * (bit & branch)
-            state ^= (bit ^ branch) << target
-        elif gate.kind == "S":
-            phase += bit
-        else:
-            state ^= ((state >> controls[0]) & (state >> controls[1]) & 1) << target
-    same = (state[0] == state[1]) & ((state[0] >> (q - 1)) == 1)
-    diff = (phase[1] - phase[0]) % 4
-    return np.where(same, (diff == 0).astype(np.int64) - (diff == 2), 0)
+        for walk, walk_phase in zip(state, phase):
+            if gate.kind == "H":  # the walk moves to its branch u >= 1/2, i.e. floor(2u)
+                read_bit(walk, target, bits[0])
+                for cols, u in draws():
+                    branch = u >= 0.5
+                    bit = bits[0, cols]
+                    walk_phase[cols] += (bit & branch) << 1
+                    bit ^= branch  # now the flip mask: set where the branch differs
+            elif gate.kind == "S":
+                read_bit(walk, target, bits[0])
+                walk_phase += bits[0]
+                continue
+            else:
+                read_bit(walk, controls[0], bits[0])
+                read_bit(walk, controls[1], bits[1])
+                bits[0] &= bits[1]
+            np.bitwise_xor(walk, 1 << target, out=walk, where=bits[0].view(bool))
+    same, even = bits
+    np.equal(state[0], state[1], out=same.view(bool))
+    read_bit(state[0], q - 1, even)  # both walks end on an output-1 state
+    same &= even
+    diff = phase[1]
+    diff -= phase[0]
+    diff &= 3
+    np.bitwise_and(diff, 1, out=even)
+    even ^= 1
+    same &= even
+    scores = 1 - diff.view(np.int8)  # +1 at phase difference 0, -1 at 2
+    scores *= same.view(np.int8)
+    return scores
 
 
 def path_sum_estimator(

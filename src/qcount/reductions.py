@@ -45,7 +45,7 @@ from .circuit import VerifierCircuit, _parse_bits
 from .errors import CapExceeded, InvariantViolation, PreconditionError
 from .estimators import make_trace_estimator, median_amplify, median_repetitions
 from .limits import PARTITION_CAP, ceil_quotient, check_draws
-from .rngstreams import stream
+from .rngstreams import check_seed, stream
 from .spectral import (
     AUDIT_SLACK,
     AcceptanceOperator,
@@ -75,12 +75,13 @@ class MiscountingOracle:
     """Simulated additive count oracle with a bounded, logged error budget.
 
     Answers query(c, s) with N_geq_c + delta + eps where delta is within
-    [0, N_[s,c]] (strategy: zero, max, or random) and |eps| is within
+    [0, N_[s,c)] (strategy: zero, max, or random) and |eps| is within
     eps_bound * u for normalization u = 2**(u_exponent * w_total).
     pad_qubits idle witness qubits count by multiplicity, so the oracle
     answers for A tensor I with w_total = w + pad_qubits
     (test_padding_multiplicity_matches_direct_eigensolve checks this).
-    A query after i logged answers draws from stream i of the seed.  With
+    A query after i logged answers draws from stream i of the seed, and
+    only when a random strategy or the estimator backing reads it.  With
     backing="estimator" the answer instead comes from SVT amplification
     plus median-amplified trace sampling, so it takes no strategy or
     padding and u_exponent 1 only, and the error budget must absorb
@@ -122,6 +123,7 @@ class MiscountingOracle:
             raise PreconditionError(f"pad_qubits must be nonnegative, got {pad_qubits}")
         if not math.isfinite(u_exponent):
             raise PreconditionError(f"u_exponent must be finite, got {u_exponent}")
+        check_seed(seed)  # even where no strategy draws from it
         injected = pad_qubits or delta_strategy != "zero" or eps_strategy != "zero"
         # the sampler's error scales with 2**w, so a smaller u would fail the audit
         if backing == "estimator" and (injected or u_exponent != 1.0):
@@ -158,10 +160,12 @@ class MiscountingOracle:
             check_promise(c, s)
             poly = band_polynomial(math.sqrt(c), math.sqrt(s), self.eps_bound / 4.0)
         count = SpectralCount.of(self.operator.eigenvalues, c, s)
-        rng = stream(self.seed, jump=len(self.query_log))
+        draws = self.backing == "estimator" or "random" in (self.delta_strategy, self.eps_strategy)
+        rng = stream(self.seed, len(self.query_log)) if draws else None
         mult = self.multiplicity
         n_c = count.n_geq_c * mult
-        n_interval = count.n_interval * mult
+        n_s = count.n_geq_s * mult
+        n_interval = n_s - n_c  # [s, c) under the tie rule
         budget = self.eps_bound * self.normalization
         if self.backing == "exact":
             if self.delta_strategy == "zero":
@@ -181,10 +185,8 @@ class MiscountingOracle:
             answer = self._estimator_answer(poly, rng)
             delta = float("nan")
             eps = float("nan")
-        # n_interval can double-count an eigenvalue sitting exactly at c,
-        # so the honest ceiling is n_c + n_interval, not n_s
         lo = n_c - budget - AUDIT_SLACK
-        hi = n_c + n_interval + budget + AUDIT_SLACK
+        hi = n_s + budget + AUDIT_SLACK
         if not lo <= answer <= hi:
             raise InvariantViolation(
                 f"oracle answer {answer} escapes its allowed range "
@@ -195,7 +197,7 @@ class MiscountingOracle:
                 "c": c,
                 "s": s,
                 "n_geq_c": n_c,
-                "n_geq_s": count.n_geq_s * mult,
+                "n_geq_s": n_s,
                 "n_interval": n_interval,
                 "delta": delta,
                 "eps": eps,

@@ -18,10 +18,15 @@ from .errors import PreconditionError
 MAX_SEED = 2**64 - 1
 
 
-def stream(seed: int, jump: int = 0) -> np.random.Generator:
-    """Generator for substream `jump` of the given seed."""
+def check_seed(seed: int) -> None:
+    """Reject a seed outside the 64 bits of a Philox key."""
     if not 0 <= seed <= MAX_SEED:
         raise PreconditionError(f"seed must fit in 64 bits, got {seed}")
+
+
+def stream(seed: int, jump: int = 0) -> np.random.Generator:
+    """Generator for substream `jump` of the given seed."""
+    check_seed(seed)
     bg = np.random.Philox(key=seed)
     if jump:
         bg = bg.jumped(jump)

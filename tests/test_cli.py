@@ -571,6 +571,24 @@ def test_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_exact_interval_recovery_loads_no_numpy_random(circuits):
+    # max/adversarial answers draw nothing, so no stream imports numpy.random
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, qcount.cli; "
+            f"code = qcount.cli.run(['reduce-interval', {str(circuits['h'])!r}, '--M', '8', "
+            "'--delta-strategy', 'max', '--eps-strategy', 'adversarial']); "
+            "print(code, sorted(m for m in sys.modules if m.startswith('numpy.random')))",
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"
+
+
 def test_malformed_circuit_exits_2(tmp_path):
     p = tmp_path / "bad.qcv"
     p.write_text("registers: ancilla=1 input=0 witness=1\nCNOT 0 1\n")

@@ -1,5 +1,8 @@
 """Sign-path sums: integer identity against a brute-force path enumerator
-and the spectral oracle, and the walk-pair sampler's Hoeffding law."""
+and the spectral oracle, and the walk-pair sampler's draws, memory and
+Hoeffding law."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,8 +18,9 @@ from qcount import (
     path_sum_estimator,
     path_sum_exact,
 )
-from qcount.circuit import Gate, VerifierCircuit, parse_circuit
+from qcount.circuit import Gate, VerifierCircuit, basis_index, parse_circuit
 from qcount.limits import SAMPLE_CAP
+from qcount.rngstreams import stream, uniform_indices
 
 README_QCV = "registers: ancilla=1 input=0 witness=2\nH 1\nTOF 1 2 0\nX 0\n"
 
@@ -246,3 +250,71 @@ def test_estimator_mean_and_hoeffding_law():
         assert abs(values.mean() - trace) <= 5 * u / np.sqrt(samples * runs)
         misses = np.mean(np.abs(values - trace) >= ests[0].epsilon * u)
         assert misses <= ests[0].delta
+
+
+def reference_walk_pair_scores(circuit, x_val, rng, samples):
+    """Walk-pair scores from whole int64 arrays, every draw at once.
+
+    The witnesses are floor(u * 2**w) of the first `samples` uniforms and
+    each H's branches floor(2u) of the next 2 * samples, the first walk's
+    before the second's: the documented layout, written the plain way.
+    """
+    q = circuit.num_qubits
+    y = uniform_indices(rng, 1 << circuit.num_witness, samples)
+    state = np.tile(basis_index(circuit, x_val, y), (2, 1))
+    phase = np.zeros((2, samples), dtype=np.int64)
+    for gate in circuit.gates:
+        *controls, target = (q - 1 - k for k in gate.qubits)
+        bit = (state >> target) & 1
+        if gate.kind == "H":
+            branch = uniform_indices(rng, 2, 2 * samples).reshape(2, samples)
+            phase += 2 * (bit & branch)
+            state ^= (bit ^ branch) << target
+        elif gate.kind == "S":
+            phase += bit
+        else:
+            state ^= ((state >> controls[0]) & (state >> controls[1]) & 1) << target
+    same = (state[0] == state[1]) & ((state[0] >> (q - 1)) == 1)
+    diff = (phase[1] - phase[0]) % 4
+    return np.where(same, (diff == 0).astype(np.int64) - (diff == 2), 0)
+
+
+@pytest.mark.parametrize("samples", [1, 3, 2**15, 2**15 + 1, 70001])
+def test_walk_pair_scores_match_the_whole_array_reference(samples):
+    # 70001 samples cross the sampler's 2**16-uniform draw buffer
+    rng = np.random.default_rng(2718)
+    checked = 0
+    while checked < 6:
+        circ = random_circuit(rng, num_ancilla=2, num_input=2, num_witness=3, gate_count=24)
+        if {g.kind for g in circ.gates} != {"H", "S", "TOF"}:
+            continue
+        x_val = int(rng.integers(1, 4))
+        seed = int(rng.integers(0, 2**63))
+        scores = qcount.pathsum._walk_pair_scores(circ, x_val, stream(seed), samples)
+        assert scores.dtype == np.int8
+        np.testing.assert_array_equal(
+            scores, reference_walk_pair_scores(circ, x_val, stream(seed), samples)
+        )
+        checked += 1
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [
+        dict(num_ancilla=1, num_witness=2, gate_count=4),
+        dict(num_ancilla=2, num_witness=13, gate_count=60),
+    ],
+    ids=["p22-shaped", "m13-shaped"],
+)
+def test_walk_pair_scores_hold_a_few_bytes_per_sample(shape):
+    # two int64 states, two uint8 phases, two uint8 scratch bits and an int8
+    # score are 21 bytes a sample; the whole-array reference holds over 100
+    circ = random_circuit(np.random.default_rng(99), **shape)
+    samples = 1 << 18
+    tracemalloc.start()
+    try:
+        qcount.pathsum._walk_pair_scores(circ, 0, stream(1), samples)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * samples, peak / samples

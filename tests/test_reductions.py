@@ -9,6 +9,7 @@ import pytest
 
 import qcount.circuit
 import qcount.reductions
+import qcount.rngstreams
 import qcount.spectral
 import qcount.svt
 from circgen import dense_matrix, ensemble, gapped_circuit
@@ -29,6 +30,7 @@ from qcount.reductions import DELTA_STRATEGIES, EPS_STRATEGIES
 X_CIRC = parse_circuit("registers: ancilla=1 input=0 witness=1\nX 0\n")
 H_CIRC = parse_circuit("registers: ancilla=1 input=0 witness=1\nH 0\n")
 ID_CIRC = parse_circuit("registers: ancilla=1 input=0 witness=1\n")
+HALF_CIRC = parse_circuit("registers: ancilla=1 input=0 witness=2\nH 0\n")  # A = I/2
 
 
 @pytest.mark.parametrize("M", [2, 8, 64, 256])
@@ -101,6 +103,38 @@ def test_query_log_is_audited():
     assert rec["n_geq_c"] == 0 and rec["n_interval"] == 2
     assert rec["answer"] == rec["n_geq_c"] + rec["delta"] + rec["eps"]
     assert abs(rec["eps"]) <= 0.25 * oracle.normalization + 1e-12
+
+
+@pytest.mark.parametrize("ds, es", list(itertools.product(DELTA_STRATEGIES, EPS_STRATEGIES)))
+def test_oracle_answers_inside_the_counting_interval_at_a_tie(ds, es):
+    # every eigenvalue of A = I/2 sits on c = 0.5: N_geq_c = N_geq_s = 4, and
+    # the band [s, c) is empty, so no strategy may add a delta
+    for pad, u in ((0, 1.0), (6, 0.5)):
+        oracle = MiscountingOracle(
+            HALF_CIRC, eps_bound=0.25, delta_strategy=ds, eps_strategy=es,
+            seed=5, pad_qubits=pad, u_exponent=u,
+        )
+        answer = oracle.query(0.5, 0.25)
+        rec = oracle.query_log[-1]
+        budget = 0.25 * oracle.normalization
+        assert rec["n_geq_c"] == rec["n_geq_s"] == 4 << pad and rec["n_interval"] == 0
+        assert rec["n_geq_c"] - budget <= answer <= rec["n_geq_s"] + budget
+    r = padding_reduction(
+        HALF_CIRC, c=0.5, c_threshold=0.5, s_threshold=0.25, eps=0.9,
+        delta_strategy=ds, eps_strategy=es, seed=5,
+    )
+    assert r.in_interval and r.count == 4
+
+
+@pytest.mark.parametrize("ds, es", [("max", "adversarial"), ("zero", "zero"), ("random", "random")])
+def test_only_a_random_oracle_draws_a_stream(qcount_calls, ds, es):
+    streams = qcount_calls(qcount.rngstreams.stream)
+    oracle = MiscountingOracle(
+        H_CIRC, eps_bound=1.0 / 8, delta_strategy=ds, eps_strategy=es, seed=7
+    )
+    interval_partition_trace(oracle, 8)
+    # query i still reads substream i of the seed
+    assert streams == ([(7, i) for i in range(7)] if "random" in (ds, es) else [])
 
 
 def test_oracle_validation():
