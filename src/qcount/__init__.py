@@ -21,7 +21,6 @@ from .estimators import (
     DeciderResult,
     avg_accept_decider,
     median_amplify,
-    median_repetitions,
     quantum_trace_estimator,
 )
 from .pathsum import (

@@ -41,11 +41,12 @@ Sampled mode draws walk pairs: one uniform witness and one uniform branch
 per H on each walk.  A pair scores +1 or -1 when both walks end on the
 same output-1 state with phase difference 0 or 2, and 0 otherwise, so
 the mean score times u = 2**(w + h) is an unbiased trace estimate.  The
-walks keep int64 states, uint8 phases and uint8 gate bits, and draw
-their uniforms through one reused buffer, so a sample costs about 21
-bytes however many H the circuit has.  The sampling core
+walks keep int64 states, uint8 phases and uint8 gate bits, and read
+their uniforms chunk by chunk (rngstreams.uniform_chunks), so a sample
+costs about 21 bytes however many H the circuit has.  The sampling core
 (estimators.additive_template) checks it before the first draw and gives
-it the Hoeffding tail Pr(|est - Tr| >= eps * u) <= 2 exp(-S eps^2 / 2).
+it the Hoeffding tail of scores in [-1, 1],
+Pr(|est - Tr| >= eps * u) <= 2 exp(-S eps^2 / 2).
 """
 
 from __future__ import annotations
@@ -56,13 +57,12 @@ import numpy as np
 
 from .circuit import VerifierCircuit, _parse_bits, _witness_blocks, basis_index
 from .errors import CapExceeded, InvariantViolation, PreconditionError
-from .rngstreams import stream
-from .estimators import HOEFFDING, AdditiveEstimate, additive_template
+from .rngstreams import index_chunks, stream, uniform_chunks
+from .estimators import AdditiveEstimate, additive_template
 from .spectral import AUDIT_SLACK, witness_probabilities
 
 _MAX_H = 62  # an H at most doubles a walk count, so counts stay below 2**h: int64 while h <= 62
 _LIMB = 16  # bits per limb: a limb product is below 2**32, so 2**31 of them sum exactly in int64
-_DRAW_CHUNK = 2**16  # uniforms per refill of the walk sampler's one draw buffer
 
 
 @dataclass(frozen=True)
@@ -145,31 +145,20 @@ def _walk_pair_scores(
     The witness of sample i is the generator's uniform i; the k-th H
     then draws the next 2 * samples uniforms, the first walk's branches
     before the second's, so the layout is fixed by (seed, samples) alone.
-    The uniforms pass through one reused buffer of at most _DRAW_CHUNK,
-    so a sample holds only its two int64 walk states, two uint8 phases
-    (mod 4, which uint8 wraparound keeps since 4 divides 256) and two
-    uint8 scratch bits, plus its int8 score at the end.
+    The uniforms are read chunk by chunk, so a sample holds only its two
+    int64 walk states, two uint8 phases (mod 4, which uint8 wraparound
+    keeps since 4 divides 256) and two uint8 scratch bits, plus its int8
+    score at the end.
     """
-    q, w = circuit.num_qubits, circuit.num_witness
-    if w > 53:  # floor(u * 2**w) is exactly uniform only up to the 53 bits of u
-        raise PreconditionError(f"bound must be in (0, 2**53], got {1 << w}")
-    buf = np.empty(min(samples, _DRAW_CHUNK))
-
-    def draws():
-        """The next `samples` uniforms, chunk by chunk, with the columns each fills."""
-        for start in range(0, samples, len(buf)):
-            u = buf[: samples - start]
-            rng.random(out=u)
-            yield slice(start, start + len(u)), u
+    q = circuit.num_qubits
 
     def read_bit(walk: np.ndarray, pos: int, out: np.ndarray) -> None:
         np.right_shift(walk, pos, out=out, casting="unsafe")  # keeps the low 8 bits
         out &= 1
 
     state = np.empty((2, samples), dtype=np.int64)  # basis index of each walk
-    for cols, u in draws():
-        u *= 1 << w
-        state[0, cols] = np.floor(u, out=u)  # exact: u = k / 2**53
+    for cols, y in index_chunks(rng, samples, circuit.num_witness):
+        state[0, cols] = y
     state[0] |= basis_index(circuit, x_val, 0)
     state[1] = state[0]
     phase = np.zeros((2, samples), dtype=np.uint8)  # powers of i
@@ -179,7 +168,7 @@ def _walk_pair_scores(
         for walk, walk_phase in zip(state, phase):
             if gate.kind == "H":  # the walk moves to its branch u >= 1/2, i.e. floor(2u)
                 read_bit(walk, target, bits[0])
-                for cols, u in draws():
+                for cols, u in uniform_chunks(rng, samples):
                     branch = u >= 0.5
                     bit = bits[0, cols]
                     walk_phase[cols] += (bit & branch) << 1
@@ -228,7 +217,7 @@ def path_sum_estimator(
         )
     # one witness, then one branch per H on each of the two walks
     template = additive_template(
-        samples, 1 + 2 * h, 2.0**scale_bits, epsilon, HOEFFDING, f"{samples}-sample path estimate"
+        samples, 1 + 2 * h, 2.0**scale_bits, epsilon, 2.0, f"{samples}-sample path estimate"
     )
     scores = _walk_pair_scores(circuit, x_val, stream(seed), samples)
     value = template.normalization * (int(scores.sum()) / samples)

@@ -28,9 +28,9 @@ eps * 2**(w - (1-c) l) < 1/2.
 The MiscountingOracle here simulates the adversary: it answers from the
 exact spectrum plus the worst (or random, or no) slack its contract
 allows, logging every query.  It can also answer from the genuine
-sampling pipeline (SVT amplification + median-amplified trace
-estimation), in which case its slack is real noise rather than an
-injected strategy.
+sampling pipeline (SVT amplification + one run of the trace estimator,
+sized by the Hoeffding law to fail w.p. at most ESTIMATOR_DELTA), in
+which case its slack is real noise rather than an injected strategy.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ import numpy as np
 
 from .circuit import VerifierCircuit, _parse_bits
 from .errors import CapExceeded, InvariantViolation, PreconditionError
-from .estimators import make_trace_estimator, median_amplify, median_repetitions
+from .estimators import make_trace_estimator
 from .limits import PARTITION_CAP, ceil_quotient, check_draws
 from .rngstreams import check_seed, stream
 from .spectral import (
@@ -83,13 +83,15 @@ class MiscountingOracle:
     A query after i logged answers draws from stream i of the seed, and
     only when a random strategy or the estimator backing reads it.  With
     backing="estimator" the answer instead comes from SVT amplification
-    plus median-amplified trace sampling, so it takes no strategy or
-    padding and u_exponent 1 only, and the error budget must absorb
-    genuine noise; every query is audited against the exact range either
-    way.  The operator is built at its first read, after an
-    estimator-backed query has built its rectangle polynomial, so the
-    degree cap refuses before any embed; its one stacked eigh then serves
-    every later query.  The exact backing never decomposes beyond
+    plus one trace-estimator run on that stream, of
+    S = ceil(ln(2 / ESTIMATOR_DELTA) / (2 (eps_bound/2)^2)) coin samples,
+    which by the Hoeffding law miss by eps_bound/2 * 2**w w.p. at most
+    ESTIMATOR_DELTA; it takes no strategy or padding and u_exponent 1
+    only, and the error budget must absorb genuine noise.  Every query
+    is audited against the exact range either way.  The operator is
+    built at its first read, after an estimator-backed query has built
+    its rectangle polynomial, so the degree cap refuses before any embed;
+    its one stacked eigh then serves every later query.  The exact backing never decomposes beyond
     eigvalsh; the estimator backing checks its per-query sample count
     against SAMPLE_CAP before anything is built.
     """
@@ -134,8 +136,10 @@ class MiscountingOracle:
         if backing == "estimator":
             if not eps_bound > 0:
                 raise PreconditionError("estimator backing needs a positive eps_bound")
-            # per query: radius eps/2 at confidence 3/4 needs M >= 4/(eps/2)^2
-            self._samples = ceil_quotient(4.0, (eps_bound / 2.0) * (eps_bound / 2.0))
+            # per query: the least S with 2 exp(-2 S (eps/2)^2) <= ESTIMATOR_DELTA
+            self._samples = ceil_quotient(
+                math.log(2.0 / ESTIMATOR_DELTA), 2.0 * (eps_bound / 2.0) * (eps_bound / 2.0)
+            )
             check_draws(2 * self._samples, f"eps_bound={eps_bound}")
         self.circuit = circuit
         self.x = x
@@ -213,7 +217,6 @@ class MiscountingOracle:
         sampling error; the range audit in query() then checks the split
         actually held for this run.
         """
-        samp_eps = self.eps_bound / 2.0
         # per-witness probabilities: the amplified diagonal sum_j |V_yj|^2 P(sigma_j)^2 by block,
         # clipped like any diagonal (P is certified in [0, 1]; the clip absorbs rounding)
         sigma, vecs = self.operator.svd
@@ -221,12 +224,10 @@ class MiscountingOracle:
         probs = np.empty(self.operator.dim)
         probs[self.operator.order] = np.clip(amplified, 0.0, 1.0).ravel()
         # the other eps/2 absorbs the amplification's (2e-e^2) trace loss
-        base = make_trace_estimator(
-            self.circuit, self.x, self._samples, probabilities=probs, epsilon=samp_eps
+        run = make_trace_estimator(
+            self.circuit, self.x, self._samples, probabilities=probs, epsilon=self.eps_bound / 2.0
         )
-        k = median_repetitions(ESTIMATOR_DELTA)
-        sub_seed = int(rng.integers(0, 2**63))
-        return median_amplify(base, k, sub_seed).value
+        return run(rng).value
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Monte Carlo trace estimator: law, amplification, and the decider."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from qcount import (
     avg_accept_decider,
     build_acceptance_operator,
     median_amplify,
-    median_repetitions,
     quantum_trace_estimator,
     witness_probabilities,
 )
@@ -47,16 +47,18 @@ def test_estimate_metadata():
     est = quantum_trace_estimator(H_CIRC, M=64, seed=9)
     assert est.samples == 64
     assert est.normalization == 2.0
-    assert est.epsilon == pytest.approx(2.0 / math.sqrt(64))
+    assert est.epsilon == pytest.approx(math.sqrt(math.log(8.0) / 128))  # 2 exp(-128 eps^2) = 1/4
     assert est.delta == pytest.approx(0.25)
     assert est.seed == 9
 
 
 def test_explicit_epsilon_tightens_delta():
-    est = quantum_trace_estimator(H_CIRC, M=64, seed=9, epsilon=0.5)
-    assert est.delta == pytest.approx(1.0 / (64 * 0.25))
-    with pytest.raises(PreconditionError):
-        quantum_trace_estimator(H_CIRC, M=9, seed=0, epsilon=1.0 / 3.0)
+    est = quantum_trace_estimator(H_CIRC, M=64, seed=9, epsilon=0.2)
+    assert est.delta == pytest.approx(2.0 * math.exp(-2.0 * 64 * 0.04))
+    # 9 * 0.19**2 = 0.3249 is below ln(2) / 2 = 0.3466, where 2 exp(-2 M eps^2) reaches 1
+    with pytest.raises(PreconditionError, match="unattainable"):
+        quantum_trace_estimator(H_CIRC, M=9, seed=0, epsilon=0.19)
+    quantum_trace_estimator(H_CIRC, M=9, seed=0, epsilon=0.2)
     for bad in (math.nan, math.inf):
         with pytest.raises(PreconditionError, match="epsilon must be finite"):
             make_trace_estimator(H_CIRC, M=64, epsilon=bad)
@@ -97,10 +99,6 @@ def test_median_amplification_metadata():
     est = median_amplify(base, 33, seed=4)
     assert est.samples == 33 * 16
     assert est.delta == pytest.approx(math.exp(-33 / 8.0))
-    assert median_repetitions(0.25) == math.ceil(8.0 * math.log(4.0))
-    assert median_repetitions(1e-3) == math.ceil(8.0 * math.log(1e3))
-    with pytest.raises(PreconditionError):
-        median_repetitions(0.0)
     with pytest.raises(PreconditionError):
         median_amplify(base, 0, seed=1)
 
@@ -125,14 +123,14 @@ def test_median_delta_bounds_the_binomial_tail_of_its_runs():
 
 
 def test_median_refuses_runs_that_fail_too_often():
-    loose = make_trace_estimator(H_CIRC, M=64, epsilon=0.2)  # delta = 1/(64 * 0.04) = 0.39
+    loose = make_trace_estimator(H_CIRC, M=64, epsilon=0.1)  # delta = 2 exp(-1.28) = 0.56
     runs = []
 
     def counted(rng):
         runs.append(rng)
         return loose(rng)
 
-    assert median_amplify(counted, 1, seed=4).delta == pytest.approx(1.0 / (64 * 0.04))
+    assert median_amplify(counted, 1, seed=4).delta == pytest.approx(2.0 * math.exp(-1.28))
     runs.clear()
     with pytest.raises(PreconditionError, match="fail w.p. at most 1/4"):
         median_amplify(counted, 33, seed=4)
@@ -153,6 +151,24 @@ def test_sample_cap_rejects_before_drawing():
         make_trace_estimator(H_CIRC, M=SAMPLE_CAP // 2 + 1)
     with pytest.raises(CapExceeded):
         avg_accept_decider(X_CIRC, seed=1, epsilon=1e-7)  # M = 3e14 + 1
+
+
+def test_a_run_holds_at_most_four_bytes_per_sample():
+    # within the dense cap the coin biases come from one embed, made when the
+    # estimator is built; a run then holds one uint16 witness per sample and
+    # reads its uniforms chunk by chunk
+    circ = random_circuit(np.random.default_rng(315), num_ancilla=1, num_witness=10, gate_count=40)
+    assert circ.num_qubits <= dense_qubit_cap()
+    M = 2**18
+    run = make_trace_estimator(circ, M=M)
+    tracemalloc.start()
+    try:
+        est = run(stream(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.0 < est.value < est.normalization
+    assert peak <= 4 * M, peak / M
 
 
 def test_decider_checks_sample_cap_before_building(monkeypatch):

@@ -20,7 +20,7 @@ from qcount import (
 )
 from qcount.circuit import Gate, VerifierCircuit, basis_index, parse_circuit
 from qcount.limits import SAMPLE_CAP
-from qcount.rngstreams import stream, uniform_indices
+from qcount.rngstreams import stream
 
 README_QCV = "registers: ancilla=1 input=0 witness=2\nH 1\nTOF 1 2 0\nX 0\n"
 
@@ -260,14 +260,14 @@ def reference_walk_pair_scores(circuit, x_val, rng, samples):
     before the second's: the documented layout, written the plain way.
     """
     q = circuit.num_qubits
-    y = uniform_indices(rng, 1 << circuit.num_witness, samples)
+    y = np.floor(rng.random(samples) * (1 << circuit.num_witness)).astype(np.int64)
     state = np.tile(basis_index(circuit, x_val, y), (2, 1))
     phase = np.zeros((2, samples), dtype=np.int64)
     for gate in circuit.gates:
         *controls, target = (q - 1 - k for k in gate.qubits)
         bit = (state >> target) & 1
         if gate.kind == "H":
-            branch = uniform_indices(rng, 2, 2 * samples).reshape(2, samples)
+            branch = np.floor(rng.random((2, samples)) * 2).astype(np.int64)
             phase += 2 * (bit & branch)
             state ^= (bit ^ branch) << target
         elif gate.kind == "S":
@@ -281,7 +281,7 @@ def reference_walk_pair_scores(circuit, x_val, rng, samples):
 
 @pytest.mark.parametrize("samples", [1, 3, 2**15, 2**15 + 1, 70001])
 def test_walk_pair_scores_match_the_whole_array_reference(samples):
-    # 70001 samples cross the sampler's 2**16-uniform draw buffer
+    # 2**15 + 1 and 70001 samples cross the sampler's 2**14-uniform draw buffer
     rng = np.random.default_rng(2718)
     checked = 0
     while checked < 6:

@@ -3,8 +3,11 @@
 A trace-estimator run of M samples hits Binomial(M, Tr / 2**w) times; a
 walk pair scores +1 and -1 with probabilities g / 2**(w + 2h) and
 f / 2**(w + 2h) from the exact path tallies.  Both laws come from the
-dense oracle, and the tails of the second are trinomial.  Seeds and
-thresholds are fixed, so each check is deterministic.
+dense oracle, and the tails of the second are trinomial.  Each claimed
+delta is the one Hoeffding law 2 exp(-2 S eps^2 / r^2), r = 1 for coins
+and 2 for walk pairs; the estimator-backed oracle's answer is one coin
+run sized to fail w.p. at most ESTIMATOR_DELTA.  Seeds and thresholds
+are fixed, so each check is deterministic.
 """
 
 import math
@@ -12,8 +15,12 @@ import math
 import numpy as np
 import pytest
 
+import qcount.reductions
+import qcount.rngstreams
 from circgen import random_circuit
 from qcount import (
+    MiscountingOracle,
+    interval_partition_trace,
     path_sum_estimator,
     path_sum_exact,
     quantum_trace_estimator,
@@ -22,9 +29,11 @@ from qcount import (
 from qcount.circuit import parse_circuit
 from qcount.estimators import make_trace_estimator
 from qcount.pathsum import _walk_pair_scores
+from qcount.reductions import ESTIMATOR_DELTA
 from qcount.rngstreams import stream
 
 X_CIRC = parse_circuit("registers: ancilla=1 input=0 witness=1\nX 0\n")
+H_CIRC = parse_circuit("registers: ancilla=1 input=0 witness=1\nH 0\n")
 CHI2_999 = (10.83, 13.82, 16.27, 18.47, 20.52, 22.46, 24.32, 26.12)  # 0.999 quantiles, df 1..8
 TIE = 1e-12  # a deviation this close to eps counts as a failure
 
@@ -82,17 +91,52 @@ def test_walk_pair_scores_follow_the_path_tallies():
         assert abs(z) <= 4.0, (outcome, z)
 
 
-def test_chebyshev_delta_bounds_the_exact_binomial_tail():
-    # hits K ~ Binomial(M, p); the estimate misses when |K/M - p| >= eps
+def binomial_tail_max(n: int, eps: float) -> float:
+    """Largest Pr(|K/n - p| >= eps) over a grid of p, K ~ Binomial(n, p)."""
+    grid = np.linspace(0.0, 1.0, 41)
+    misses = np.abs(np.arange(n + 1)[:, None] / n - grid)
+    pmf = np.stack([binomial_pmf(n, p) for p in grid], axis=1)
+    return float((pmf * (misses >= eps - TIE)).sum(axis=0).max())
+
+
+def test_coin_hoeffding_delta_bounds_the_exact_binomial_tail():
+    # hits K ~ Binomial(M, p); the estimate misses when |K/M - p| >= eps.
+    # "edge" sits just above M eps^2 = ln(2) / 2, below which delta would reach 1
     for M in (1, 2, 3, 5, 8, 13, 32, 64):
-        for eps in (None, 0.3, 0.5, 0.9):
-            if eps is not None and M * eps * eps <= 1.0:
+        edge = math.sqrt(math.log(2.0) / (2.0 * M)) * (1.0 + 1e-9)
+        for eps in (None, edge, 0.1, 0.2, 0.3, 0.5, 0.9):
+            if eps is not None and M * eps * eps <= math.log(2.0) / 2.0:
                 continue  # unattainable: the estimator refuses it
             est = quantum_trace_estimator(X_CIRC, M=M, seed=0, epsilon=eps)
-            misses = np.abs(np.arange(M + 1)[:, None] / M - np.linspace(0.0, 1.0, 41))
-            pmf = np.stack([binomial_pmf(M, p) for p in np.linspace(0.0, 1.0, 41)], axis=1)
-            tails = (pmf * (misses >= est.epsilon - TIE)).sum(axis=0)
-            assert tails.max() <= est.delta, (M, eps)
+            assert binomial_tail_max(M, est.epsilon) <= est.delta, (M, eps)
+
+
+@pytest.mark.parametrize("eps_bound, samples", [(0.25, 244), (0.125, 973)])
+def test_estimator_oracle_answers_from_one_run_within_its_delta(monkeypatch, eps_bound, samples):
+    # the oracle's one run of S coins misses by eps_bound / 2 (times 2**w)
+    # w.p. at most ESTIMATOR_DELTA, exactly and by the run's own claim
+    runs = []
+    make = qcount.reductions.make_trace_estimator
+
+    def recording(*args, **kwargs):
+        run = make(*args, **kwargs)
+        return lambda rng: runs.append(run(rng)) or runs[-1]
+
+    monkeypatch.setattr(qcount.reductions, "make_trace_estimator", recording)
+    oracle = MiscountingOracle(H_CIRC, eps_bound=eps_bound, backing="estimator", seed=1)
+    oracle.query(2.0 / 3.0, 1.0 / 3.0)
+    (run,) = runs
+    assert (run.samples, run.epsilon) == (samples, eps_bound / 2.0)
+    assert run.delta <= ESTIMATOR_DELTA
+    assert binomial_tail_max(samples, eps_bound / 2.0) <= ESTIMATOR_DELTA
+
+
+def test_estimator_oracle_query_draws_only_its_own_stream(qcount_calls):
+    # query i runs on stream(seed, i) itself: no sub-seed, no jumped substreams
+    streams = qcount_calls(qcount.rngstreams.stream)
+    oracle = MiscountingOracle(H_CIRC, eps_bound=1.0 / 8, backing="estimator", seed=7)
+    interval_partition_trace(oracle, 8)
+    assert streams == [(7, i) for i in range(7)]
 
 
 def test_hoeffding_delta_bounds_the_exact_trinomial_tail():

@@ -200,16 +200,17 @@ def test_rect_poly_parameter_validation():
         rect_poly(0.01, 0.00999, 2e-9)
 
 
-def test_rect_poly_and_median_load_no_numpy_ma():
+def test_rect_poly_and_estimator_oracle_load_no_numpy_ma():
     # np.unique and np.median import numpy.ma on their first call
     code = (
         "import sys\n"
         "from qcount.circuit import parse_circuit\n"
-        "from qcount.estimators import make_trace_estimator, median_amplify\n"
+        "from qcount.reductions import MiscountingOracle, interval_partition_trace\n"
         "from qcount.svt import rect_poly\n"
         "rect_poly(0.6, 0.2, 0.05)\n"
         "circ = parse_circuit('registers: ancilla=1 input=0 witness=1\\nH 0\\n')\n"
-        "median_amplify(make_trace_estimator(circ, M=16), 4, seed=1)\n"
+        "oracle = MiscountingOracle(circ, eps_bound=0.25, backing='estimator', seed=1)\n"
+        "interval_partition_trace(oracle, 4)\n"
         "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
