@@ -31,7 +31,9 @@ column block at a time, for both the compact embed
 witness qubit starts as a diagonal column axis, whose bit is each
 column's own, so a column stores only the rows its superposed qubits
 span.  The embed runs in the Gaussian ring on (real, imag) planes: int32
-and exact while the circuit has at most 61 H, float64 past that.
+and exact while the circuit has at most 61 H, float64 past that.  It
+keeps only the accepted rows, those with the output qubit at 1, in the
+planes the run left, with their power-of-two scale beside them.
 """
 
 from __future__ import annotations
@@ -330,10 +332,10 @@ def _run_steps(
     opposite its bit, and the gate that put it there then runs on the
     kernel, so every amplitude meets the same operations as in a run over
     all 2**Q rows.  H is [[1, 1], [1, -1]] and every 64 H scale by exactly
-    2**-32; the caller applies the rest, `_h_scale`, so an even-h run is
-    exactly Gaussian integers over 2**(h/2).  The integer rings never meet
-    that rescale: the embed's int32 runs at most 61 H, the path sum's
-    int64 at most 62.
+    2**-32; the caller applies or returns the rest, `_h_scale`, so an
+    even-h run is exactly Gaussian integers over 2**(h/2).  The integer
+    rings never meet that rescale: the embed's int32 runs at most 61 H,
+    the path sum's int64 at most 62.
     """
     columns, fixed = columns or {}, dict(fixed or {})
     rows: list[int] = []
@@ -412,11 +414,13 @@ def simulate(circuit: VerifierCircuit, basis: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class WitnessEmbed:
-    """The circuit's output on every |0^a x y>, over only the rows it can reach.
+    """The circuit's accepted output on every |0^a x y>, over only the rows it can reach.
 
-    `matrix` is (2**s, 2**w): row r gives the s superposed qubits `rows`
-    (ascending, qubit 0 always first) the bits of r, and column j holds
-    the output from witness y = order[j].  Every other qubit is classical
+    `planes` is (2**(s-1), 2**w, 2), the (real, imag) planes of the rows
+    with the output qubit at 1: row r gives the superposed qubits
+    `rows[1:]` (ascending; `rows[0]` is always qubit 0) the bits of r, and
+    column j holds the output from witness y = order[j].  The entries are
+    planes times `scale`, a power of two.  Every other qubit is classical
     in every column: an ancilla or input qubit has its bit in `constant`
     (a basis index with the other qubits at 0), and a witness qubit of
     `diagonal` has the bit j gives it, the k = len(diagonal) leading bits
@@ -428,7 +432,8 @@ class WitnessEmbed:
     diagonal: tuple[int, ...]
     constant: int
     order: np.ndarray
-    matrix: np.ndarray | None = None
+    planes: np.ndarray | None = None
+    scale: float = 1.0
 
 
 def _witness_blocks(
@@ -492,28 +497,23 @@ def _witness_blocks(
     return layout, blocks()
 
 
-def embedded_witness_matrix(
-    circuit: VerifierCircuit, x: str, *, odd_h_root: bool = True
-) -> WitnessEmbed:
-    """The compact embed: the circuit's output on every |0^a x y>, as a WitnessEmbed.
+def embedded_witness_matrix(circuit: VerifierCircuit, x: str) -> WitnessEmbed:
+    """The compact embed's accepted rows: the output on every |0^a x y>, as a WitnessEmbed.
 
     The blocks run in the Gaussian ring on (real, imag) planes: int32,
     exact and never rescaled, while the circuit has at most
     _GAUSS_INT_MAX_H H, and float64 under `_run_steps`' rescale past that.
-    One float64 array takes them and is scaled once by `_h_scale`, so the
-    complex128 matrix it views holds the values of a complex run.  With
-    odd_h_root=False the 1/sqrt(2) that an odd H count ends on is left
-    out, so every entry is a Gaussian integer over a power of two and the
-    matrix is sqrt(2) times the normalized one.
+    The planes keep the run's dtype and only the rows with the output
+    qubit at 1.  Their scale is `_h_scale` without the 1/sqrt(2) an odd H
+    count ends on, so every entry is a Gaussian integer over a power of two
+    and the matrix is sqrt(2) times the normalized one for odd h.
     """
     h = circuit.h_count
     dtype = np.int32 if h <= _GAUSS_INT_MAX_H else np.float64
     layout, blocks = _witness_blocks(circuit, x, (2,), dtype, np.subtract, _gauss_times_i)
-    mat = np.empty((1 << len(layout.rows),) + (2,) * circuit.num_witness + (2,))
+    half = 1 << (len(layout.rows) - 1)
+    planes = np.empty((half,) + (2,) * circuit.num_witness + (2,), dtype)
     for index, block in blocks:
-        mat[index] = block
+        planes[index] = block[half:]
         del block  # freed before the next block grows
-    scale = _h_scale(h, _INV_SQRT2 if odd_h_root else 1.0)
-    if scale != 1.0:
-        mat *= scale
-    return replace(layout, matrix=mat.view(np.complex128).reshape(mat.shape[0], -1))
+    return replace(layout, planes=planes.reshape(half, -1, 2), scale=_h_scale(h, 1.0))

@@ -19,15 +19,18 @@ column.  A witness qubit that stays diagonal, never put into
 superposition, ends in a basis state that is a function of the column,
 so A has no entry between columns that differ there: over the k such
 qubits A is 2**k diagonal blocks of size 2**(w-k), one per assignment of
-their bits.  The operator holds that stack, formed by one batched Gram
+their bits.  The operator holds that stack, formed by a batched Gram
 product over the compact rows and decomposed by one stacked eigvalsh;
-the entries it leaves out are exactly zero.  An odd H count's
-final 1/sqrt(2) stays out of the embed and the Gram is halved instead,
-so the embed is exact Gaussian integers over a power of two, computed on
-int32 planes while the cone has at most 61 H, and gives an exact Gram.
-It is the one spectral object per (circuit, x) and the block encoding
-that svt amplifies; witness_probabilities reads its diagonal from the
-same embed, with no Gram.
+the entries it leaves out are exactly zero.  The embed keeps only those
+rows, the output-qubit-1 block U, on the (real, imag) planes its gate
+kernel ran in: exact Gaussian integers over a power of two, int32 while
+the cone has at most 61 H.  An odd H count's final 1/sqrt(2) stays out
+of it and the Gram is halved instead.  The Gram U'U runs over about
+_CHUNKS row chunks of U, each made complex128 in turn, so the build
+holds the planes, the Gram and one product buffer, never a complex copy
+of U.  The operator is the one spectral object per (circuit, x) and the
+block encoding that svt amplifies; witness_probabilities reads its
+diagonal from the same embed, with no Gram.
 The rules of the whole package live here: every threshold comparison goes
 through at_least and at_most (within TIE_TOL of a threshold counts as on
 it), every threshold pair passes check_promise, every count of a spectrum
@@ -46,6 +49,7 @@ from .circuit import VerifierCircuit, WitnessEmbed, embedded_witness_matrix, sim
 from .errors import InvariantViolation, PreconditionError
 
 HERM_TOL = 1e-9
+_CHUNKS = 8  # row chunks of a pass over U or the Gram: each temporary is an eighth of it
 EIG_CLAMP_TOL = 1e-9
 TIE_TOL = 1e-12
 AUDIT_SLACK = 1e-9
@@ -83,7 +87,7 @@ class AcceptanceOperator:
         order = np.arange(dim) if order is None else np.asarray(order)
         if not np.array_equal(np.sort(order), np.arange(dim)):
             raise PreconditionError(f"order must be a permutation of the {dim} witness states")
-        herm_gap = float(np.max(np.abs(blocks - blocks.conj().transpose(0, 2, 1))))
+        herm_gap = _hermitian_gap(blocks)
         if herm_gap > HERM_TOL:
             raise PreconditionError(
                 f"matrix is not Hermitian within {HERM_TOL} (gap {herm_gap:.3e})"
@@ -131,6 +135,17 @@ class AcceptanceOperator:
         return float(np.real(diagonal.sum()))
 
 
+def _hermitian_gap(blocks: np.ndarray) -> float:
+    """Largest entry of |B - B'| over a stack, a row block against a column block at a time."""
+    step = max(1, blocks.shape[1] // _CHUNKS)
+    columns = blocks.transpose(0, 2, 1)
+    gaps = [
+        np.max(np.abs(blocks[:, i : i + step] - columns[:, i : i + step].conj()))
+        for i in range(0, blocks.shape[1], step)
+    ]
+    return float(np.max(gaps))
+
+
 def clamp_to_unit(values: np.ndarray) -> np.ndarray:
     """Values within 1e-9 of [0, 1] clamped into it; anything further out fails loudly."""
     low, high = float(values.min()), float(values.max())
@@ -143,30 +158,43 @@ def clamp_to_unit(values: np.ndarray) -> np.ndarray:
 
 
 def _cone_embed(circuit: VerifierCircuit, x: str) -> tuple[WitnessEmbed, float]:
-    """The output cone's compact embed, qubit 0's rows leading, and the factor of its products.
+    """The output cone's accepted rows, and the factor of their products.
 
     The other gates cancel in V' P V.  The embed leaves out an odd H
     count's final 1/sqrt(2), so its entries stay exact Gaussian integers
     over a power of two; the factor 1/2 puts it back into a product of two.
     """
     cone = circuit.output_cone()
-    return embedded_witness_matrix(cone, x, odd_h_root=False), 0.5 if cone.h_count % 2 else 1.0
+    return embedded_witness_matrix(cone, x), 0.5 if cone.h_count % 2 else 1.0
 
 
 def build_acceptance_operator(circuit: VerifierCircuit, x: str = "") -> AcceptanceOperator:
     """Dense acceptance operator of the circuit on input x, one block per diagonal assignment.
 
     The k witness qubits the cone's embed leaves diagonal lead each column
-    index, so the 2**k column groups of m = 2**(w - k) are the blocks.
+    index, so the 2**k column groups of m = 2**(w - k) are the blocks.  The
+    Gram U'U sums over row chunks of U: each is scaled into complex128 and
+    conjugated, and each chunk's product after the first goes through one
+    reused buffer.
     """
     embed, factor = _cone_embed(circuit, x)
-    ve, order, k = embed.matrix, embed.order, len(embed.diagonal)
-    half = ve.shape[0] // 2
-    top, block = ve[:half], ve[half:]  # U: the rows with the output qubit at |1>
-    np.conjugate(block, out=top)  # conj(U) into the unused rows: U is never copied
-    groups = (half, 1 << k, ve.shape[1] >> k)  # column (c, j) is row j of block c
-    stack = top.reshape(groups).transpose(1, 2, 0) @ block.reshape(groups).transpose(1, 0, 2)
-    del embed, ve, top, block  # the embed is freed before the Hermitian check allocates
+    planes, order, k = embed.planes, embed.order, len(embed.diagonal)
+    rows, cols = planes.shape[:2]
+    step = max(1, rows // _CHUNKS)
+    groups = (step, 1 << k, cols >> k)  # column (c, j) is row j of block c
+    u = np.empty((step, cols), np.complex128)
+    u_planes = u.view(np.float64).reshape(step, cols, 2)
+    conj_u = np.empty_like(u)
+    left, right = conj_u.reshape(groups).transpose(1, 2, 0), u.reshape(groups).transpose(1, 0, 2)
+    stack = np.empty((1 << k, cols >> k, cols >> k), np.complex128)
+    product = np.empty_like(stack)
+    for start in range(0, rows, step):
+        np.multiply(planes[start : start + step], embed.scale, out=u_planes)
+        np.conjugate(u, out=conj_u)
+        np.matmul(left, right, out=product if start else stack)
+        if start:
+            stack += product
+    del embed, planes, u, u_planes, conj_u, left, right, product  # freed before the Hermitian check
     stack *= factor
     return AcceptanceOperator(stack, circuit.num_witness, order)
 
@@ -174,15 +202,18 @@ def build_acceptance_operator(circuit: VerifierCircuit, x: str = "") -> Acceptan
 def witness_probabilities(circuit: VerifierCircuit, x: str = "") -> np.ndarray:
     """Acceptance probability of every witness basis state, in witness order: A's diagonal.
 
-    Each is the squared norm of a cone embed column's output-qubit-1 half,
-    with no Gram product: the diagonal's bits wherever the Gram is exact.
-    A probability further than 1e-9 outside [0, 1] fails loudly.
+    Each is the squared norm of an accepted embed column, with no Gram
+    product: the diagonal's bits wherever the Gram is exact.  On int32
+    planes the squares sum exactly in int64.  A probability further than
+    1e-9 outside [0, 1] fails loudly.
     """
     embed, factor = _cone_embed(circuit, x)
-    ve = embed.matrix
-    accepted = ve[ve.shape[0] // 2 :].view(np.float64).reshape(ve.shape[0] // 2, -1, 2)
-    probs = np.empty(ve.shape[1])
-    probs[embed.order] = np.einsum("rjc,rjc->j", accepted, accepted) * factor
+    planes = embed.planes
+    sum_dtype = np.int64 if planes.dtype == np.int32 else None
+    probs = np.empty(planes.shape[1])
+    probs[embed.order] = np.einsum("rjc,rjc->j", planes, planes, dtype=sum_dtype) * (
+        embed.scale * embed.scale * factor
+    )
     return clamp_to_unit(probs)
 
 

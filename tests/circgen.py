@@ -14,6 +14,7 @@ from qcount.circuit import (
     _gauss_times_i,
     _parse_bits,
     _times_i,
+    _witness_blocks,
     basis_index,
 )
 
@@ -128,19 +129,45 @@ def full_embed(circuit, x, *, odd_h_root=True):
     return planes.view(np.complex128)[..., 0]
 
 
-def full_rows(embed, circuit):
-    """A compact WitnessEmbed scattered into the (2**Q, 2**w) full-row layout, zeros elsewhere."""
+def compact_rows(circuit, x, *, odd_h_root=True):
+    """The compact embed over all 2**s rows, rejected ones too: (layout, complex (2**s, 2**w)).
+
+    Assembled from the package's `_witness_blocks` in the embed's ring:
+    int32 planes while the circuit has at most _GAUSS_INT_MAX_H H, float64
+    past that, scaled once as float64 by final_scale.  The package's embed
+    keeps the bottom half, the rows with the output qubit at 1.
+    """
+    h = circuit.h_count
+    dtype = np.int32 if h <= _GAUSS_INT_MAX_H else np.float64
+    layout, blocks = _witness_blocks(circuit, x, (2,), dtype, np.subtract, _gauss_times_i)
+    mat = np.empty((1 << len(layout.rows),) + (2,) * circuit.num_witness + (2,))
+    for index, block in blocks:
+        mat[index] = block
+    scale = final_scale(h % 64, odd_h_root)
+    if scale != 1.0:
+        mat *= scale
+    return layout, mat.view(np.complex128).reshape(mat.shape[0], -1)
+
+
+def accepted_matrix(embed):
+    """A WitnessEmbed's accepted planes times their scale, as a complex (2**(s-1), 2**w) matrix."""
+    return (embed.planes * embed.scale).view(np.complex128)[..., 0]
+
+
+def full_rows(circuit, x, *, odd_h_root=True):
+    """compact_rows scattered into the (2**Q, 2**w) full-row layout, zeros elsewhere."""
+    layout, compact = compact_rows(circuit, x, odd_h_root=odd_h_root)
     q, w = circuit.num_qubits, circuit.num_witness
     j = np.arange(1 << w)
-    base = np.full(1 << w, embed.constant)
-    for i, t in enumerate(embed.diagonal):
+    base = np.full(1 << w, layout.constant)
+    for i, t in enumerate(layout.diagonal):
         base |= ((j >> (w - 1 - i)) & 1) << (q - 1 - t)
-    r = np.arange(embed.matrix.shape[0])
+    r = np.arange(compact.shape[0])
     offset = np.zeros_like(r)
-    for i, t in enumerate(embed.rows):
-        offset |= ((r >> (len(embed.rows) - 1 - i)) & 1) << (q - 1 - t)
-    full = np.zeros((1 << q, 1 << w), embed.matrix.dtype)
-    full[offset[:, None] | base[None, :], embed.order[None, :]] = embed.matrix
+    for i, t in enumerate(layout.rows):
+        offset |= ((r >> (len(layout.rows) - 1 - i)) & 1) << (q - 1 - t)
+    full = np.zeros((1 << q, 1 << w), compact.dtype)
+    full[offset[:, None] | base[None, :], layout.order[None, :]] = compact
     return full
 
 

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 from circgen import (
     S2,
+    accepted_matrix,
+    compact_rows,
     ensemble,
     full_embed,
     full_rows,
@@ -73,14 +75,14 @@ def test_sugar_matrices(mnemonic, target):
 def test_unitary_matches_kron_oracle():
     for circ, x in ensemble(101, 30, max_ancilla=2, max_input=1, max_witness=2):
         cols = (int(x or "0", 2) << circ.num_witness) + np.arange(1 << circ.num_witness)
-        embed = full_rows(embedded_witness_matrix(circ, x), circ)
+        embed = full_rows(circ, x)
         assert np.allclose(embed, kron_unitary(circ)[:, cols], atol=1e-12)
 
 
 def test_unitarity():
     # the embedded columns of a unitary are orthonormal
     for circ, x in ensemble(102, 15, max_ancilla=2, max_input=1, max_witness=2):
-        embed = full_rows(embedded_witness_matrix(circ, x), circ)
+        embed = full_rows(circ, x)
         assert np.allclose(embed.conj().T @ embed, np.eye(embed.shape[1]), atol=1e-12)
 
 
@@ -208,7 +210,7 @@ def test_simulate_norm_is_one():
 def test_embedded_witness_matrix_columns():
     rng = np.random.default_rng(105)
     circ = random_circuit(rng, num_ancilla=1, num_input=1, num_witness=2, gate_count=12)
-    mat = full_rows(embedded_witness_matrix(circ, "1"), circ)
+    mat = full_rows(circ, "1")
     assert mat.shape == (1 << circ.num_qubits, 4)
     for y in range(4):
         assert np.allclose(mat[:, y], simulate(circ, basis_index(circ, 1, y)), atol=1e-12)
@@ -216,7 +218,7 @@ def test_embedded_witness_matrix_columns():
 
 def test_embedded_witness_matrix_gates_in_place():
     # tracemalloc sees numpy buffers; a gate that returned a fresh array
-    # would hold two full-size copies at once
+    # would hold two copies of the column block it runs on at once
     q = 10
     gates = []
     for k in range(q):
@@ -225,12 +227,12 @@ def test_embedded_witness_matrix_gates_in_place():
     circ = VerifierCircuit(2, 0, 8, tuple(gates))
     tracemalloc.start()
     try:
-        mat = embedded_witness_matrix(circ, "").matrix
+        planes = embedded_witness_matrix(circ, "").planes
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert mat.shape == (1 << q, 1 << 8)  # every qubit is superposed: no row is left out
-    assert peak < 1.75 * mat.nbytes
+    assert planes.shape == (1 << (q - 1), 1 << 8, 2)  # every qubit is superposed: all accepted rows
+    assert peak - planes.nbytes < 1.75 * qcount.circuit._BLOCK_BYTES
 
 
 def test_embed_allocates_no_identity_temporary():
@@ -244,12 +246,12 @@ def test_embed_allocates_no_identity_temporary():
     circ = VerifierCircuit(2, 0, 10, tuple(gates))
     tracemalloc.start()
     try:
-        mat = embedded_witness_matrix(circ, "").matrix
+        planes = embedded_witness_matrix(circ, "").planes
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert mat.shape == (1 << q, 1 << 10)
-    assert peak - mat.nbytes <= 2 * qcount.circuit._BLOCK_BYTES
+    assert planes.shape == (1 << (q - 1), 1 << 10, 2)  # the accepted rows, every qubit superposed
+    assert peak - planes.nbytes <= 2 * qcount.circuit._BLOCK_BYTES
 
 
 def test_blocked_kernel_is_bit_identical(monkeypatch):
@@ -261,22 +263,34 @@ def test_blocked_kernel_is_bit_identical(monkeypatch):
     circ = random_circuit(rng, num_ancilla=1, num_witness=7, gate_count=150)
     short = VerifierCircuit(1, 0, 7, circ.gates[:60])  # h <= 62: walk counts fit int64
     unblocked = embedded_witness_matrix(circ, "")
-    assert unblocked.matrix.shape == (256, 128)
+    _, all_rows = compact_rows(circ, "")
+    assert all_rows.shape == (256, 128)
+    assert unblocked.planes.shape == (128, 128, 2)
     tallies = path_sum_exact(short)
     for block_bytes in (16 * 256 * 64, 16 * 256 * 48):
         monkeypatch.setattr(qcount.circuit, "_BLOCK_BYTES", block_bytes)
         blocked = embedded_witness_matrix(circ, "")
-        assert np.array_equal(blocked.matrix.view(np.uint64), unblocked.matrix.view(np.uint64))
+        assert np.array_equal(blocked.planes.view(np.uint8), unblocked.planes.view(np.uint8))
         assert np.array_equal(blocked.order, unblocked.order)
+        assert np.array_equal(compact_rows(circ, "")[1].view(np.uint64), all_rows.view(np.uint64))
         assert path_sum_exact(short) == tallies
 
 
 def _assert_compact_is_full_row(circ, x):
-    """The compact embed and walk counts against the full-row oracle, bit for bit."""
+    """The compact embed and walk counts against the full-row oracle, bit for bit.
+
+    The embed's accepted planes are the bottom half of the compact rows.
+    """
     for odd_h_root in (True, False):
-        compact = full_rows(embedded_witness_matrix(circ, x, odd_h_root=odd_h_root), circ)
+        compact = full_rows(circ, x, odd_h_root=odd_h_root)
         full = full_embed(circ, x, odd_h_root=odd_h_root)
         assert np.array_equal(compact.view(np.uint64), full.view(np.uint64))  # signed zeros too
+    layout, rows = compact_rows(circ, x, odd_h_root=False)
+    embed = embedded_witness_matrix(circ, x)
+    for field in ("rows", "diagonal", "constant", "order"):
+        assert np.array_equal(getattr(embed, field), getattr(layout, field))
+    accepted = rows[rows.shape[0] // 2 :]
+    assert np.array_equal(accepted_matrix(embed).view(np.uint64), accepted.view(np.uint64))
     if circ.gate_count and circ.h_count <= 62:
         counts = full_witness_matrix(
             circ, x, tail=(4,), dtype=np.int64, sub=_z4_sub, times_i=_z4_times_i
@@ -338,7 +352,7 @@ def test_compact_embed_classical_rules(rule):
     circ = parse_circuit(f"registers: ancilla={a} input={n} witness={w}\n{gates}")
     embed = embedded_witness_matrix(circ, x)
     assert (embed.rows, embed.diagonal) == (rows, diagonal)
-    assert embed.matrix.shape == (1 << len(rows), 1 << w)
+    assert embed.planes.shape == (1 << (len(rows) - 1), 1 << w, 2)
     _assert_compact_is_full_row(circ, x)
 
 
@@ -365,7 +379,7 @@ def test_even_h_embedding_is_exactly_dyadic():
         circ = random_circuit(rng, num_ancilla=2, num_witness=4, gate_count=160)
         if circ.h_count % 2:
             continue
-        scaled = embedded_witness_matrix(circ, "").matrix * 2.0 ** (circ.h_count // 2)
+        scaled = compact_rows(circ, "")[1] * 2.0 ** (circ.h_count // 2)
         assert np.array_equal(scaled, np.round(scaled.real) + 1j * np.round(scaled.imag))
         checked += 1
     assert checked
@@ -381,26 +395,17 @@ def test_planar_ring_is_the_complex_ring():
         circ = random_circuit(rng, num_ancilla=2, num_input=1, num_witness=3, gate_count=gate_count)
         routes.add(circ.h_count <= 61)
         for odd_h_root in (True, False):
-            compact = full_rows(embedded_witness_matrix(circ, "1", odd_h_root=odd_h_root), circ)
+            compact = full_rows(circ, "1", odd_h_root=odd_h_root)
             assert np.array_equal(compact, full_witness_matrix(circ, "1", odd_h_root=odd_h_root))
     assert routes == {True, False}
-
-
-def _embed_dtype(circ):
-    """The dtype the embed's blocks ran in, and the embed without an odd H count's 1/sqrt(2)."""
-    blocks = qcount.circuit._witness_blocks
-    with mock.patch.object(qcount.circuit, "_witness_blocks", wraps=blocks) as spy:
-        embed = embedded_witness_matrix(circ, "", odd_h_root=False)
-    return spy.call_args.args[3], embed
 
 
 @pytest.mark.parametrize("h, dtype, trace", [(61, np.int32, 1.0), (62, np.float64, 0.0)])
 def test_embed_runs_int32_planes_up_to_61_h(h, dtype, trace):
     # unnormalized, H**61 is 2**30 H, parts of +-2**30; H**62 is 2**31 I, past int32
     circ = parse_circuit(HEADER + "H 0\n" * h)
-    ran, embed = _embed_dtype(circ)
-    assert ran is dtype
-    parts = np.abs(embed.matrix.view(np.float64)) * 2.0 ** (h // 2)
+    assert embedded_witness_matrix(circ, "").planes.dtype == dtype
+    parts = np.abs(compact_rows(circ, "", odd_h_root=False)[1].view(np.float64)) * 2.0 ** (h // 2)
     assert set(parts.ravel()) == {0.0, 2.0 ** (h // 2)}
     assert build_acceptance_operator(circ).trace == trace
 
@@ -412,11 +417,11 @@ def test_int32_parts_near_the_bound_are_exact():
     core = "H 1\nH 2\nTOF 1 2 0\nH 1\nTOF 0 1 2\nS 1\nS 2\nS 2\nH 0\nS 2\nTOF 0 2 1\nH 2\n"
     circ = parse_circuit("registers: ancilla=1 input=0 witness=2\n" + "H 0\n" * 56 + core)
     assert circ.h_count == 61
-    ran, embed = _embed_dtype(circ)
-    assert ran is np.int32
-    parts = np.abs(embed.matrix.view(np.float64)) * 2.0**30
+    assert embedded_witness_matrix(circ, "").planes.dtype == np.int32
+    parts = np.abs(compact_rows(circ, "", odd_h_root=False)[1].view(np.float64)) * 2.0**30
     assert parts.max() == 1.25 * 2.0**30
-    assert np.array_equal(full_rows(embed, circ), full_witness_matrix(circ, "", odd_h_root=False))
+    full = full_witness_matrix(circ, "", odd_h_root=False)
+    assert np.array_equal(full_rows(circ, "", odd_h_root=False), full)
 
 
 def test_apply_gate_matches_kron():
@@ -533,7 +538,7 @@ def test_dense_cap_env_override(monkeypatch):
         embedded_witness_matrix(small, "")
     monkeypatch.setenv("QCOUNT_DENSE_CAP", "5")
     # no gate: qubit 0 is the one row axis
-    assert embedded_witness_matrix(small, "").matrix.shape == (2, 16)
+    assert embedded_witness_matrix(small, "").planes.shape == (1, 16, 2)
 
 
 @settings(max_examples=60, deadline=None)
@@ -551,5 +556,5 @@ def test_random_sequences_match_kron(data):
             kind = data.draw(st.sampled_from(["H", "S"]))
             gates.append(Gate(kind, (data.draw(st.integers(0, num_qubits - 1)),)))
     circ = VerifierCircuit(1, 0, num_qubits - 1, tuple(gates))
-    embed = full_rows(embedded_witness_matrix(circ, ""), circ)
+    embed = full_rows(circ, "")
     assert np.allclose(embed, kron_unitary(circ)[:, : embed.shape[1]], atol=1e-12)

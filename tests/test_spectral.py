@@ -119,10 +119,10 @@ def test_interval_counts_are_consistent():
 
 
 def test_operator_build_copies_no_output_block():
-    # conj(U) is written into the embed's unused top half, and the embed is
-    # freed before the Hermitian check: the peak is the embed plus the Gram.
-    # The Gram is one (m, m) block per assignment of the k witness qubits the
-    # cone never flips: 2**w * m entries, not 2**w * 2**w
+    # the build holds no complex copy of U, and the embed is freed before
+    # the Hermitian check: the peak is within the full compact embed plus
+    # the Gram.  The Gram is one (m, m) block per assignment of the k
+    # witness qubits the cone never flips: 2**w * m entries, not 2**w * 2**w
     for gate_count, k in [(12, 10), (40, 2)]:
         circ = random_circuit(
             np.random.default_rng(207), num_ancilla=2, num_witness=10, gate_count=gate_count
@@ -140,6 +140,29 @@ def test_operator_build_copies_no_output_block():
         assert peak <= embed_bytes + stack_bytes + 2 * _BLOCK_BYTES
         block = full_witness_matrix(circ.output_cone(), "")[1 << (circ.num_qubits - 1) :]
         assert np.array_equal(mat, block.conj().T @ block)  # the same bits
+
+
+def test_operator_build_holds_the_planes_gram_and_one_buffer():
+    # a=2, w=9 with every qubit superposed, like the benchmark's d9: the
+    # accepted rows are twice the columns, so U's int32 planes are as large
+    # as the Gram, G.  The build holds the planes, the Gram, one product
+    # buffer and two complex row chunks of G/4; both halves of the embed as
+    # complex128 would be 4 G on their own
+    q = 11
+    gates = []
+    for k in range(q):
+        gates += [Gate("H", (k,)), Gate("S", (k,)), Gate("TOF", ((k + 1) % q, (k + 2) % q, k))]
+    circ = VerifierCircuit(2, 0, 9, tuple(gates))
+    tracemalloc.start()
+    try:
+        op = build_acceptance_operator(circ)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert op.blocks.shape == (1, 512, 512)
+    assert peak <= 3.6 * op.blocks.nbytes
+    u = full_witness_matrix(circ, "", odd_h_root=False)[1 << (q - 1) :]  # h = 11: exact Gaussian integers
+    assert np.array_equal(dense_matrix(op), (u.conj().T @ u) * 0.5)  # the chunked sum, the same bits
 
 
 def test_operator_build_stores_only_the_superposed_rows():

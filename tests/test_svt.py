@@ -28,7 +28,7 @@ from qcount import (
     sandwich_bounds,
 )
 from qcount import svt
-from qcount.circuit import embedded_witness_matrix, parse_circuit
+from qcount.circuit import parse_circuit
 from qcount.errors import CapExceeded
 from qcount.reductions import partition_intervals
 from qcount.svt import RectanglePolynomial, _chebinterpolate, _even_chebval
@@ -69,7 +69,7 @@ def test_gram_matrix_is_acceptance_operator():
 
 def test_singular_values_square_to_eigenvalues():
     for circ, x in ensemble(502, 15, max_witness=3):
-        ve = full_rows(embedded_witness_matrix(circ, x), circ)
+        ve = full_rows(circ, x)
         sigma = np.linalg.svd(ve[ve.shape[0] // 2 :], compute_uv=False)  # descending
         op = build_acceptance_operator(circ, x)
         assert np.allclose(op.singular_values**2, sigma**2, atol=1e-9)
