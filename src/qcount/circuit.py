@@ -33,7 +33,8 @@ column's own, so a column stores only the rows its superposed qubits
 span.  The embed runs in the Gaussian ring on (real, imag) planes: int32
 and exact while the circuit has at most 61 H, float64 past that.  It
 keeps only the accepted rows, those with the output qubit at 1, in the
-planes the run left, with their power-of-two scale beside them.
+planes the run left, with the factor 2**-(h mod 64) of a product of two
+of their entries beside them.
 """
 
 from __future__ import annotations
@@ -309,12 +310,6 @@ def _grow(tensor: np.ndarray, pos: int, bit, column: int) -> np.ndarray:
     return grown
 
 
-def _h_scale(h: int, odd_root: float) -> float:
-    # what `_run_steps` leaves of 2**(-h/2) after h H: 2**-(r // 2) for the
-    # r = h % 64 since its last rescale, times odd_root for odd h
-    return 2.0 ** -(h % 64 // 2) * (odd_root if h % 2 else 1.0)
-
-
 def _run_steps(
     tensor: np.ndarray,
     steps,
@@ -332,10 +327,9 @@ def _run_steps(
     opposite its bit, and the gate that put it there then runs on the
     kernel, so every amplitude meets the same operations as in a run over
     all 2**Q rows.  H is [[1, 1], [1, -1]] and every 64 H scale by exactly
-    2**-32; the caller applies or returns the rest, `_h_scale`, so an
-    even-h run is exactly Gaussian integers over 2**(h/2).  The integer
-    rings never meet that rescale: the embed's int32 runs at most 61 H,
-    the path sum's int64 at most 62.
+    2**-32, so the caller owes the normalization 2**(-(h mod 64) / 2).
+    The integer rings never meet that rescale: the embed's int32 runs at
+    most 61 H, the path sum's int64 at most 62.
     """
     columns, fixed = columns or {}, dict(fixed or {})
     rows: list[int] = []
@@ -401,7 +395,8 @@ def simulate(circuit: VerifierCircuit, basis: int) -> np.ndarray:
     bits = _bits_of(basis, range(q), q)
     steps, rows, _ = _track(circuit.gates, bits)
     tensor = _run_steps(np.ones(1, np.complex128), steps)
-    scale = _h_scale(circuit.h_count, _INV_SQRT2)
+    h = circuit.h_count
+    scale = 2.0 ** -(h % 64 // 2) * (_INV_SQRT2 if h % 2 else 1.0)
     if scale != 1.0:
         tensor *= scale
     norm = float(np.linalg.norm(tensor))
@@ -419,13 +414,15 @@ class WitnessEmbed:
     `planes` is (2**(s-1), 2**w, 2), the (real, imag) planes of the rows
     with the output qubit at 1: row r gives the superposed qubits
     `rows[1:]` (ascending; `rows[0]` is always qubit 0) the bits of r, and
-    column j holds the output from witness y = order[j].  The entries are
-    planes times `scale`, a power of two.  Every other qubit is classical
-    in every column: an ancilla or input qubit has its bit in `constant`
-    (a basis index with the other qubits at 0), and a witness qubit of
-    `diagonal` has the bit j gives it, the k = len(diagonal) leading bits
-    of j in that order.  So every amplitude left out is an exact zero, and
-    columns whose leading k bits differ are orthogonal.
+    column j holds the output from witness y = order[j], unscaled: a
+    product of two entries is the planes' product times `product_scale`,
+    exactly 2**-(h mod 64) as `_run_steps` rescales every 64 H.  Every
+    other qubit is classical in every column: an ancilla or input qubit
+    has its bit in `constant` (a basis index with the other qubits at 0),
+    and a witness qubit of `diagonal` has the bit j gives it, the
+    k = len(diagonal) leading bits of j in that order.  So every amplitude
+    left out is an exact zero, and columns whose leading k bits differ are
+    orthogonal.
     """
 
     rows: tuple[int, ...]
@@ -433,7 +430,7 @@ class WitnessEmbed:
     constant: int
     order: np.ndarray
     planes: np.ndarray | None = None
-    scale: float = 1.0
+    product_scale: float = 1.0
 
 
 def _witness_blocks(
@@ -504,9 +501,7 @@ def embedded_witness_matrix(circuit: VerifierCircuit, x: str) -> WitnessEmbed:
     exact and never rescaled, while the circuit has at most
     _GAUSS_INT_MAX_H H, and float64 under `_run_steps`' rescale past that.
     The planes keep the run's dtype and only the rows with the output
-    qubit at 1.  Their scale is `_h_scale` without the 1/sqrt(2) an odd H
-    count ends on, so every entry is a Gaussian integer over a power of two
-    and the matrix is sqrt(2) times the normalized one for odd h.
+    qubit at 1, unscaled.
     """
     h = circuit.h_count
     dtype = np.int32 if h <= _GAUSS_INT_MAX_H else np.float64
@@ -516,4 +511,4 @@ def embedded_witness_matrix(circuit: VerifierCircuit, x: str) -> WitnessEmbed:
     for index, block in blocks:
         planes[index] = block[half:]
         del block  # freed before the next block grows
-    return replace(layout, planes=planes.reshape(half, -1, 2), scale=_h_scale(h, 1.0))
+    return replace(layout, planes=planes.reshape(half, -1, 2), product_scale=2.0 ** -(h % 64))

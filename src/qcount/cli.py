@@ -223,8 +223,8 @@ def _reduce_pad(p, args, circ) -> dict:
         circ,
         args.x,
         args.u_exponent,
-        c_threshold=args.c,
-        s_threshold=args.s,
+        c=args.c,
+        s=args.s,
         eps=args.eps,
         delta_strategy=args.delta_strategy,
         eps_strategy=args.eps_strategy,

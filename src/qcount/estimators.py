@@ -8,7 +8,8 @@ estimator is then its draw plus the one tail law every sampler here
 shares: a mean of S independent scores in a range of width r misses its
 expectation by eps or more w.p. at most delta = 2 exp(-2 S eps^2 / r^2)
 (Hoeffding 1963), with the default eps that puts delta at 1/4.  Coin
-scores lie in [0, 1], r = 1; walk-pair scores in [-1, 1], r = 2.
+scores lie in [0, 1], r = 1, and coin_samples inverts the law for them;
+walk-pair scores lie in [-1, 1], r = 2.
 
 The trace estimator's sample is: pick a uniform witness y, run the
 verifier once, record whether the output qubit read 1.  Averaging M such
@@ -33,7 +34,7 @@ from typing import Callable
 import numpy as np
 
 from .circuit import VerifierCircuit, _parse_bits, basis_index
-from .errors import PreconditionError
+from .errors import CapExceeded, PreconditionError
 from .limits import ceil_quotient, check_draws, dense_qubit_cap
 from .rngstreams import index_chunks, stream, uniform_chunks
 from .spectral import (
@@ -101,26 +102,40 @@ def additive_template(
     return AdditiveEstimate(0.0, normalization, epsilon, delta, samples, 0)
 
 
-def make_trace_estimator(
+def coin_samples(epsilon: float, delta: float, who: str) -> int:
+    """The least S with 2 exp(-2 S eps^2) <= delta, checked at two draws per sample.
+
+    S coins miss by eps w.p. at most delta, and SAMPLE_CAP refuses a run
+    of them here, before anything is built.
+    """
+    samples = ceil_quotient(math.log(2.0 / delta), 2.0 * epsilon * epsilon)
+    check_draws(2 * samples, who)
+    return samples
+
+
+def trace_estimate(
     circuit: VerifierCircuit,
-    x: str = "",
-    M: int = 64,
+    x: str,
+    M: int,
+    rng: np.random.Generator,
     *,
     probabilities: np.ndarray | None = None,
     epsilon: float | None = None,
-) -> Callable[[np.random.Generator], AdditiveEstimate]:
-    """Closure running one M-sample estimate per generator handed in.
+) -> AdditiveEstimate:
+    """One M-sample additive estimate of the trace from `rng`; its seed field is left 0.
 
     The per-witness acceptance probabilities are `probabilities` if given;
     else, within the dense cap once M >= 2**w / 16, one embed's read-out,
     cheaper there than a simulation per drawn witness; else each new
-    sampled witness is simulated once and cached.  Sample i consumes the
-    generator's uniforms at positions i (witness pick) and M + i
-    (acceptance coin): the package's one Monte Carlo draw, which
-    avg_accept_decider and the estimator-backed oracle sample through too.
-    A run holds each sampled witness in the smallest unsigned type that
-    fits 2**w - 1 and counts its coins' hits chunk by chunk.
+    sampled witness is simulated once.  Sample i consumes the generator's
+    uniforms at positions i (witness pick) and M + i (acceptance coin):
+    the package's one Monte Carlo draw, which avg_accept_decider and the
+    estimator-backed oracle sample through too.  A run holds each sampled
+    witness in the smallest unsigned type that fits 2**w - 1 and counts
+    its coins' hits chunk by chunk.
     """
+    if circuit.num_witness > 53:  # before 2**w is formed: one uniform draw picks a witness
+        raise CapExceeded(f"{circuit.num_witness} witness qubits exceed a draw's 53 bits")
     dim_w = 1 << circuit.num_witness
     template = additive_template(M, 2, float(dim_w), epsilon, 1.0, f"M={M}")
     x_val = _parse_bits(x, circuit.num_input, "input bits")
@@ -136,16 +151,13 @@ def make_trace_estimator(
             prob_cache[y] = accept_probability(circuit, basis_index(circuit, x_val, y))
         return np.array([prob_cache[y] for y in ys])
 
-    def run(rng: np.random.Generator) -> AdditiveEstimate:
-        witnesses = np.empty(M, dtype=np.min_scalar_type(dim_w - 1))
-        for cols, y in index_chunks(rng, M, circuit.num_witness):
-            witnesses[cols] = y
-        hits = 0
-        for cols, u in uniform_chunks(rng, M):
-            hits += int(np.count_nonzero(u < coin_biases(witnesses[cols])))
-        return replace(template, value=dim_w * (hits / M))
-
-    return run
+    witnesses = np.empty(M, dtype=np.min_scalar_type(dim_w - 1))
+    for cols, y in index_chunks(rng, M, circuit.num_witness):
+        witnesses[cols] = y
+    hits = 0
+    for cols, u in uniform_chunks(rng, M):
+        hits += int(np.count_nonzero(u < coin_biases(witnesses[cols])))
+    return replace(template, value=dim_w * (hits / M))
 
 
 def quantum_trace_estimator(
@@ -157,7 +169,7 @@ def quantum_trace_estimator(
     epsilon: float | None = None,
 ) -> AdditiveEstimate:
     """One M-sample additive estimate of the acceptance-operator trace."""
-    return replace(make_trace_estimator(circuit, x, M, epsilon=epsilon)(stream(seed)), seed=seed)
+    return replace(trace_estimate(circuit, x, M, stream(seed), epsilon=epsilon), seed=seed)
 
 
 # Nothing in the package calls the median any more; it stays only for the benchmark
@@ -216,12 +228,12 @@ def avg_accept_decider(
 
     Uses eps = min(1/6, (c-s)/3) unless overridden and M = ceil(3/eps^2)+1
     single-shot samples, which by the Hoeffding law decides correctly with
-    probability at least 1 - 2 exp(-6) whenever the promise holds.  The samples
-    are one run of make_trace_estimator on stream(seed), so the mean is
-    that run's value divided by 2**w.  The promise is not checkable from
-    samples; within the dense cap one embed (witness_probabilities) gives
-    the per-witness probabilities the run samples from and flags whether
-    this input violated it.  SAMPLE_CAP is checked before anything is embedded.
+    probability at least 1 - 2 exp(-6) whenever the promise holds.  The
+    samples are one trace_estimate on stream(seed), so the mean is its
+    value divided by 2**w.  The promise is not checkable from samples;
+    within the dense cap one embed (witness_probabilities) gives the
+    per-witness probabilities the run samples from and flags whether this
+    input violated it.  SAMPLE_CAP is checked before anything is embedded.
     """
     check_promise(c, s)
     gap = c - s
@@ -233,9 +245,8 @@ def avg_accept_decider(
     check_draws(2 * M, f"M={M}")
     dense = circuit.num_qubits <= dense_qubit_cap()
     probabilities = witness_probabilities(circuit, x) if dense else None
-    run = make_trace_estimator(circuit, x, M, probabilities=probabilities)
     dim_w = 1 << circuit.num_witness
-    mean = run(stream(seed)).value / dim_w
+    mean = trace_estimate(circuit, x, M, stream(seed), probabilities=probabilities).value / dim_w
     answer = "YES" if mean >= (c + s) / 2.0 else "NO"
     promise_violated: bool | None = None
     exact: float | None = None

@@ -12,24 +12,25 @@ recombine with weights D_i = c_i + 1/(2M):
 
 As long as each answer is N_geq_c_i + delta_i + eps_i with
 delta_i in [0, N_[s_i, c_i]] and |eps_i| <= 2**W / M, the estimate
-lands within (5/2) 2**W / M of the true trace, whatever the oracle does
-inside that allowance, its one precondition; W is the witness count of
-the operator it answers for, w + l for A tensor I on l idle qubits.
-With M > 5/(c-s) that error is below half the promise gap, so
-comparing against (c+s)/2 decides.
+lands within RECOVERY_ERROR = 5/2 times 2**W / M of the true trace,
+whatever the oracle does inside that allowance, its one precondition;
+W is the witness count of the operator it answers for, w + l for
+A tensor I on l idle qubits.  With M > 2 RECOVERY_ERROR / (c-s) that
+error is below half the promise gap, so comparing against (c+s)/2
+decides.
 
-Padding: tensoring l = floor(w/(1-c)) + 2 idle witness qubits onto the
+Padding: tensoring l = floor(w/(1-u)) + 2 idle witness qubits onto the
 verifier multiplies every exact count by 2**l while an additive oracle
-with normalization 2**(c (w+l)) gains accuracy only like 2**(c l), so
+with normalization 2**(u (w+l)) gains accuracy only like 2**(u l), so
 dividing its answer by 2**l and rounding recovers an exact member of
 the counting interval.  Setup is rejected unless
-eps * 2**(w - (1-c) l) < 1/2.
+eps * 2**(w - (1-u) l) < 1/2.
 
 The MiscountingOracle here simulates the adversary: it answers from the
 exact spectrum plus the worst (or random, or no) slack its contract
 allows, logging every query.  It can also answer from the genuine
 sampling pipeline (SVT amplification + one run of the trace estimator,
-sized by the Hoeffding law to fail w.p. at most ESTIMATOR_DELTA), in
+sized by coin_samples to fail w.p. at most ESTIMATOR_DELTA), in
 which case its slack is real noise rather than an injected strategy.
 """
 
@@ -43,8 +44,8 @@ import numpy as np
 
 from .circuit import VerifierCircuit, _parse_bits
 from .errors import CapExceeded, InvariantViolation, PreconditionError
-from .estimators import make_trace_estimator
-from .limits import PARTITION_CAP, ceil_quotient, check_draws
+from .estimators import coin_samples, trace_estimate
+from .limits import PARTITION_CAP, ceil_quotient
 from .rngstreams import check_seed, stream
 from .spectral import (
     AUDIT_SLACK,
@@ -60,6 +61,7 @@ DELTA_STRATEGIES = ("zero", "max", "random")
 EPS_STRATEGIES = ("zero", "adversarial", "random")
 MIN_HEADROOM = 0.05  # smallest supported 1 - c for the padding exponent
 ESTIMATOR_DELTA = 1e-3  # failure probability of each estimator-backed answer
+RECOVERY_ERROR = 2.5  # interval recovery's certified error, in units of 2**W / M
 
 
 def partition_intervals(M: int) -> list[tuple[float, float]]:
@@ -83,17 +85,17 @@ class MiscountingOracle:
     A query after i logged answers draws from stream i of the seed, and
     only when a random strategy or the estimator backing reads it.  With
     backing="estimator" the answer instead comes from SVT amplification
-    plus one trace-estimator run on that stream, of
-    S = ceil(ln(2 / ESTIMATOR_DELTA) / (2 (eps_bound/2)^2)) coin samples,
-    which by the Hoeffding law miss by eps_bound/2 * 2**w w.p. at most
-    ESTIMATOR_DELTA; it takes no strategy or padding and u_exponent 1
+    plus one trace-estimator run on that stream, of the coin_samples that
+    miss by eps_bound/2 * 2**w w.p. at most ESTIMATOR_DELTA; it takes no
+    strategy or padding and u_exponent 1
     only, and the error budget must absorb genuine noise.  Every query
     is audited against the exact range either way.  The operator is
     built at its first read, after an estimator-backed query has built
     its rectangle polynomial, so the degree cap refuses before any embed;
     its one stacked eigh then serves every later query.  The exact backing never decomposes beyond
     eigvalsh; the estimator backing checks its per-query sample count
-    against SAMPLE_CAP before anything is built.
+    against SAMPLE_CAP before anything is built.  Counts up to 2**w_total
+    and the normalization must fit in a double, which is checked first.
     """
 
     def __init__(
@@ -133,14 +135,14 @@ class MiscountingOracle:
                 "estimator backing samples its error: no padding or strategies, u_exponent 1"
             )
         _parse_bits(x, circuit.num_input, "input bits")
+        self.w_total = circuit.num_witness + pad_qubits
+        exponent = max(1.0, u_exponent) * self.w_total  # counts reach 2**w_total
+        if exponent >= 1024:
+            raise CapExceeded(f"{self.w_total} witness qubits: 2**{exponent:g} overflows a double")
         if backing == "estimator":
             if not eps_bound > 0:
                 raise PreconditionError("estimator backing needs a positive eps_bound")
-            # per query: the least S with 2 exp(-2 S (eps/2)^2) <= ESTIMATOR_DELTA
-            self._samples = ceil_quotient(
-                math.log(2.0 / ESTIMATOR_DELTA), 2.0 * (eps_bound / 2.0) * (eps_bound / 2.0)
-            )
-            check_draws(2 * self._samples, f"eps_bound={eps_bound}")
+            self._samples = coin_samples(eps_bound / 2.0, ESTIMATOR_DELTA, f"eps_bound={eps_bound}")
         self.circuit = circuit
         self.x = x
         self.eps_bound = eps_bound
@@ -149,7 +151,6 @@ class MiscountingOracle:
         self.seed = seed
         self.backing = backing
         self.multiplicity = 1 << pad_qubits
-        self.w_total = circuit.num_witness + pad_qubits
         self.normalization = 2.0 ** (u_exponent * self.w_total)
         self.query_log: list[dict] = []
 
@@ -169,15 +170,14 @@ class MiscountingOracle:
         mult = self.multiplicity
         n_c = count.n_geq_c * mult
         n_s = count.n_geq_s * mult
-        n_interval = n_s - n_c  # [s, c) under the tie rule
         budget = self.eps_bound * self.normalization
         if self.backing == "exact":
             if self.delta_strategy == "zero":
                 delta = 0.0
-            elif self.delta_strategy == "max":
-                delta = float(n_interval)
+            elif self.delta_strategy == "max":  # the band [s, c) under the tie rule
+                delta = float(n_s - n_c)
             else:
-                delta = float(rng.integers(0, n_interval + 1))
+                delta = float(rng.integers(0, n_s - n_c + 1))
             if self.eps_strategy == "zero":
                 eps = 0.0
             elif self.eps_strategy == "adversarial":
@@ -202,7 +202,6 @@ class MiscountingOracle:
                 "s": s,
                 "n_geq_c": n_c,
                 "n_geq_s": n_s,
-                "n_interval": n_interval,
                 "delta": delta,
                 "eps": eps,
                 "answer": answer,
@@ -224,10 +223,10 @@ class MiscountingOracle:
         probs = np.empty(self.operator.dim)
         probs[self.operator.order] = np.clip(amplified, 0.0, 1.0).ravel()
         # the other eps/2 absorbs the amplification's (2e-e^2) trace loss
-        run = make_trace_estimator(
-            self.circuit, self.x, self._samples, probabilities=probs, epsilon=self.eps_bound / 2.0
-        )
-        return run(rng).value
+        return trace_estimate(
+            self.circuit, self.x, self._samples, rng,
+            probabilities=probs, epsilon=self.eps_bound / 2.0,
+        ).value
 
 
 @dataclass(frozen=True)
@@ -262,10 +261,11 @@ def interval_partition_trace(oracle: MiscountingOracle, M: int) -> IntervalTrace
         )
     n_hat = [0.0] + [oracle.query(c, s) for s, c in intervals] + [dim]
     estimate = 0.0
-    for i in range(1, M + 1):  # weight D_i = c_i + 1/(2M), c_M = 0
-        estimate += ((M - i) / M + 1.0 / (2.0 * M)) * (n_hat[i] - n_hat[i - 1])
+    thresholds = [c for _, c in intervals] + [0.0]  # c_1 .. c_M, c_M = 0
+    for i, c_i in enumerate(thresholds, start=1):  # weight D_i = c_i + 1/(2M)
+        estimate += (c_i + 1.0 / (2.0 * M)) * (n_hat[i] - n_hat[i - 1])
     exact = trace_normalized(oracle.operator) * dim
-    bound = 2.5 * dim / M
+    bound = RECOVERY_ERROR * dim / M
     return IntervalTraceResult(
         estimate=estimate,
         error_bound=bound,
@@ -280,7 +280,7 @@ def decide_by_interval_recovery(
 ) -> tuple[str, IntervalTraceResult]:
     """YES/NO for the promise (trace/2**w >= c or <= s) via the reduction."""
     check_promise(c, s)
-    M = ceil_quotient(5.0, c - s) + 1
+    M = ceil_quotient(2.0 * RECOVERY_ERROR, c - s) + 1  # error below half the gap
     if M > PARTITION_CAP:
         raise CapExceeded(
             f"gap c - s = {c - s} needs M={M} bands, over the {PARTITION_CAP}-band cap"
@@ -312,10 +312,10 @@ class PaddingResult:
 def padding_reduction(
     circuit: VerifierCircuit,
     x: str = "",
-    c: float = 0.5,
+    u_exponent: float = 0.5,
     *,
-    c_threshold: float = 2.0 / 3.0,
-    s_threshold: float = 1.0 / 3.0,
+    c: float = 2.0 / 3.0,
+    s: float = 1.0 / 3.0,
     eps: float = 0.9,
     delta_strategy: str = "max",
     eps_strategy: str = "adversarial",
@@ -323,28 +323,29 @@ def padding_reduction(
 ) -> PaddingResult:
     """Recover an exact counting-interval member through witness padding.
 
-    `c` is the oracle's normalization exponent (accuracy eps * 2**(c w')
-    on a w'-witness query); the counting thresholds are c_threshold and
-    s_threshold.  The pad length l = floor(w / (1-c)) + 2 always
-    satisfies l > w/(1-c) + 1; setup is still rejected when the
-    worst-case post-division error eps * 2**(w - (1-c) l) reaches 1/2.
+    `u_exponent` is the oracle's normalization exponent u (accuracy
+    eps * 2**(u w') on a w'-witness query); the counting thresholds are c
+    and s, as for the oracle and the CLI.  The pad length
+    l = floor(w / (1-u)) + 2 always satisfies l > w/(1-u) + 1; setup is
+    still rejected when the worst-case post-division error
+    eps * 2**(w - (1-u) l) reaches 1/2.
     """
-    check_promise(c_threshold, s_threshold)
-    if not 0.0 < c < 1.0:
-        raise PreconditionError(f"normalization exponent must lie in (0, 1), got {c}")
-    if 1.0 - c < MIN_HEADROOM:
+    check_promise(c, s)
+    if not 0.0 < u_exponent < 1.0:
+        raise PreconditionError(f"normalization exponent must lie in (0, 1), got {u_exponent}")
+    if 1.0 - u_exponent < MIN_HEADROOM:
         raise PreconditionError(
-            f"normalization exponent leaves headroom {1.0 - c}, below the "
+            f"normalization exponent leaves headroom {1.0 - u_exponent}, below the "
             f"supported floor {MIN_HEADROOM}"
         )
     if not eps > 0:
         raise PreconditionError(f"eps must be positive, got {eps}")
     w = circuit.num_witness
-    pad = math.floor(w / (1.0 - c)) + 2
-    margin = eps * 2.0 ** (w - (1.0 - c) * pad)
+    pad = math.floor(w / (1.0 - u_exponent)) + 2
+    margin = eps * 2.0 ** (w - (1.0 - u_exponent) * pad)
     if margin >= 0.5:
         raise PreconditionError(
-            f"infeasible: eps * 2**(w - (1-c) l) = {margin} >= 1/2 at l={pad}"
+            f"infeasible: eps * 2**(w - (1-u) l) = {margin} >= 1/2 at l={pad}"
         )
     oracle = MiscountingOracle(
         circuit,
@@ -354,9 +355,9 @@ def padding_reduction(
         eps_strategy=eps_strategy,
         seed=seed,
         pad_qubits=pad,
-        u_exponent=c,
+        u_exponent=u_exponent,
     )
-    raw = oracle.query(c_threshold, s_threshold)
+    raw = oracle.query(c, s)
     count = round(raw / float(1 << pad))
     record = oracle.query_log[-1]
     return PaddingResult(

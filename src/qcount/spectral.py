@@ -22,15 +22,15 @@ qubits A is 2**k diagonal blocks of size 2**(w-k), one per assignment of
 their bits.  The operator holds that stack, formed by a batched Gram
 product over the compact rows and decomposed by one stacked eigvalsh;
 the entries it leaves out are exactly zero.  The embed keeps only those
-rows, the output-qubit-1 block U, on the (real, imag) planes its gate
-kernel ran in: exact Gaussian integers over a power of two, int32 while
-the cone has at most 61 H.  An odd H count's final 1/sqrt(2) stays out
-of it and the Gram is halved instead.  The Gram U'U runs over about
-_CHUNKS row chunks of U, each made complex128 in turn, so the build
-holds the planes, the Gram and one product buffer, never a complex copy
-of U.  The operator is the one spectral object per (circuit, x) and the
-block encoding that svt amplifies; witness_probabilities reads its
-diagonal from the same embed, with no Gram.
+rows, the output-qubit-1 block U, unscaled on the (real, imag) planes
+its gate kernel ran in: exact Gaussian integers, int32 while the cone
+has at most 61 H.  The Gram U'U runs over about _CHUNKS row chunks of
+the planes, each cast to complex128 in turn, and is scaled once by the
+embed's `product_scale`, so the build holds the planes, the Gram and one
+product buffer, never a complex copy of U.  The operator is the one
+spectral object per (circuit, x) and the block encoding that svt
+amplifies; witness_probabilities reads its diagonal from the same embed,
+with no Gram.
 The rules of the whole package live here: every threshold comparison goes
 through at_least and at_most (within TIE_TOL of a threshold counts as on
 it), every threshold pair passes check_promise, every count of a spectrum
@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import VerifierCircuit, WitnessEmbed, embedded_witness_matrix, simulate
+from .circuit import VerifierCircuit, embedded_witness_matrix, simulate
 from .errors import InvariantViolation, PreconditionError
 
 HERM_TOL = 1e-9
@@ -157,27 +157,17 @@ def clamp_to_unit(values: np.ndarray) -> np.ndarray:
     return np.clip(values, 0.0, 1.0)
 
 
-def _cone_embed(circuit: VerifierCircuit, x: str) -> tuple[WitnessEmbed, float]:
-    """The output cone's accepted rows, and the factor of their products.
-
-    The other gates cancel in V' P V.  The embed leaves out an odd H
-    count's final 1/sqrt(2), so its entries stay exact Gaussian integers
-    over a power of two; the factor 1/2 puts it back into a product of two.
-    """
-    cone = circuit.output_cone()
-    return embedded_witness_matrix(cone, x), 0.5 if cone.h_count % 2 else 1.0
-
-
 def build_acceptance_operator(circuit: VerifierCircuit, x: str = "") -> AcceptanceOperator:
     """Dense acceptance operator of the circuit on input x, one block per diagonal assignment.
 
-    The k witness qubits the cone's embed leaves diagonal lead each column
-    index, so the 2**k column groups of m = 2**(w - k) are the blocks.  The
-    Gram U'U sums over row chunks of U: each is scaled into complex128 and
-    conjugated, and each chunk's product after the first goes through one
-    reused buffer.
+    Only the output cone is embedded; the other gates cancel in V' P V.
+    The k witness qubits its embed leaves diagonal lead each column index,
+    so the 2**k column groups of m = 2**(w - k) are the blocks.  The Gram
+    U'U sums over row chunks of the planes: each is cast into complex128
+    and conjugated, each chunk's product after the first goes through one
+    reused buffer, and the sum is scaled once by `product_scale`.
     """
-    embed, factor = _cone_embed(circuit, x)
+    embed = embedded_witness_matrix(circuit.output_cone(), x)
     planes, order, k = embed.planes, embed.order, len(embed.diagonal)
     rows, cols = planes.shape[:2]
     step = max(1, rows // _CHUNKS)
@@ -189,13 +179,13 @@ def build_acceptance_operator(circuit: VerifierCircuit, x: str = "") -> Acceptan
     stack = np.empty((1 << k, cols >> k, cols >> k), np.complex128)
     product = np.empty_like(stack)
     for start in range(0, rows, step):
-        np.multiply(planes[start : start + step], embed.scale, out=u_planes)
+        u_planes[...] = planes[start : start + step]
         np.conjugate(u, out=conj_u)
         np.matmul(left, right, out=product if start else stack)
         if start:
             stack += product
+    stack *= embed.product_scale
     del embed, planes, u, u_planes, conj_u, left, right, product  # freed before the Hermitian check
-    stack *= factor
     return AcceptanceOperator(stack, circuit.num_witness, order)
 
 
@@ -207,13 +197,12 @@ def witness_probabilities(circuit: VerifierCircuit, x: str = "") -> np.ndarray:
     planes the squares sum exactly in int64.  A probability further than
     1e-9 outside [0, 1] fails loudly.
     """
-    embed, factor = _cone_embed(circuit, x)
+    embed = embedded_witness_matrix(circuit.output_cone(), x)
     planes = embed.planes
     sum_dtype = np.int64 if planes.dtype == np.int32 else None
     probs = np.empty(planes.shape[1])
-    probs[embed.order] = np.einsum("rjc,rjc->j", planes, planes, dtype=sum_dtype) * (
-        embed.scale * embed.scale * factor
-    )
+    squares = np.einsum("rjc,rjc->j", planes, planes, dtype=sum_dtype)
+    probs[embed.order] = squares * embed.product_scale
     return clamp_to_unit(probs)
 
 

@@ -149,9 +149,13 @@ def compact_rows(circuit, x, *, odd_h_root=True):
     return layout, mat.view(np.complex128).reshape(mat.shape[0], -1)
 
 
-def accepted_matrix(embed):
-    """A WitnessEmbed's accepted planes times their scale, as a complex (2**(s-1), 2**w) matrix."""
-    return (embed.planes * embed.scale).view(np.complex128)[..., 0]
+def accepted_matrix(embed, h):
+    """A WitnessEmbed of an h-H circuit as compact_rows scales it without the odd-h root.
+
+    The accepted planes times final_scale(h % 64, odd_h_root=False), as a
+    complex (2**(s-1), 2**w) matrix.
+    """
+    return (embed.planes * final_scale(h % 64, odd_h_root=False)).view(np.complex128)[..., 0]
 
 
 def full_rows(circuit, x, *, odd_h_root=True):

@@ -35,7 +35,7 @@ from qcount import (
     sandwich_bounds,
     witness_probabilities,
 )
-from qcount.estimators import make_trace_estimator
+from qcount.estimators import trace_estimate
 from qcount.rngstreams import stream
 
 
@@ -96,9 +96,11 @@ def test_criterion_02_estimator_mean_and_variance():
     runs, M = 10_000, 16
     worst_z, worst_rel = 0.0, 0.0
     for idx, (circ, op, tr) in enumerate(mid_trace_ensemble(999, 10)):
-        base = make_trace_estimator(circ, M=M, probabilities=witness_probabilities(circ))
+        probs = witness_probabilities(circ)
         gen = stream(2000 + idx)
-        values = np.array([base(gen).value for _ in range(runs)])
+        values = np.array(
+            [trace_estimate(circ, "", M, gen, probabilities=probs).value for _ in range(runs)]
+        )
         var_theory = tr * (op.dim - tr) / M
         z = abs(values.mean() - tr) / math.sqrt(var_theory / runs)
         rel = abs(values.var(ddof=1) - var_theory) / var_theory
@@ -118,9 +120,9 @@ def test_criterion_03_concentration():
     # each circuit's empirical miss rate must stay within every run's delta
     worst_rate, least_delta = 0.0, 1.0
     for idx, (circ, op, tr) in enumerate(mid_trace_ensemble(999, 10)):
-        base = make_trace_estimator(circ, M=64, probabilities=witness_probabilities(circ))
+        probs = witness_probabilities(circ)
         gen = stream(3000 + idx)
-        runs = [base(gen) for _ in range(1000)]
+        runs = [trace_estimate(circ, "", 64, gen, probabilities=probs) for _ in range(1000)]
         misses = [abs(r.value - tr) >= r.epsilon * r.normalization for r in runs]
         worst_rate = max(worst_rate, float(np.mean(misses)))
         least_delta = min(least_delta, *(r.delta for r in runs))
@@ -202,7 +204,7 @@ def test_criterion_06_padding_recovers_interval_member():
         )
         for ds, es in itertools.product(("zero", "max"), ("zero", "adversarial")):
             r = padding_reduction(
-                circ, c=0.5, eps=0.9, delta_strategy=ds, eps_strategy=es, seed=i
+                circ, u_exponent=0.5, eps=0.9, delta_strategy=ds, eps_strategy=es, seed=i
             )
             if not r.in_interval or r.count != exact:
                 failures += 1

@@ -290,7 +290,9 @@ def _assert_compact_is_full_row(circ, x):
     for field in ("rows", "diagonal", "constant", "order"):
         assert np.array_equal(getattr(embed, field), getattr(layout, field))
     accepted = rows[rows.shape[0] // 2 :]
-    assert np.array_equal(accepted_matrix(embed).view(np.uint64), accepted.view(np.uint64))
+    accepted_embed = accepted_matrix(embed, circ.h_count)
+    assert np.array_equal(accepted_embed.view(np.uint64), accepted.view(np.uint64))
+    assert embed.product_scale == 2.0 ** -(circ.h_count % 64)
     if circ.gate_count and circ.h_count <= 62:
         counts = full_witness_matrix(
             circ, x, tail=(4,), dtype=np.int64, sub=_z4_sub, times_i=_z4_times_i

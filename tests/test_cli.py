@@ -23,6 +23,8 @@ TWO_INPUT_QCV = "registers: ancilla=1 input=2 witness=1\nH 0\nTOF 1 2 0\nH 3\n"
 COMMENT_ONLY_QCV = "# registers: ancilla=1 input=0 witness=1\n"
 QUBITS_64_QCV = "registers: ancilla=1 input=0 witness=63\nH 0\n"
 H_1001_QCV = "registers: ancilla=1 input=0 witness=1\n" + "H 0\n" * 1001
+WITNESS_60_QCV = "registers: ancilla=1 input=0 witness=60\nH 0\n"
+WITNESS_1100_QCV = "registers: ancilla=1 input=0 witness=1100\nH 0\n"
 SUBCOMMANDS = (
     "decide-avg-accept",
     "estimate-trace",
@@ -64,6 +66,8 @@ def circuits(tmp_path):
         ("comment", COMMENT_ONLY_QCV),
         ("q64", QUBITS_64_QCV),
         ("h1001", H_1001_QCV),
+        ("w60", WITNESS_60_QCV),
+        ("w1100", WITNESS_1100_QCV),
     ]:
         p = tmp_path / f"{name}.qcv"
         p.write_text(text)
@@ -344,6 +348,12 @@ def test_bad_flag_exits_2(circuits):
         (("reduce-pad", "{h}", "--u-exponent", "1.5", "--eps", "0.9"), None),
         (("path-sum", "{q64}", "--mode", "sampled", "--samples", "64", "--seed", "1"), None),
         (("path-sum", "{h1001}", "--mode", "sampled", "--samples", "8", "--seed", "1"), None),
+        (("estimate-trace", "{w1100}", "--M", "16", "--seed", "1"), None),
+        (("decide-avg-accept", "{w1100}", "--seed", "1"), None),
+        (("reduce-interval", "{w1100}", "--M", "4"), None),
+        (("reduce-interval", "{w1100}", "--M", "4", "--mode", "estimator", "--seed", "1"), None),
+        (("reduce-pad", "{w1100}", "--u-exponent", "0.5", "--eps", "0.9"), None),
+        (("reduce-pad", "{w60}", "--u-exponent", "0.95", "--eps", "0.1"), None),
     ],
     ids=[
         "c-below-s",
@@ -377,6 +387,12 @@ def test_bad_flag_exits_2(circuits):
         "reduce-pad-u-exponent-above-1",
         "path-sum-sampled-over-64-qubits",
         "path-sum-sampled-normalization-overflows",
+        "estimate-trace-witness-past-a-double",
+        "decide-witness-past-a-double",
+        "reduce-interval-witness-past-a-double",
+        "reduce-interval-estimator-witness-past-a-double",
+        "reduce-pad-witness-past-a-double",
+        "reduce-pad-padded-witness-past-a-double",
     ],
 )
 def test_precondition_violation_exits_2(circuits, args, env):

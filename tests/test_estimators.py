@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from qcount import (
 )
 from qcount.circuit import basis_index, parse_circuit
 from qcount.errors import CapExceeded
-from qcount.estimators import make_trace_estimator
+from qcount.estimators import trace_estimate
 from qcount.limits import SAMPLE_CAP, dense_qubit_cap
 from qcount.rngstreams import stream
 
@@ -61,7 +62,7 @@ def test_explicit_epsilon_tightens_delta():
     quantum_trace_estimator(H_CIRC, M=9, seed=0, epsilon=0.2)
     for bad in (math.nan, math.inf):
         with pytest.raises(PreconditionError, match="epsilon must be finite"):
-            make_trace_estimator(H_CIRC, M=64, epsilon=bad)
+            trace_estimate(H_CIRC, "", 64, stream(0), epsilon=bad)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
@@ -77,17 +78,19 @@ def test_unbiased_within_standard_error():
     circ = random_circuit(rng, num_witness=3, gate_count=15)
     op = build_acceptance_operator(circ)
     exact = float(np.real(np.trace(dense_matrix(op))))
-    base = make_trace_estimator(circ, M=8, probabilities=witness_probabilities(circ))
+    probs = witness_probabilities(circ)
     runs = 4000
     gen = stream(302)
-    values = np.array([base(gen).value for _ in range(runs)])
+    values = np.array(
+        [trace_estimate(circ, "", 8, gen, probabilities=probs).value for _ in range(runs)]
+    )
     var_theory = exact * (8.0 - exact) / 8.0  # (1/M) Tr (2^w - Tr)
     se = math.sqrt(var_theory / runs)
     assert abs(values.mean() - exact) <= 5.0 * se
 
 
 def test_median_of_one_is_the_plain_estimator():
-    base = make_trace_estimator(H_CIRC, M=16)
+    base = partial(trace_estimate, H_CIRC, "", 16)
     for seed in (0, 7, 123):
         amplified = median_amplify(base, 1, seed)
         plain = quantum_trace_estimator(H_CIRC, M=16, seed=seed)
@@ -95,7 +98,7 @@ def test_median_of_one_is_the_plain_estimator():
 
 
 def test_median_amplification_metadata():
-    base = make_trace_estimator(H_CIRC, M=16)
+    base = partial(trace_estimate, H_CIRC, "", 16)
     est = median_amplify(base, 33, seed=4)
     assert est.samples == 33 * 16
     assert est.delta == pytest.approx(math.exp(-33 / 8.0))
@@ -105,7 +108,7 @@ def test_median_amplification_metadata():
 
 @pytest.mark.parametrize("k", [4, 5])
 def test_median_amplify_takes_the_middle_runs(k):
-    base = make_trace_estimator(H_CIRC, M=16)
+    base = partial(trace_estimate, H_CIRC, "", 16)
     values = sorted(base(stream(8, jump=j)).value for j in range(k))
     middle = (values[(k - 1) // 2] + values[k // 2]) / 2.0  # even k: mean of the two
     assert median_amplify(base, k, seed=8).value == middle
@@ -114,7 +117,7 @@ def test_median_amplify_takes_the_middle_runs(k):
 def test_median_delta_bounds_the_binomial_tail_of_its_runs():
     # the median misses only when at least ceil(k/2) of k runs, each missing
     # w.p. at most 1/4, do
-    base = make_trace_estimator(H_CIRC, M=16)
+    base = partial(trace_estimate, H_CIRC, "", 16)
     for k in range(1, 65):
         tail = sum(
             math.comb(k, j) * 0.25**j * 0.75 ** (k - j) for j in range(math.ceil(k / 2), k + 1)
@@ -123,7 +126,7 @@ def test_median_delta_bounds_the_binomial_tail_of_its_runs():
 
 
 def test_median_refuses_runs_that_fail_too_often():
-    loose = make_trace_estimator(H_CIRC, M=64, epsilon=0.1)  # delta = 2 exp(-1.28) = 0.56
+    loose = partial(trace_estimate, H_CIRC, "", 64, epsilon=0.1)  # delta = 2 exp(-1.28) = 0.56
     runs = []
 
     def counted(rng):
@@ -146,24 +149,26 @@ def test_underflowing_deltas_are_floored_at_the_smallest_double():
 
 def test_sample_cap_rejects_before_drawing():
     # 2 uniforms per sample: M = SAMPLE_CAP / 2 is the largest accepted
-    make_trace_estimator(H_CIRC, M=SAMPLE_CAP // 2)
+    assert trace_estimate(H_CIRC, "", SAMPLE_CAP // 2, stream(1)).samples == SAMPLE_CAP // 2
+    rng = stream(1)
     with pytest.raises(CapExceeded, match="cap"):
-        make_trace_estimator(H_CIRC, M=SAMPLE_CAP // 2 + 1)
+        trace_estimate(H_CIRC, "", SAMPLE_CAP // 2 + 1, rng)
+    assert rng.random() == stream(1).random()  # nothing drawn
     with pytest.raises(CapExceeded):
         avg_accept_decider(X_CIRC, seed=1, epsilon=1e-7)  # M = 3e14 + 1
 
 
 def test_a_run_holds_at_most_four_bytes_per_sample():
-    # within the dense cap the coin biases come from one embed, made when the
-    # estimator is built; a run then holds one uint16 witness per sample and
+    # within the dense cap the coin biases come from one embed, made here
+    # before the run; the run then holds one uint16 witness per sample and
     # reads its uniforms chunk by chunk
     circ = random_circuit(np.random.default_rng(315), num_ancilla=1, num_witness=10, gate_count=40)
     assert circ.num_qubits <= dense_qubit_cap()
     M = 2**18
-    run = make_trace_estimator(circ, M=M)
+    probs = witness_probabilities(circ)
     tracemalloc.start()
     try:
-        est = run(stream(1))
+        est = trace_estimate(circ, "", M, stream(1), probabilities=probs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -193,8 +198,10 @@ def test_in_cap_estimate_embeds_only_past_a_sixteenth(qcount_calls, M, embed_cal
 
 
 def test_negative_epsilon_fails_when_the_estimator_is_built():
+    rng = stream(0)
     with pytest.raises(PreconditionError, match="epsilon must be finite and positive"):
-        make_trace_estimator(H_CIRC, M=64, epsilon=-1.0)
+        trace_estimate(H_CIRC, "", 64, rng, epsilon=-1.0)
+    assert rng.random() == stream(0).random()  # nothing drawn
 
 
 @pytest.mark.parametrize(
@@ -257,8 +264,8 @@ def test_estimator_handles_input_register():
         assert 0.0 <= est.value <= est.normalization
         # the decider's mean is one estimator run on the same stream, over 2**w
         decided = avg_accept_decider(circ, x, seed=1)
-        run = make_trace_estimator(circ, x, decided.samples)
-        assert decided.mean == run(stream(1)).value / 2**circ.num_witness
+        run = trace_estimate(circ, x, decided.samples, stream(1))
+        assert decided.mean == run.value / 2**circ.num_witness
 
 
 def test_route_past_the_dense_cap_agrees_with_the_dense_route(monkeypatch):
@@ -272,7 +279,7 @@ def test_route_past_the_dense_cap_agrees_with_the_dense_route(monkeypatch):
         x = random_input(rng, circ)
         probs = witness_probabilities(circ, x)
         dense = [
-            make_trace_estimator(circ, x, 64, probabilities=probs)(stream(seed)).value
+            trace_estimate(circ, x, 64, stream(seed), probabilities=probs).value
             for seed in range(4)
         ]
         decided = avg_accept_decider(circ, x, seed=5)

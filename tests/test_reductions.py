@@ -100,7 +100,7 @@ def test_query_log_is_audited():
     oracle = MiscountingOracle(H_CIRC, eps_bound=0.25, delta_strategy="max", seed=3)
     oracle.query(0.6, 0.4)
     rec = oracle.query_log[-1]
-    assert rec["n_geq_c"] == 0 and rec["n_interval"] == 2
+    assert rec["n_geq_c"] == 0 and rec["n_geq_s"] == 2 and "n_interval" not in rec
     assert rec["answer"] == rec["n_geq_c"] + rec["delta"] + rec["eps"]
     assert abs(rec["eps"]) <= 0.25 * oracle.normalization + 1e-12
 
@@ -117,10 +117,10 @@ def test_oracle_answers_inside_the_counting_interval_at_a_tie(ds, es):
         answer = oracle.query(0.5, 0.25)
         rec = oracle.query_log[-1]
         budget = 0.25 * oracle.normalization
-        assert rec["n_geq_c"] == rec["n_geq_s"] == 4 << pad and rec["n_interval"] == 0
+        assert rec["n_geq_c"] == rec["n_geq_s"] == 4 << pad  # the band [s, c) is empty
         assert rec["n_geq_c"] - budget <= answer <= rec["n_geq_s"] + budget
     r = padding_reduction(
-        HALF_CIRC, c=0.5, c_threshold=0.5, s_threshold=0.25, eps=0.9,
+        HALF_CIRC, u_exponent=0.5, c=0.5, s=0.25, eps=0.9,
         delta_strategy=ds, eps_strategy=es, seed=5,
     )
     assert r.in_interval and r.count == 4
@@ -229,7 +229,7 @@ def test_decide_names_the_gap_over_the_partition_cap():
 
 
 def test_padding_worked_example():
-    r = padding_reduction(H_CIRC, c=0.5, eps=0.9, seed=0)
+    r = padding_reduction(H_CIRC, u_exponent=0.5, eps=0.9, seed=0)
     assert r.pad_qubits == 4  # floor(1 / 0.5) + 2
     assert r.rounding_margin == pytest.approx(0.45)
     assert r.n_geq_c <= r.count <= r.n_geq_s
@@ -238,7 +238,7 @@ def test_padding_worked_example():
 
 @pytest.mark.parametrize("count,member", [(-1, False), (0, True), (2, True), (3, False)])
 def test_padding_in_interval_is_membership_of_the_exact_interval(count, member):
-    r = dataclasses.replace(padding_reduction(H_CIRC, c=0.5, eps=0.9, seed=0), count=count)
+    r = dataclasses.replace(padding_reduction(H_CIRC, u_exponent=0.5, eps=0.9, seed=0), count=count)
     assert (r.n_geq_c, r.n_geq_s) == (0, 2)
     assert r.in_interval is member
 
@@ -251,7 +251,7 @@ def test_padding_recovers_exact_count_on_gapped_circuits():
         exact = int(np.sum(op.eigenvalues >= 2.0 / 3.0 - 1e-12))
         for ds, es in itertools.product(("zero", "max"), ("zero", "adversarial")):
             r = padding_reduction(
-                circ, c=0.5, eps=0.9, delta_strategy=ds, eps_strategy=es, seed=5
+                circ, u_exponent=0.5, eps=0.9, delta_strategy=ds, eps_strategy=es, seed=5
             )
             assert r.count == exact  # gapped: the interval is a single integer
 
@@ -274,17 +274,17 @@ def test_padding_rejects_bad_thresholds_before_embedding(monkeypatch):
     embeds = []
     monkeypatch.setattr(qcount.spectral, "embedded_witness_matrix", lambda *a: embeds.append(a))
     with pytest.raises(PreconditionError, match="got c=0.3, s=0.6"):
-        padding_reduction(H_CIRC, c=0.5, c_threshold=0.3, s_threshold=0.6)
+        padding_reduction(H_CIRC, u_exponent=0.5, c=0.3, s=0.6)
     assert embeds == []
 
 
 def test_padding_rejects_infeasible_setups():
     with pytest.raises(PreconditionError):
-        padding_reduction(H_CIRC, c=0.97, eps=0.9)  # headroom below the floor
+        padding_reduction(H_CIRC, u_exponent=0.97, eps=0.9)  # headroom below the floor
     with pytest.raises(PreconditionError):
-        padding_reduction(H_CIRC, c=0.9, eps=0.9)  # margin crosses 1/2
+        padding_reduction(H_CIRC, u_exponent=0.9, eps=0.9)  # margin crosses 1/2
     with pytest.raises(PreconditionError):
-        padding_reduction(H_CIRC, c=0.5, eps=-1.0)
+        padding_reduction(H_CIRC, u_exponent=0.5, eps=-1.0)
 
 
 def test_estimator_backing_answers_within_audit():
@@ -311,7 +311,7 @@ def test_estimator_amplified_diagonal_matches_a_dense_eigh(monkeypatch):
     # the oracle amplifies block by block; the reference decomposes the
     # assembled dense operator in one eigh
     polys, probs = [], []
-    band, estimator = qcount.reductions.band_polynomial, qcount.reductions.make_trace_estimator
+    band, estimator = qcount.reductions.band_polynomial, qcount.reductions.trace_estimate
 
     def recording_band(*args):
         polys.append(band(*args))
@@ -322,7 +322,7 @@ def test_estimator_amplified_diagonal_matches_a_dense_eigh(monkeypatch):
         return estimator(*args, probabilities=probabilities, **kwargs)
 
     monkeypatch.setattr(qcount.reductions, "band_polynomial", recording_band)
-    monkeypatch.setattr(qcount.reductions, "make_trace_estimator", recording_estimator)
+    monkeypatch.setattr(qcount.reductions, "trace_estimate", recording_estimator)
     split = 0
     for circ, x in ensemble(235, 12, max_witness=4):
         oracle = MiscountingOracle(circ, x, eps_bound=1.0 / 8.0, backing="estimator", seed=2)

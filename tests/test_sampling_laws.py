@@ -20,6 +20,7 @@ import qcount.rngstreams
 from circgen import random_circuit
 from qcount import (
     MiscountingOracle,
+    accept_probability,
     interval_partition_trace,
     path_sum_estimator,
     path_sum_exact,
@@ -27,7 +28,7 @@ from qcount import (
     witness_probabilities,
 )
 from qcount.circuit import parse_circuit
-from qcount.estimators import make_trace_estimator
+from qcount.estimators import trace_estimate
 from qcount.pathsum import _walk_pair_scores
 from qcount.reductions import ESTIMATOR_DELTA
 from qcount.rngstreams import stream
@@ -63,17 +64,23 @@ def pooled_chi_square(observed, expected) -> tuple[float, int]:
 def test_trace_sampler_hits_are_binomial(seed, num_witness, gate_count):
     # each circuit's witnesses accept with different probabilities, so a
     # skewed witness pick moves the law; w8 draws 16 M < 2**w samples, so
-    # each sampled witness is simulated
+    # trace_estimate would simulate each sampled witness: the runs are handed
+    # the biases it would read, computed once
     circ = random_circuit(
         np.random.default_rng(seed), num_ancilla=2, num_witness=num_witness, gate_count=gate_count
     )
     dim = 1 << num_witness
-    p = float(witness_probabilities(circ).sum()) / dim
+    probs = witness_probabilities(circ)
+    p = float(probs.sum()) / dim
     assert 0.1 < p < 0.9
     M, runs = 8, 2000
-    run = make_trace_estimator(circ, M=M)
+    if 16 * M < dim:
+        probs = np.array([accept_probability(circ, y) for y in range(dim)])
     gen = stream(seed)
-    hits = [round(run(gen).value * M / dim) for _ in range(runs)]
+    hits = [
+        round(trace_estimate(circ, "", M, gen, probabilities=probs).value * M / dim)
+        for _ in range(runs)
+    ]
     stat, df = pooled_chi_square(np.bincount(hits, minlength=M + 1), runs * binomial_pmf(M, p))
     assert df >= 2
     assert stat <= CHI2_999[df - 1]
@@ -116,13 +123,13 @@ def test_estimator_oracle_answers_from_one_run_within_its_delta(monkeypatch, eps
     # the oracle's one run of S coins misses by eps_bound / 2 (times 2**w)
     # w.p. at most ESTIMATOR_DELTA, exactly and by the run's own claim
     runs = []
-    make = qcount.reductions.make_trace_estimator
+    estimate = qcount.reductions.trace_estimate
 
     def recording(*args, **kwargs):
-        run = make(*args, **kwargs)
-        return lambda rng: runs.append(run(rng)) or runs[-1]
+        runs.append(estimate(*args, **kwargs))
+        return runs[-1]
 
-    monkeypatch.setattr(qcount.reductions, "make_trace_estimator", recording)
+    monkeypatch.setattr(qcount.reductions, "trace_estimate", recording)
     oracle = MiscountingOracle(H_CIRC, eps_bound=eps_bound, backing="estimator", seed=1)
     oracle.query(2.0 / 3.0, 1.0 / 3.0)
     (run,) = runs
