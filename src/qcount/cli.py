@@ -4,17 +4,20 @@ Every subcommand prints a single JSON object carrying the operation
 name, a full echo of the parsed configuration, the result fields, and a
 schema_version, so runs can be diffed byte for byte.  Exit codes: 0 on
 success, 1 for an unknown subcommand, 2 for file or precondition
-problems, 3 for internal invariant violations.  Stochastic subcommands
-require --seed; identical seeds give identical bytes.  A subcommand is
-its flags plus a handler (parser, args, circuit) -> result fields; one
-frame, _run_subcommand, does everything else.
+problems or a record that cannot be written, 3 for internal invariant
+violations.  Stochastic subcommands require --seed; identical seeds give
+identical bytes.  A subcommand is its flags plus a handler (parser,
+args, circuit) -> result fields; one frame, _run_subcommand, does
+everything else.
 """
 
 from __future__ import annotations
 
 import argparse
 import ctypes
+import gc
 import json
+import os
 import sys
 from dataclasses import asdict
 
@@ -78,8 +81,27 @@ def _run_subcommand(name: str, argv: list[str]) -> int:
     record.update(handler(p, args, circ))
     # config last: a handler may write a defaulted value back into args
     record.update(schema_version=SCHEMA_VERSION, op=name, config=vars(args))
-    sys.stdout.write(json.dumps(record, sort_keys=True, default=_json_default) + "\n")
+    _write_record(json.dumps(record, sort_keys=True, default=_json_default) + "\n")
     return 0
+
+
+def _write_record(line: str) -> None:
+    """Write and flush the record; a stdout that cannot take it is a PreconditionError."""
+    if sys.stdout is None:  # fd 1 was closed when the interpreter started
+        raise PreconditionError("cannot write the record: stdout is closed")
+    try:
+        sys.stdout.write(line)
+        sys.stdout.flush()
+    except OSError as exc:
+        # the flush at shutdown goes to devnull: whatever bytes this Python
+        # keeps buffered cannot end the run with an "Exception ignored" line
+        try:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        except OSError:
+            pass
+        raise PreconditionError(f"cannot write the record: {exc}") from None
 
 
 def _default_seed(p: argparse.ArgumentParser, args, why: str, estimator: bool = False):
@@ -308,7 +330,11 @@ def run(argv: list[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    code = run(sys.argv[1:])
+    # The process is ending and exit frees everything anyway: frozen objects
+    # are left out of the collections that interpreter shutdown runs.
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

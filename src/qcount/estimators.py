@@ -27,7 +27,6 @@ draws on, every witness's at once from one embed (witness_probabilities).
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -186,6 +185,8 @@ def median_amplify(
     runs failing w.p. at most 1/4; a base with a larger delta is refused
     after its first run.
     """
+    import statistics  # here, not at the top: it loads fractions and decimal
+
     if k < 1:
         raise PreconditionError(f"need at least one run, got {k}")
     runs = [base(stream(seed))]

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from statistics import NormalDist
 
 import numpy as np
 
@@ -202,6 +201,8 @@ def rect_poly(t: float, delta: float, eps: float) -> RectanglePolynomial:
     if not _SAFETY < eps < 0.5:
         # at smaller eps the rounding slack r is no longer small beside eps
         raise PreconditionError(f"eps must lie in ({_SAFETY}, 0.5), got {eps}")
+    from statistics import NormalDist  # here, not at the top: it loads fractions and decimal
+
     budget = degree_budget(delta, eps)
     # erfcinv(eps / 2) through the normal quantile: erfc(z) = 2 Phi(-z sqrt 2)
     k = -NormalDist().inv_cdf(eps / 4.0) / math.sqrt(2.0) / delta

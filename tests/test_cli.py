@@ -1,5 +1,7 @@
 """Command line front end: JSON records, exit codes, byte determinism."""
 
+import errno
+import gc
 import io
 import json
 import os
@@ -553,6 +555,61 @@ def test_benchmark_tracer_wraps_every_target():
     assert proc.stdout.strip() == "[]"
 
 
+def validate_into(circuits, **popen):
+    """validate-dqc1 in a child whose stdout is given by the Popen keywords."""
+    argv = [sys.executable, "-m", "qcount.cli", "validate-dqc1", circuits["h"]]
+    return subprocess.run(argv, stderr=subprocess.PIPE, text=True, **popen)
+
+
+def assert_cannot_write(proc, reason):
+    # one line on stderr: no traceback, and no "Exception ignored" from the
+    # flush at shutdown
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines() == [f"qcount validate-dqc1: cannot write the record: {reason}"]
+
+
+def test_a_record_to_a_full_device_exits_2(circuits):
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full here")
+    with open("/dev/full", "wb") as full:
+        proc = validate_into(circuits, stdout=full)
+    assert_cannot_write(proc, f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}")
+
+
+def test_a_record_into_a_closed_pipe_exits_2(circuits):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = validate_into(circuits, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert_cannot_write(proc, f"[Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}")
+
+
+def test_a_record_with_stdout_closed_exits_2(circuits):
+    proc = validate_into(circuits, stdout=subprocess.DEVNULL, preexec_fn=lambda: os.close(1))
+    assert_cannot_write(proc, "stdout is closed")
+
+
+def test_only_main_freezes_the_collector_once_the_record_is_out(circuits, capsys, monkeypatch):
+    # tests and the benchmark tracer call run() in process: it leaves the
+    # collector as it found it
+    import qcount.cli
+
+    assert qcount.cli.run(["validate-dqc1", circuits["h"]]) == 0
+    assert gc.get_freeze_count() == 0
+    capsys.readouterr()
+    written = []  # stdout so far, at each freeze
+    monkeypatch.setattr(gc, "freeze", lambda: written.append(capsys.readouterr().out))
+    monkeypatch.setattr(sys, "argv", ["qcount", "validate-dqc1", circuits["h"]])
+    with pytest.raises(SystemExit) as exit_:
+        qcount.cli.main()
+    assert exit_.value.code == 0
+    (out,) = written
+    assert json.loads(out)["op"] == "validate-dqc1"
+
+
 def test_records_do_not_depend_on_the_blas_thread_count(tmp_path):
     # a 512 x 512 Gram and eigvalsh are large enough for OpenBLAS to split
     # their sums over threads; the CLI pins it to one thread
@@ -571,13 +628,15 @@ def test_records_do_not_depend_on_the_blas_thread_count(tmp_path):
 
 def test_import_loads_no_scipy():
     # nor logging (nothing configures it), numpy.polynomial (one node
-    # formula) or numpy.random (only a seeded run draws)
+    # formula), numpy.random (only a seeded run draws) or statistics with
+    # its fractions and decimal (only a polynomial's build reads it)
     proc = subprocess.run(
         [
             sys.executable,
             "-c",
             "import sys, qcount.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'logging') "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+            "('scipy', 'logging', 'statistics', 'fractions', 'decimal') "
             "or m.startswith(('numpy.polynomial', 'numpy.random'))))",
         ],
         capture_output=True,
