@@ -4,11 +4,11 @@ Every subcommand prints a single JSON object carrying the operation
 name, a full echo of the parsed configuration, the result fields, and a
 schema_version, so runs can be diffed byte for byte.  Exit codes: 0 on
 success, 1 for an unknown subcommand, 2 for file or precondition
-problems or a record that cannot be written, 3 for internal invariant
-violations.  Stochastic subcommands require --seed; identical seeds give
-identical bytes.  A subcommand is its flags plus a handler (parser,
-args, circuit) -> result fields; one frame, _run_subcommand, does
-everything else.
+problems or a record or help that cannot be written, 3 for internal
+invariant violations.  Stochastic subcommands require --seed; identical
+seeds give identical bytes.  A subcommand is its flags plus a handler
+(parser, args, circuit) -> result fields; one frame, _run_subcommand,
+does everything else.
 """
 
 from __future__ import annotations
@@ -66,6 +66,8 @@ def _json_default(value):
 def _run_subcommand(name: str, argv: list[str]) -> int:
     handler, flags, takes_circuit = _COMMANDS[name]
     p = argparse.ArgumentParser(prog=f"qcount {name}")
+    # argparse's own print drops a failed write without a word
+    p.print_help = lambda file=None: _write_record(p.format_help(), "the help")
     if takes_circuit:
         p.add_argument("circuit", help="path to a qcv circuit file")
         p.add_argument("--x", default="", help="input register bits (default empty)")
@@ -85,12 +87,12 @@ def _run_subcommand(name: str, argv: list[str]) -> int:
     return 0
 
 
-def _write_record(line: str) -> None:
-    """Write and flush the record; a stdout that cannot take it is a PreconditionError."""
+def _write_record(text: str, what: str = "the record") -> None:
+    """Write and flush text to stdout; a stdout that cannot take it is a PreconditionError."""
     if sys.stdout is None:  # fd 1 was closed when the interpreter started
-        raise PreconditionError("cannot write the record: stdout is closed")
+        raise PreconditionError(f"cannot write {what}: stdout is closed")
     try:
-        sys.stdout.write(line)
+        sys.stdout.write(text)
         sys.stdout.flush()
     except OSError as exc:
         # the flush at shutdown goes to devnull: whatever bytes this Python
@@ -101,7 +103,15 @@ def _write_record(line: str) -> None:
             os.close(devnull)
         except OSError:
             pass
-        raise PreconditionError(f"cannot write the record: {exc}") from None
+        raise PreconditionError(f"cannot write {what}: {exc}") from None
+
+
+def _interval_fields(result) -> dict:
+    """A result's fields, its n_geq_c and n_geq_s under the record's N_geq_c and N_geq_s."""
+    fields = asdict(result)
+    fields["N_geq_c"] = fields.pop("n_geq_c")
+    fields["N_geq_s"] = fields.pop("n_geq_s")
+    return fields
 
 
 def _default_seed(p: argparse.ArgumentParser, args, why: str, estimator: bool = False):
@@ -121,13 +131,7 @@ def _exact_count(p, args, circ) -> dict:
     check_promise(args.c, args.s)  # before the embed and eigvalsh it would waste
     op = build_acceptance_operator(circ, args.x)
     count = SpectralCount.of(op.eigenvalues, args.c, args.s)
-    return {
-        "N_geq_c": count.n_geq_c,
-        "N_geq_s": count.n_geq_s,
-        "n_interval": count.n_interval,
-        "trace": op.trace,
-        "trace_normalized": trace_normalized(op),
-    }
+    return _interval_fields(count) | {"trace": op.trace, "trace_normalized": trace_normalized(op)}
 
 
 @_subcommand(
@@ -167,12 +171,7 @@ def _path_sum(p, args, circ) -> dict:
 )
 def _rect_poly(p, args, circ) -> dict:
     poly = svt.rect_poly(args.t, args.width, args.eps)
-    return {
-        "degree": poly.degree,
-        "degree_budget": svt.degree_budget(args.width, args.eps),
-        "coefficients": poly.coefficients,
-        **poly.report,
-    }
+    return {"degree": poly.degree, "coefficients": poly.coefficients, **poly.report}
 
 
 @_subcommand(
@@ -219,14 +218,7 @@ def _reduce_interval(p, args, circ) -> dict:
         backing=args.mode,
     )
     r = reductions.interval_partition_trace(oracle, args.M)
-    return {
-        "estimate": r.estimate,
-        "error_bound": r.error_bound,
-        "exact_trace": r.exact_trace,
-        "abs_error": r.abs_error,
-        "within_bound": r.within_bound,
-        "n_hat": r.n_hat,
-    }
+    return asdict(r) | {"within_bound": r.within_bound}
 
 
 @_subcommand(
@@ -252,16 +244,7 @@ def _reduce_pad(p, args, circ) -> dict:
         eps_strategy=args.eps_strategy,
         seed=args.seed,
     )
-    return {
-        "count": r.count,
-        "pad_qubits": r.pad_qubits,
-        "raw_answer": r.raw_answer,
-        "normalization": r.normalization,
-        "N_geq_c": r.n_geq_c,
-        "N_geq_s": r.n_geq_s,
-        "in_interval": r.in_interval,
-        "rounding_margin": r.rounding_margin,
-    }
+    return _interval_fields(r) | {"in_interval": r.in_interval}
 
 
 @_subcommand(

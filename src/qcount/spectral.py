@@ -259,8 +259,6 @@ def validate_dqc1(circuit: VerifierCircuit) -> bool:
 class SpectralCount:
     """The exact counting interval [N_geq_c, N_geq_s] of a spectrum at (c, s)."""
 
-    c: float
-    s: float
     n_geq_c: int
     n_geq_s: int
     n_interval: int  # values in the closed band [s, c]
@@ -271,8 +269,6 @@ class SpectralCount:
         check_promise(c, s)
         geq_s = at_least(values, s)
         return cls(
-            c=c,
-            s=s,
             n_geq_c=int(np.count_nonzero(at_least(values, c))),
             n_geq_s=int(np.count_nonzero(geq_s)),
             n_interval=int(np.count_nonzero(geq_s & at_most(values, c))),

@@ -60,8 +60,8 @@ class RectanglePolynomial:
 
     Guarantees (certified, not sampled): 0 <= P <= 1 on [-1, 1], P in
     [1-eps, 1] for |x| >= t + delta, and P in [0, eps] for |x| <= t - delta.
-    `report` is that certificate: the interpolation bound and the band
-    margins it implies, with 0 violations.
+    `report` is that certificate: the degree budget it was checked against,
+    the interpolation bound and the band margins it implies, with 0 violations.
     """
 
     coefficients: np.ndarray
@@ -103,7 +103,8 @@ def _chebinterpolate(func, degree: int) -> np.ndarray:
     samples = np.asarray(func(nodes), dtype=float)[::-1]
     spectrum = np.fft.rfft(np.concatenate([samples, samples[::-1]]))[:n]
     shift = np.exp(-0.5j * np.pi * np.arange(n) / n)
-    coeffs = (spectrum * shift).real / n
+    # the real part alone, in float products: numpy's complex product rounds by SIMD level
+    coeffs = (spectrum.real * shift.real - spectrum.imag * shift.imag) / n
     coeffs[0] /= 2.0
     return coeffs
 
@@ -167,9 +168,11 @@ def _rounding_slack(coeffs: np.ndarray, k: float) -> float:
     With u = 2^-53 and n = p + 1: a sample errs by <= 16(k+1)u (node error 6u,
     slope <= 2k/sqrt(pi)), times the Lebesgue constant <= (2/pi) ln(n+1) + 1; the
     FFT of the 2n mirrored samples in [0, 1] errs by ~u log2(2n) times its 2-norm
-    2n, <= 16u sqrt(n) log2(2n) in the coefficients' 1-norm; a Clenshaw rounding
-    in step j perturbs c_2j alone (|T_j| <= 1) by a few u sum_i (i-j+1)|c_2i|
-    (|U_m| <= m+1), and y = 2x^2 - 1 errs by 3u, moving the sum by 3u sum j^2|c_2j|
+    2n, and the shift's real part (two products and a difference, as an unfused
+    complex product rounds) by 3u |X_k| / n, 6u sqrt(n) in all: <= 16u sqrt(n)
+    log2(2n) in the coefficients' 1-norm; a Clenshaw rounding in step j perturbs
+    c_2j alone (|T_j| <= 1) by a few u sum_i (i-j+1)|c_2i| (|U_m| <= m+1), and
+    y = 2x^2 - 1 errs by 3u, moving the sum by 3u sum j^2|c_2j|
     (Markov): 12u sum (j+1)^2 |c_2j| in all.  The +1 covers the renormalization and
     the report.  Zeroing odd coefficients keeps the even part, no farther from f.
     """
@@ -221,6 +224,7 @@ def rect_poly(t: float, delta: float, eps: float) -> RectanglePolynomial:
     coeffs[0] += d / scale
     erfc = math.erfc  # f(0), f(t - delta) and f(t + delta), accurate near 0
     report = {
+        "degree_budget": budget,
         "interpolation_bound": eta,
         "max_abs": 1.0,  # -d <= Q <= 1 + d maps onto [0, 1]
         "outer_min": (1.0 - 0.5 * (erfc(k * delta) - erfc(k * (2.0 * t + delta)))) / scale,

@@ -14,6 +14,7 @@ import qcount.spectral
 import qcount.svt
 from circgen import dense_matrix, ensemble, gapped_circuit
 from qcount import (
+    AcceptanceOperator,
     CapExceeded,
     MiscountingOracle,
     PreconditionError,
@@ -25,7 +26,7 @@ from qcount import (
 )
 from qcount.circuit import VerifierCircuit, parse_circuit
 from qcount.limits import PARTITION_CAP
-from qcount.reductions import DELTA_STRATEGIES, EPS_STRATEGIES
+from qcount.reductions import DELTA_STRATEGIES, EPS_STRATEGIES, RECOVERY_ERROR
 
 X_CIRC = parse_circuit("registers: ancilla=1 input=0 witness=1\nX 0\n")
 H_CIRC = parse_circuit("registers: ancilla=1 input=0 witness=1\nH 0\n")
@@ -94,6 +95,23 @@ def test_all_adversary_combinations_respect_bound():
             assert r.abs_error <= r.error_bound + 1e-9
             assert r.error_bound == pytest.approx(2.5 * dim / M)
             assert len(oracle.query_log) == M - 1
+
+
+@pytest.mark.parametrize("M", [2, 3, 4, 8, 32])
+@pytest.mark.parametrize("W", [2, 3, 5])
+def test_recovery_error_reaches_its_worst_case_on_the_band_edges(M, W):
+    # every eigenvalue on some s_i, delta at its maximum and eps at +budget:
+    # the error is (7/4 - 1/M) 2**W / M, the most the recovery can make
+    lows = [s for s, _ in partition_intervals(M)]
+    oracle = MiscountingOracle(
+        parse_circuit(f"registers: ancilla=1 input=0 witness={W}\n"),
+        eps_bound=1.0 / M, delta_strategy="max", eps_strategy="adversarial",
+    )
+    oracle.operator = AcceptanceOperator(np.diag([lows[j % len(lows)] for j in range(1 << W)]), W)
+    r = interval_partition_trace(oracle, M)
+    assert r.abs_error == pytest.approx((1.75 - 1.0 / M) * 2**W / M, abs=1e-13)
+    assert r.error_bound == RECOVERY_ERROR * 2**W / M
+    assert r.within_bound
 
 
 def test_query_log_is_audited():
