@@ -24,10 +24,9 @@ product over the compact rows and decomposed by one stacked eigvalsh;
 the entries it leaves out are exactly zero.  The embed keeps only those
 rows, the output-qubit-1 block U, unscaled on the (real, imag) planes
 its gate kernel ran in: exact Gaussian integers, int32 while the cone
-has at most 61 H.  The Gram U'U runs over about _CHUNKS row chunks of
-the planes, each cast to complex128 in turn, and is scaled once by the
-embed's `product_scale`, so the build holds the planes, the Gram and one
-product buffer, never a complex copy of U.  The operator is the one
+has at most 61 H.  The Gram U'U is one real product over the planes,
+cast once to float64, and is scaled once by the embed's `product_scale`:
+the build never holds a complex copy of U.  The operator is the one
 spectral object per (circuit, x) and the block encoding that svt
 amplifies; witness_probabilities reads its diagonal from the same embed,
 with no Gram.
@@ -49,7 +48,7 @@ from .circuit import VerifierCircuit, embedded_witness_matrix, simulate
 from .errors import InvariantViolation, PreconditionError
 
 HERM_TOL = 1e-9
-_CHUNKS = 8  # row chunks of a pass over U or the Gram: each temporary is an eighth of it
+_CHUNKS = 8  # row chunks of the Hermitian check: each temporary is an eighth of the Gram
 EIG_CLAMP_TOL = 1e-9
 TIE_TOL = 1e-12
 AUDIT_SLACK = 1e-9
@@ -88,7 +87,7 @@ class AcceptanceOperator:
         if not np.array_equal(np.sort(order), np.arange(dim)):
             raise PreconditionError(f"order must be a permutation of the {dim} witness states")
         herm_gap = _hermitian_gap(blocks)
-        if herm_gap > HERM_TOL:
+        if not herm_gap <= HERM_TOL:  # a NaN gap fails too
             raise PreconditionError(
                 f"matrix is not Hermitian within {HERM_TOL} (gap {herm_gap:.3e})"
             )
@@ -139,17 +138,18 @@ def _hermitian_gap(blocks: np.ndarray) -> float:
     """Largest entry of |B - B'| over a stack, a row block against a column block at a time."""
     step = max(1, blocks.shape[1] // _CHUNKS)
     columns = blocks.transpose(0, 2, 1)
-    gaps = [
-        np.max(np.abs(blocks[:, i : i + step] - columns[:, i : i + step].conj()))
-        for i in range(0, blocks.shape[1], step)
-    ]
+    with np.errstate(invalid="ignore"):  # NaN, or inf - inf across the diagonal: a NaN gap
+        gaps = [
+            np.max(np.abs(blocks[:, i : i + step] - columns[:, i : i + step].conj()))
+            for i in range(0, blocks.shape[1], step)
+        ]
     return float(np.max(gaps))
 
 
 def clamp_to_unit(values: np.ndarray) -> np.ndarray:
-    """Values within 1e-9 of [0, 1] clamped into it; anything further out fails loudly."""
+    """Values within 1e-9 of [0, 1] clamped into it; anything further out, or NaN, fails loudly."""
     low, high = float(values.min()), float(values.max())
-    if low < -EIG_CLAMP_TOL or high > 1.0 + EIG_CLAMP_TOL:
+    if not (low >= -EIG_CLAMP_TOL and high <= 1.0 + EIG_CLAMP_TOL):
         raise InvariantViolation(
             f"values escape [0,1] beyond tolerance: {max(-low, 0.0):.3e} below 0, "
             f"{max(high - 1.0, 0.0):.3e} above 1"
@@ -162,30 +162,26 @@ def build_acceptance_operator(circuit: VerifierCircuit, x: str = "") -> Acceptan
 
     Only the output cone is embedded; the other gates cancel in V' P V.
     The k witness qubits its embed leaves diagonal lead each column index,
-    so the 2**k column groups of m = 2**(w - k) are the blocks.  The Gram
-    U'U sums over row chunks of the planes: each is cast into complex128
-    and conjugated, each chunk's product after the first goes through one
-    reused buffer, and the sum is scaled once by `product_scale`.
+    so the 2**k column groups of m = 2**(w - k) are the blocks.  With
+    U = X + iY and Z = [X; Y] cast once to float64, each block of U'U is
+    Z'Z (one syrk) plus i(X'Y - (X'Y)'), scaled once by `product_scale`.
+    While the cone has at most 53 H no bit depends on the order of the
+    sums: by Cauchy-Schwarz each partial sum of the unscaled planes is an
+    integer of at most 2**h, as a column's squared norm is 2**h p_j.
     """
     embed = embedded_witness_matrix(circuit.output_cone(), x)
-    planes, order, k = embed.planes, embed.order, len(embed.diagonal)
-    rows, cols = planes.shape[:2]
-    step = max(1, rows // _CHUNKS)
-    groups = (step, 1 << k, cols >> k)  # column (c, j) is row j of block c
-    u = np.empty((step, cols), np.complex128)
-    u_planes = u.view(np.float64).reshape(step, cols, 2)
-    conj_u = np.empty_like(u)
-    left, right = conj_u.reshape(groups).transpose(1, 2, 0), u.reshape(groups).transpose(1, 0, 2)
-    stack = np.empty((1 << k, cols >> k, cols >> k), np.complex128)
-    product = np.empty_like(stack)
-    for start in range(0, rows, step):
-        u_planes[...] = planes[start : start + step]
-        np.conjugate(u, out=conj_u)
-        np.matmul(left, right, out=product if start else stack)
-        if start:
-            stack += product
-    stack *= embed.product_scale
-    del embed, planes, u, u_planes, conj_u, left, right, product  # freed before the Hermitian check
+    order, k, scale = embed.order, len(embed.diagonal), embed.product_scale
+    z = np.moveaxis(embed.planes, 2, 0).astype(np.float64, order="C")  # (2, rows, cols)
+    del embed  # the planes go before any product
+    _, rows, cols = z.shape
+    z = z.reshape(2 * rows, 1 << k, cols >> k).transpose(1, 0, 2)  # block c: (2 rows, m)
+    real, cross = z.transpose(0, 2, 1) @ z, z[:, :rows].transpose(0, 2, 1) @ z[:, rows:]
+    del z
+    stack = np.empty(real.shape, np.complex128)
+    stack.real = real
+    np.subtract(cross, cross.transpose(0, 2, 1), out=stack.imag)
+    del real, cross  # freed before the Hermitian check
+    stack *= scale
     return AcceptanceOperator(stack, circuit.num_witness, order)
 
 

@@ -26,9 +26,10 @@ from qcount.circuit import (
     Gate,
     VerifierCircuit,
     basis_index,
+    embedded_witness_matrix,
     parse_circuit,
 )
-from qcount.spectral import TIE_TOL
+from qcount.spectral import TIE_TOL, clamp_to_unit
 
 X_CIRC = parse_circuit("registers: ancilla=1 input=0 witness=1\nX 0\n")
 H_CIRC = parse_circuit("registers: ancilla=1 input=0 witness=1\nH 0\n")
@@ -142,11 +143,12 @@ def test_operator_build_copies_no_output_block():
         assert np.array_equal(mat, block.conj().T @ block)  # the same bits
 
 
-def test_operator_build_holds_the_planes_gram_and_one_buffer():
+def test_operator_build_holds_one_float64_copy_of_the_planes():
     # a=2, w=9 with every qubit superposed, like the benchmark's d9: the
     # accepted rows are twice the columns, so U's int32 planes are as large
-    # as the Gram, G.  The build holds the planes, the Gram, one product
-    # buffer and two complex row chunks of G/4; both halves of the embed as
+    # as the Gram, G, and their float64 copy Z is 2 G.  The build holds the
+    # planes and Z, then Z and the Gram's two real halves (G in all), then
+    # the halves and the stack: 3 G at most; both halves of the embed as
     # complex128 would be 4 G on their own
     q = 11
     gates = []
@@ -160,9 +162,9 @@ def test_operator_build_holds_the_planes_gram_and_one_buffer():
     finally:
         tracemalloc.stop()
     assert op.blocks.shape == (1, 512, 512)
-    assert peak <= 3.6 * op.blocks.nbytes
+    assert peak <= 3.25 * op.blocks.nbytes
     u = full_witness_matrix(circ, "", odd_h_root=False)[1 << (q - 1) :]  # h = 11: exact Gaussian integers
-    assert np.array_equal(dense_matrix(op), (u.conj().T @ u) * 0.5)  # the chunked sum, the same bits
+    assert np.array_equal(dense_matrix(op), (u.conj().T @ u) * 0.5)  # the real-plane sum, the same bits
 
 
 def test_operator_build_stores_only_the_superposed_rows():
@@ -283,6 +285,42 @@ def test_odd_h_gram_is_exact():
     for circ, x in ensemble(209, 40, max_witness=4):
         scaled = dense_matrix(build_acceptance_operator(circ, x)) * 2.0**circ.h_count
         assert np.array_equal(scaled, np.round(scaled))
+    # cones of 40..53 H, whose Gram entries reach far past 2**31: the float64
+    # Gram of the unscaled planes is their exact int64 Gram, block by block,
+    # as every partial sum is an integer of at most 2**h
+    for circ in _cones_of_40_to_53_h():
+        op = build_acceptance_operator(circ)
+        embed = embedded_witness_matrix(circ.output_cone(), "")
+        rows, cols, _ = embed.planes.shape
+        count = 1 << len(embed.diagonal)
+        planes = embed.planes.astype(np.int64).reshape(rows, count, cols // count, 2)
+        x, y = planes.transpose(3, 1, 0, 2)  # X and Y, each (count, rows, m)
+        xt, yt = x.transpose(0, 2, 1), y.transpose(0, 2, 1)
+        gram = op.blocks / embed.product_scale
+        assert np.array_equal(gram.real, xt @ x + yt @ y)
+        assert np.array_equal(gram.imag, xt @ y - yt @ x)
+
+
+def _cones_of_40_to_53_h():
+    # three with k = 0 and three with k >= 1, at most 6 witness qubits: a
+    # k >= 1 circuit gains a last witness qubit that is only a TOF control
+    rng = np.random.default_rng(211)
+    found = {False: [], True: []}
+    while min(len(circs) for circs in found.values()) < 3:
+        w = int(rng.integers(2, 6))
+        gate_count = int(rng.integers(80, 140))
+        circ = random_circuit(rng, num_ancilla=2, num_witness=w, gate_count=gate_count)
+        if rng.integers(0, 2):
+            gates = list(circ.gates)
+            for _ in range(3):
+                other, target = (int(q) for q in rng.choice(circ.num_qubits, size=2, replace=False))
+                tof = Gate("TOF", (circ.num_qubits, other, target))
+                gates.insert(int(rng.integers(0, len(gates) + 1)), tof)
+            circ = VerifierCircuit(2, 0, w + 1, tuple(gates))
+        k = len(embedded_witness_matrix(circ.output_cone(), "").diagonal)
+        if 40 <= circ.output_cone().h_count <= 53 and len(found[k > 0]) < 3:
+            found[k > 0].append(circ)
+    return found[False] + found[True]
 
 
 @pytest.mark.parametrize(
@@ -328,6 +366,13 @@ def test_rejects_non_hermitian():
         AcceptanceOperator(np.array([[0.0, 1.0], [0.0, 0.0]]), 1)
 
 
+def test_rejects_non_finite_entries():
+    # a NaN gap fails the Hermitian check, as does inf - inf across the diagonal
+    for bad in (np.full((2, 2), np.nan), np.array([[0.0, np.inf], [np.inf, 0.0]])):
+        with pytest.raises(PreconditionError, match="not Hermitian"):
+            AcceptanceOperator(bad, 1)
+
+
 def test_rejects_a_malformed_stack_or_order():
     # (1, 1, 2) spans the 2 witness columns but its block is not square
     with pytest.raises(PreconditionError, match="stack of square blocks"):
@@ -347,6 +392,11 @@ def test_rejects_escaping_eigenvalues():
     neg = AcceptanceOperator(np.diag([-0.5, 0.0]).astype(complex), 1)
     with pytest.raises(InvariantViolation):
         neg.eigenvalues
+
+
+def test_rejects_nan_values():
+    with pytest.raises(InvariantViolation, match="escape"):
+        clamp_to_unit(np.array([0.5, np.nan]))
 
 
 def test_clamps_rounding_noise():
