@@ -182,19 +182,7 @@ def _rect_poly(p, args, circ) -> dict:
 )
 def _svt_amplify(p, args, circ) -> dict:
     op = build_acceptance_operator(circ, args.x)
-    bounds = svt.sandwich_bounds(op, args.c, args.s, args.eps)
-    return {
-        "poly_degree": bounds.poly.degree,
-        "singular_values": op.singular_values,
-        "amplified_eigenvalues": np.sort(bounds.amplified)[::-1],
-        "trace_amplified": bounds.trace_amplified,
-        "lower": bounds.lower,
-        "upper": bounds.upper,
-        "N_geq_c": bounds.n_geq_c,
-        "N_geq_s": bounds.n_geq_s,
-        "sigma_in_gap": bounds.sigma_in_gap,
-        "satisfied": bounds.satisfied,
-    }
+    return _interval_fields(svt.sandwich_bounds(op, args.c, args.s, args.eps))
 
 
 @_subcommand(

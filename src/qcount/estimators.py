@@ -33,7 +33,7 @@ from typing import Callable
 import numpy as np
 
 from .circuit import VerifierCircuit, _parse_bits, basis_index
-from .errors import CapExceeded, PreconditionError
+from .errors import PreconditionError
 from .limits import ceil_quotient, check_draws, dense_qubit_cap
 from .rngstreams import index_chunks, stream, uniform_chunks
 from .spectral import (
@@ -133,8 +133,7 @@ def trace_estimate(
     witness in the smallest unsigned type that fits 2**w - 1 and counts
     its coins' hits chunk by chunk.
     """
-    if circuit.num_witness > 53:  # before 2**w is formed: one uniform draw picks a witness
-        raise CapExceeded(f"{circuit.num_witness} witness qubits exceed a draw's 53 bits")
+    picks = index_chunks(rng, M, circuit.num_witness)  # checks w <= 53 before 2**w is formed
     dim_w = 1 << circuit.num_witness
     template = additive_template(M, 2, float(dim_w), epsilon, 1.0, f"M={M}")
     x_val = _parse_bits(x, circuit.num_input, "input bits")
@@ -151,7 +150,7 @@ def trace_estimate(
         return np.array([prob_cache[y] for y in ys])
 
     witnesses = np.empty(M, dtype=np.min_scalar_type(dim_w - 1))
-    for cols, y in index_chunks(rng, M, circuit.num_witness):
+    for cols, y in picks:
         witnesses[cols] = y
     hits = 0
     for cols, u in uniform_chunks(rng, M):

@@ -358,14 +358,13 @@ def padding_reduction(
         u_exponent=u_exponent,
     )
     raw = oracle.query(c, s)
-    count = round(raw / float(1 << pad))
-    record = oracle.query_log[-1]
+    exact = SpectralCount.of(oracle.operator.eigenvalues, c, s)
     return PaddingResult(
-        count=count,
+        count=round(raw / float(1 << pad)),
         pad_qubits=pad,
         raw_answer=raw,
         normalization=oracle.normalization,
-        n_geq_c=record["n_geq_c"] // oracle.multiplicity,
-        n_geq_s=record["n_geq_s"] // oracle.multiplicity,
+        n_geq_c=exact.n_geq_c,
+        n_geq_s=exact.n_geq_s,
         rounding_margin=margin,
     )

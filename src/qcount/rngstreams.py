@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import CapExceeded, PreconditionError
 
 MAX_SEED = 2**64 - 1
 DRAW_CHUNK = 2**14  # uniforms per refill of a sampler's draw buffer
@@ -53,10 +53,11 @@ def index_chunks(rng: np.random.Generator, count: int, bits: int):
 
     floor(u * 2**bits) is exactly uniform because numpy uniforms are
     k / 2**53 with k uniform: one draw per index, no rejection, while
-    bits <= 53, which is checked here, before any draw.
+    bits <= 53, which the call checks before it returns, so before any
+    draw.  Every caller picks witnesses: the refusal counts witness qubits.
     """
     if bits > 53:
-        raise PreconditionError(f"bound must be in (0, 2**53], got {1 << bits}")
+        raise CapExceeded(f"{bits} witness qubits exceed a draw's 53 bits")
     return (
         (cols, np.floor(np.multiply(u, 1 << bits, out=u), out=u))
         for cols, u in uniform_chunks(rng, count)

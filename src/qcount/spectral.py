@@ -149,6 +149,8 @@ def _hermitian_gap(blocks: np.ndarray) -> float:
 def clamp_to_unit(values: np.ndarray) -> np.ndarray:
     """Values within 1e-9 of [0, 1] clamped into it; anything further out, or NaN, fails loudly."""
     low, high = float(values.min()), float(values.max())
+    if np.isnan(low):  # min propagates a NaN, which no excess figure could name
+        raise InvariantViolation("values escape [0,1]: a value is NaN")
     if not (low >= -EIG_CLAMP_TOL and high <= 1.0 + EIG_CLAMP_TOL):
         raise InvariantViolation(
             f"values escape [0,1] beyond tolerance: {max(-low, 0.0):.3e} below 0, "

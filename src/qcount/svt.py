@@ -255,8 +255,9 @@ def apply_svt(operator: AcceptanceOperator, poly: RectanglePolynomial) -> np.nda
 
 @dataclass(frozen=True)
 class SandwichBounds:
-    """Exact-count bracket around the amplified trace, with what was amplified."""
+    """Exact-count bracket around the amplified trace, with the spectra it came from."""
 
+    poly_degree: int
     n_geq_c: int
     n_geq_s: int
     lower: float
@@ -264,17 +265,17 @@ class SandwichBounds:
     trace_amplified: float
     sigma_in_gap: int
     satisfied: bool
-    poly: RectanglePolynomial = field(compare=False, repr=False)
-    amplified: np.ndarray = field(compare=False, repr=False)  # apply_svt's spectrum
+    singular_values: np.ndarray = field(compare=False, repr=False)  # the operator's, descending
+    amplified_eigenvalues: np.ndarray = field(compare=False, repr=False)  # apply_svt's, descending
 
 
 def sandwich_bounds(operator: AcceptanceOperator, c: float, s: float, eps: float) -> SandwichBounds:
     """Amplify the operator over the singular-value band (s, c) and check the sandwich.
 
-    One band_polynomial(c, s, eps), one apply_svt; the amplified trace is
-    bracketed by the exact sigma counts.  The singular values are the
-    operator's cached eigvalsh values, so amplifying one operator at many
-    thresholds decomposes it once.
+    One band_polynomial(c, s, eps), one apply_svt; the amplified trace, the
+    sum of apply_svt's spectrum in its own order, is bracketed by the exact
+    sigma counts.  The singular values are the operator's cached eigvalsh
+    values, so amplifying one operator at many thresholds decomposes it once.
     """
     poly = band_polynomial(c, s, eps)
     amplified = apply_svt(operator, poly)
@@ -285,6 +286,7 @@ def sandwich_bounds(operator: AcceptanceOperator, c: float, s: float, eps: float
     lower = count.n_geq_c - (2.0 * eps - eps * eps) * dim
     upper = count.n_geq_s + eps * eps * dim
     return SandwichBounds(
+        poly_degree=poly.degree,
         n_geq_c=count.n_geq_c,
         n_geq_s=count.n_geq_s,
         lower=lower,
@@ -292,8 +294,8 @@ def sandwich_bounds(operator: AcceptanceOperator, c: float, s: float, eps: float
         trace_amplified=trace,
         sigma_in_gap=int(np.count_nonzero(~at_most(sigma, s) & ~at_least(sigma, c))),
         satisfied=bool(lower - AUDIT_SLACK <= trace <= upper + AUDIT_SLACK),
-        poly=poly,
-        amplified=amplified,
+        singular_values=sigma,
+        amplified_eigenvalues=np.sort(amplified)[::-1],
     )
 
 

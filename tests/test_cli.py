@@ -404,6 +404,21 @@ def test_precondition_violation_exits_2(circuits, args, env):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("path-sum", "--mode", "sampled", "--samples", "16", "--seed", "1"),
+        ("estimate-trace", "--M", "16", "--seed", "1"),
+    ],
+    ids=["path-sum-sampled", "estimate-trace"],
+)
+def test_witness_picks_past_53_bits_name_the_witness_count(circuits, args):
+    # both samplers pick a witness from one uniform draw, through one check
+    proc = run_cli(args[0], circuits["w60"], *args[1:])
+    assert proc.returncode == 2
+    assert proc.stderr == f"qcount {args[0]}: 60 witness qubits exceed a draw's 53 bits\n"
+
+
 def _oracle_answer_out_of_range(self, poly, rng):
     return 1e6
 

@@ -25,7 +25,7 @@ from qcount.circuit import basis_index, parse_circuit
 from qcount.errors import CapExceeded
 from qcount.estimators import trace_estimate
 from qcount.limits import SAMPLE_CAP, dense_qubit_cap
-from qcount.rngstreams import stream
+from qcount.rngstreams import index_chunks, stream
 
 X_CIRC = parse_circuit("registers: ancilla=1 input=0 witness=1\nX 0\n")
 H_CIRC = parse_circuit("registers: ancilla=1 input=0 witness=1\nH 0\n")
@@ -195,6 +195,15 @@ def test_in_cap_estimate_embeds_only_past_a_sixteenth(qcount_calls, M, embed_cal
     est = quantum_trace_estimator(circ, M=M, seed=1)
     assert 0.0 <= est.value <= est.normalization
     assert len(embeds) == embed_calls
+
+
+def test_witness_picks_past_a_draws_53_bits_are_refused_before_drawing():
+    rng = stream(1)
+    with pytest.raises(CapExceeded, match="54 witness qubits exceed a draw's 53 bits"):
+        index_chunks(rng, 4, 54)
+    assert rng.random() == stream(1).random()  # nothing drawn
+    [(_, picks)] = index_chunks(stream(1), 4, 53)  # the widest pick: k itself of u = k / 2**53
+    assert np.array_equal(picks, stream(1).random(4) * 2.0**53)
 
 
 def test_negative_epsilon_fails_when_the_estimator_is_built():

@@ -395,8 +395,9 @@ def test_rejects_escaping_eigenvalues():
 
 
 def test_rejects_nan_values():
-    with pytest.raises(InvariantViolation, match="escape"):
+    with pytest.raises(InvariantViolation, match="escape") as info:
         clamp_to_unit(np.array([0.5, np.nan]))
+    assert "NaN" in str(info.value)
 
 
 def test_clamps_rounding_noise():

@@ -257,7 +257,9 @@ def test_worked_sandwich_on_sure_acceptor():
     eps = 0.05
     op = build_acceptance_operator(X_CIRC)
     bounds = sandwich_bounds(op, 0.666, 0.333, eps)
-    assert np.array_equal(bounds.amplified, apply_svt(op, bounds.poly))
+    amplified = apply_svt(op, svt.band_polynomial(0.666, 0.333, eps))
+    assert np.array_equal(bounds.amplified_eigenvalues, np.sort(amplified)[::-1])
+    assert np.array_equal(bounds.singular_values, op.singular_values)
     assert (bounds.n_geq_c, bounds.n_geq_s) == (2, 2)
     assert bounds.lower == pytest.approx(2.0 - (2 * eps - eps * eps) * 2.0)
     assert bounds.upper == pytest.approx(2.0 + eps * eps * 2.0)
@@ -266,12 +268,25 @@ def test_worked_sandwich_on_sure_acceptor():
 
 
 def test_sandwich_bounds_amplifies_end_to_end():
-    bounds = sandwich_bounds(build_acceptance_operator(X_CIRC), 0.666, 0.333, 0.05)
-    poly = bounds.poly
+    op = build_acceptance_operator(X_CIRC)
+    bounds = sandwich_bounds(op, 0.666, 0.333, 0.05)
+    poly = svt.band_polynomial(0.666, 0.333, 0.05)
     assert (poly.t, poly.delta, poly.eps) == pytest.approx((0.4995, 0.1665, 0.05))
-    assert bounds.amplified.shape == (2,)
-    assert np.all(bounds.amplified >= (1.0 - 0.05) ** 2 - 1e-9)
-    assert bounds.trace_amplified == float(bounds.amplified.sum())
+    assert bounds.poly_degree == poly.degree
+    assert bounds.amplified_eigenvalues.shape == (2,)
+    assert np.all(bounds.amplified_eigenvalues >= (1.0 - 0.05) ** 2 - 1e-9)
+    assert bounds.trace_amplified == float(apply_svt(op, poly).sum())
+
+
+def test_sandwich_spectra_are_descending_and_the_trace_sums_apply_svt_order():
+    # a spread spectrum, so sorting moves values and the sum's order could show
+    circ = random_circuit(np.random.default_rng(5), num_ancilla=1, num_witness=6, gate_count=60)
+    op = build_acceptance_operator(circ)
+    bounds = sandwich_bounds(op, 0.6, 0.3, 0.1)
+    amplified = apply_svt(op, svt.band_polynomial(0.6, 0.3, 0.1))
+    assert np.all(np.diff(bounds.singular_values) <= 0.0)
+    assert np.array_equal(bounds.amplified_eigenvalues, np.sort(amplified)[::-1])
+    assert bounds.trace_amplified == float(amplified.sum())
 
 
 def test_sandwich_bounds_validates_thresholds():
