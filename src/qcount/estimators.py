@@ -18,10 +18,10 @@ unbiased for the acceptance-operator trace.  Sampling is simulated
 classically but never peeks beyond what one run of the verifier would
 reveal: a witness index and one biased coin flip per sample, drawn from
 counter-based streams chunk by chunk (see rngstreams), so a run holds
-one small witness index per sample and nothing else per sample.  The
-coin's bias is one accept_probability per distinct sampled witness,
-simulating only the output cone, or, within the dense cap from 2**w / 16
-draws on, every witness's at once from one embed (witness_probabilities).
+one small witness index per sample and nothing else per sample.  Coins
+are flipped against one probability vector: one embed's read-out
+(witness_probabilities) within the dense cap from 2**w / 16 draws on,
+else one accept_probability per distinct drawn witness (its output cone).
 """
 
 from __future__ import annotations
@@ -35,13 +35,14 @@ import numpy as np
 from .circuit import VerifierCircuit, _parse_bits, basis_index
 from .errors import PreconditionError
 from .limits import ceil_quotient, check_draws, dense_qubit_cap
-from .rngstreams import index_chunks, stream, uniform_chunks
+from .rngstreams import DRAW_CHUNK, index_chunks, stream, uniform_chunks
 from .spectral import (
     AUDIT_SLACK,
     accept_probability,
     at_least,
     at_most,
     check_promise,
+    clamp_to_unit,
     witness_probabilities,
 )
 
@@ -125,13 +126,13 @@ def trace_estimate(
 
     The per-witness acceptance probabilities are `probabilities` if given;
     else, within the dense cap once M >= 2**w / 16, one embed's read-out,
-    cheaper there than a simulation per drawn witness; else each new
-    sampled witness is simulated once.  Sample i consumes the generator's
-    uniforms at positions i (witness pick) and M + i (acceptance coin):
-    the package's one Monte Carlo draw, which avg_accept_decider and the
-    estimator-backed oracle sample through too.  A run holds each sampled
-    witness in the smallest unsigned type that fits 2**w - 1 and counts
-    its coins' hits chunk by chunk.
+    cheaper there than a simulation per drawn witness; else one simulation
+    per distinct drawn witness, with each pick rewritten as its rank among
+    them.  Sample i consumes the generator's uniforms at positions i
+    (witness pick) and M + i (acceptance coin): the package's one Monte
+    Carlo draw, which avg_accept_decider and the estimator-backed oracle
+    sample through too.  A run holds each pick in the smallest unsigned
+    type that fits 2**w - 1, and remaps picks and flips coins chunk by chunk.
     """
     picks = index_chunks(rng, M, circuit.num_witness)  # checks w <= 53 before 2**w is formed
     dim_w = 1 << circuit.num_witness
@@ -139,22 +140,21 @@ def trace_estimate(
     x_val = _parse_bits(x, circuit.num_input, "input bits")
     if probabilities is None and 16 * M >= dim_w and circuit.num_qubits <= dense_qubit_cap():
         probabilities = witness_probabilities(circuit, x)
-    prob_cache: dict[int, float] = {}
-
-    def coin_biases(witnesses: np.ndarray) -> np.ndarray:
-        if probabilities is not None:
-            return probabilities[witnesses]
-        ys = witnesses.tolist()  # one simulation per new witness
-        for y in set(ys) - prob_cache.keys():
-            prob_cache[y] = accept_probability(circuit, basis_index(circuit, x_val, y))
-        return np.array([prob_cache[y] for y in ys])
-
     witnesses = np.empty(M, dtype=np.min_scalar_type(dim_w - 1))
     for cols, y in picks:
         witnesses[cols] = y
+    if probabilities is None:  # one simulation per distinct witness; each pick becomes its rank
+        drawn = np.sort(witnesses)  # np.unique's order, without the numpy.ma import it costs
+        drawn = drawn[np.concatenate(([True], drawn[1:] != drawn[:-1]))]
+        probabilities = np.array(
+            [accept_probability(circuit, basis_index(circuit, x_val, y)) for y in drawn.tolist()]
+        )
+        for start in range(0, M, DRAW_CHUNK):
+            cols = slice(start, start + DRAW_CHUNK)
+            witnesses[cols] = np.searchsorted(drawn, witnesses[cols])
     hits = 0
     for cols, u in uniform_chunks(rng, M):
-        hits += int(np.count_nonzero(u < coin_biases(witnesses[cols])))
+        hits += int(np.count_nonzero(u < probabilities[witnesses[cols]]))
     return replace(template, value=dim_w * (hits / M))
 
 
@@ -251,6 +251,6 @@ def avg_accept_decider(
     promise_violated: bool | None = None
     exact: float | None = None
     if probabilities is not None:
-        exact = min(1.0, float(probabilities.sum()) / dim_w)
+        exact = float(clamp_to_unit(probabilities.sum() / dim_w))
         promise_violated = not at_most(exact, s) and not at_least(exact, c)
     return DeciderResult(answer, mean, M, epsilon, promise_violated, exact)

@@ -53,6 +53,7 @@ from .spectral import (
     SpectralCount,
     build_acceptance_operator,
     check_promise,
+    clamp_to_unit,
     trace_normalized,
 )
 from .svt import RectanglePolynomial, band_polynomial
@@ -87,12 +88,12 @@ class MiscountingOracle:
     backing="estimator" the answer instead comes from SVT amplification
     plus one trace-estimator run on that stream, of the coin_samples that
     miss by eps_bound/2 * 2**w w.p. at most ESTIMATOR_DELTA; it takes no
-    strategy or padding and u_exponent 1
-    only, and the error budget must absorb genuine noise.  Every query
-    is audited against the exact range either way.  The operator is
-    built at its first read, after an estimator-backed query has built
-    its rectangle polynomial, so the degree cap refuses before any embed;
-    its one stacked eigh then serves every later query.  The exact backing never decomposes beyond
+    strategy or padding and u_exponent 1 only, and the error budget must
+    absorb genuine noise.  Every query is audited against the exact range
+    either way.  The operator is built at its first read, after an
+    estimator-backed query has built its rectangle polynomial, so the
+    degree cap refuses before any embed; its one stacked eigh then serves
+    every later query.  The exact backing never decomposes beyond
     eigvalsh; the estimator backing checks its per-query sample count
     against SAMPLE_CAP before anything is built.  Counts up to 2**w_total
     and the normalization must fit in a double, which is checked first.
@@ -217,11 +218,11 @@ class MiscountingOracle:
         actually held for this run.
         """
         # per-witness probabilities: the amplified diagonal sum_j |V_yj|^2 P(sigma_j)^2 by block,
-        # clipped like any diagonal (P is certified in [0, 1]; the clip absorbs rounding)
+        # clamped like any probability (P is certified in [0, 1]; the clamp absorbs rounding)
         sigma, vecs = self.operator.svd
         amplified = np.einsum("bij,bj->bi", np.abs(vecs) ** 2, poly(sigma) ** 2)
         probs = np.empty(self.operator.dim)
-        probs[self.operator.order] = np.clip(amplified, 0.0, 1.0).ravel()
+        probs[self.operator.order] = clamp_to_unit(amplified).ravel()
         # the other eps/2 absorbs the amplification's (2e-e^2) trace loss
         return trace_estimate(
             self.circuit, self.x, self._samples, rng,

@@ -33,9 +33,10 @@ with no Gram.
 The rules of the whole package live here: every threshold comparison goes
 through at_least and at_most (within TIE_TOL of a threshold counts as on
 it), every threshold pair passes check_promise, every count of a spectrum
-(eigenvalues or singular values) is one SpectralCount.of, and every
-certified inequality between computed floats, such as an oracle answer in
-its allowed range, holds within AUDIT_SLACK.
+(eigenvalues or singular values) is one SpectralCount.of, every
+probability enters [0, 1] through clamp_to_unit, and every certified
+inequality between computed floats, such as an oracle answer in its
+allowed range or a probability in [0, 1], holds within AUDIT_SLACK.
 """
 
 from __future__ import annotations
@@ -47,9 +48,7 @@ import numpy as np
 from .circuit import VerifierCircuit, embedded_witness_matrix, simulate
 from .errors import InvariantViolation, PreconditionError
 
-HERM_TOL = 1e-9
 _CHUNKS = 8  # row chunks of the Hermitian check: each temporary is an eighth of the Gram
-EIG_CLAMP_TOL = 1e-9
 TIE_TOL = 1e-12
 AUDIT_SLACK = 1e-9
 
@@ -87,9 +86,9 @@ class AcceptanceOperator:
         if not np.array_equal(np.sort(order), np.arange(dim)):
             raise PreconditionError(f"order must be a permutation of the {dim} witness states")
         herm_gap = _hermitian_gap(blocks)
-        if not herm_gap <= HERM_TOL:  # a NaN gap fails too
+        if not herm_gap <= AUDIT_SLACK:  # a NaN gap fails too
             raise PreconditionError(
-                f"matrix is not Hermitian within {HERM_TOL} (gap {herm_gap:.3e})"
+                f"matrix is not Hermitian within {AUDIT_SLACK} (gap {herm_gap:.3e})"
             )
         self.blocks = blocks
         self.order = order
@@ -146,12 +145,12 @@ def _hermitian_gap(blocks: np.ndarray) -> float:
     return float(np.max(gaps))
 
 
-def clamp_to_unit(values: np.ndarray) -> np.ndarray:
-    """Values within 1e-9 of [0, 1] clamped into it; anything further out, or NaN, fails loudly."""
-    low, high = float(values.min()), float(values.max())
+def clamp_to_unit(values):
+    """Values (array or scalar) within AUDIT_SLACK of [0, 1] clamped in; further, or NaN, fails."""
+    low, high = float(np.min(values)), float(np.max(values))
     if np.isnan(low):  # min propagates a NaN, which no excess figure could name
         raise InvariantViolation("values escape [0,1]: a value is NaN")
-    if not (low >= -EIG_CLAMP_TOL and high <= 1.0 + EIG_CLAMP_TOL):
+    if not (low >= -AUDIT_SLACK and high <= 1.0 + AUDIT_SLACK):
         raise InvariantViolation(
             f"values escape [0,1] beyond tolerance: {max(-low, 0.0):.3e} below 0, "
             f"{max(high - 1.0, 0.0):.3e} above 1"
@@ -192,8 +191,7 @@ def witness_probabilities(circuit: VerifierCircuit, x: str = "") -> np.ndarray:
 
     Each is the squared norm of an accepted embed column, with no Gram
     product: the diagonal's bits wherever the Gram is exact.  On int32
-    planes the squares sum exactly in int64.  A probability further than
-    1e-9 outside [0, 1] fails loudly.
+    planes the squares sum exactly in int64; clamp_to_unit takes them into [0, 1].
     """
     embed = embedded_witness_matrix(circuit.output_cone(), x)
     planes = embed.planes
@@ -221,8 +219,8 @@ def check_promise(c: float, s: float) -> None:
 
 
 def trace_normalized(op: AcceptanceOperator) -> float:
-    """Trace divided by 2**w; always in [0, 1]."""
-    return min(1.0, max(0.0, op.trace / op.dim))
+    """Trace divided by 2**w, clamped into [0, 1] by clamp_to_unit."""
+    return float(clamp_to_unit(op.trace / op.dim))
 
 
 def accept_probability(circuit: VerifierCircuit, basis: int) -> float:
@@ -236,8 +234,7 @@ def accept_probability(circuit: VerifierCircuit, basis: int) -> float:
     """
     state = simulate(circuit.output_cone(), basis)
     half = state.shape[0] // 2
-    p = float(np.real(np.vdot(state[half:], state[half:])))
-    return min(1.0, max(0.0, p))
+    return float(clamp_to_unit(np.real(np.vdot(state[half:], state[half:]))))
 
 
 def dqc1_ancilla_bound(num_witness: int) -> int:

@@ -150,14 +150,15 @@ def _interpolation_degree(k: float, tol: float) -> tuple[int, float]:
     <= 1 + e^(b^2); its interpolant at p + 1 first-kind Chebyshev nodes is then
     within eta = 4 M rho^-p / (rho - 1) of it on [-1, 1] (Trefethen, ATAP Thm 8.2;
     aliasing carries it to first-kind nodes).  One scan over b = k beta picks rho;
-    math evaluates the bound there, so the degree is deterministic.
+    math evaluates the bound there, so the degree is deterministic.  Past POLY_DEGREE_CAP,
+    which rect_poly refuses, it stops refining: beyond 2**53 a step of 2 leaves eta fixed.
     """
     b = np.geomspace(2.0**-6, 2.0**6, 4096)
     log_ratio, log_rho = _log_bound_terms(b, k, np)
     i = int(np.argmin((math.log(4.0 / tol) + log_ratio) / log_rho))
     log_ratio, log_rho = _log_bound_terms(float(b[i]), k, math)
     degree = 2 * math.ceil((math.log(4.0 / tol) + log_ratio) / log_rho / 2.0)
-    while (eta := 4.0 * math.exp(log_ratio - degree * log_rho)) > tol:
+    while (eta := 4.0 * math.exp(log_ratio - degree * log_rho)) > tol and degree <= POLY_DEGREE_CAP:
         degree += 2  # the ceiling fell short by a rounding
     return degree, eta
 

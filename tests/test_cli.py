@@ -40,12 +40,13 @@ SUBCOMMANDS = (
 )
 
 
-def run_cli(*args, env=None):
+def run_cli(*args, env=None, timeout=None):
     return subprocess.run(
         [sys.executable, "-m", "qcount.cli", *args],
         capture_output=True,
         text=True,
         env=None if env is None else {**os.environ, **env},
+        timeout=timeout,
     )
 
 
@@ -121,6 +122,18 @@ def test_rect_poly_reports_zero_violations():
     rec = run_json("rect-poly", "--t", "0.5", "--width", "0.2", "--eps", "0.1")
     assert rec["violations"] == 0
     assert rec["degree"] <= rec["degree_budget"]
+
+
+@pytest.mark.parametrize(
+    "t,width,eps", [("0.5", "1e-25", "0.01"), ("1e-300", "5e-301", "0.01"), ("0.5", "1e-300", "0.4")]
+)
+def test_rect_poly_at_a_tiny_half_width_exits_2(t, width, eps):
+    # past 2**53 a degree step of 2 leaves the interpolation bound fixed: the degree
+    # search stops at the cap, which rect_poly refuses, instead of spinning forever
+    proc = run_cli("rect-poly", "--t", t, "--width", width, "--eps", eps, timeout=60)
+    assert proc.returncode == 2
+    assert len(proc.stderr.splitlines()) == 1
+    assert "Traceback" not in proc.stderr
 
 
 def test_svt_amplify_sandwich(circuits):
@@ -429,29 +442,49 @@ def _probabilities_off_by_1e_6(circuit, x=""):
     return qcount.spectral.witness_probabilities(circuit, x) + 1e-6
 
 
+def _state_scaled_by_1_001(circuit, basis):
+    from qcount.circuit import simulate
+
+    return 1.001 * simulate(circuit, basis)
+
+
 @pytest.mark.parametrize(
-    "target,fault,args,audit",
+    "target,fault,args,env,audit",
     [
         (
             "qcount.reductions.MiscountingOracle._estimator_answer",
             _oracle_answer_out_of_range,
             ("reduce-interval", "{h}", "--M", "4", "--mode", "estimator", "--seed", "1"),
+            {},
             "oracle answer 1000000.0 escapes its allowed range",
         ),
         (
             "qcount.pathsum.witness_probabilities",
             _probabilities_off_by_1e_6,
             ("path-sum", "{h}"),
+            {},
             "path sum 1.0 disagrees with spectral trace",
         ),
+        (
+            # past the dense cap a probability above 1 fails as it does within it
+            "qcount.spectral.simulate",
+            _state_scaled_by_1_001,
+            ("estimate-trace", "{x}", "--M", "16", "--seed", "1"),
+            {"QCOUNT_DENSE_CAP": "1"},
+            "values escape [0,1] beyond tolerance",
+        ),
     ],
-    ids=["oracle-range-audit", "path-sum-self-check"],
+    ids=["oracle-range-audit", "path-sum-self-check", "past-cap-probability-above-1"],
 )
-def test_invariant_violation_exits_3(circuits, monkeypatch, capsys, target, fault, args, audit):
+def test_invariant_violation_exits_3(
+    circuits, monkeypatch, capsys, target, fault, args, env, audit
+):
     # a fault injected under an audit reaches the CLI's exit-3 branch
     import qcount.cli
 
     monkeypatch.setattr(target, fault)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
     assert qcount.cli.run([a.format(**circuits) for a in args]) == 3
     out, err = capsys.readouterr()
     assert out == ""

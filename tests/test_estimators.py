@@ -176,6 +176,25 @@ def test_a_run_holds_at_most_four_bytes_per_sample():
     assert peak <= 4 * M, peak / M
 
 
+def test_a_run_past_the_dense_cap_holds_at_most_eight_bytes_per_sample(monkeypatch):
+    # past the cap the run sorts its picks once for the distinct witnesses, simulates
+    # each once, and rewrites every pick as its rank chunk by chunk: an unchunked
+    # remap would hold one int64 per sample
+    circ = random_circuit(np.random.default_rng(315), num_ancilla=1, num_witness=10, gate_count=40)
+    M = 2**18
+    monkeypatch.setenv("QCOUNT_DENSE_CAP", "3")
+    assert circ.num_qubits > dense_qubit_cap()
+    tracemalloc.start()
+    try:
+        est = trace_estimate(circ, "", M, stream(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    probs = np.array([accept_probability(circ, y) for y in range(1 << circ.num_witness)])
+    assert est.value == trace_estimate(circ, "", M, stream(1), probabilities=probs).value
+    assert peak <= 8 * M, peak / M
+
+
 def test_decider_checks_sample_cap_before_building(monkeypatch):
     builds = []
     monkeypatch.setattr(qcount.estimators, "witness_probabilities", lambda *a: builds.append(a))
